@@ -2,8 +2,9 @@
 """Measure a workload's latency-versus-offered-rate curve on the current commit.
 
 This is how the frozen rates and limits in ``perfbench/workloads.py`` were
-chosen (``light`` near 30% and ``busy`` near 70% of the saturated
-throughput); it is not part of a benchmark run.  From the checkout root::
+chosen (``busy`` near half of the throughput a slow spell of the host
+saturates at, ``light`` near a third of it); it is not part of a
+benchmark run.  From the checkout root::
 
     python3 perfbench/calibrate.py --workload unique-small --seconds 5 \\
         --rates 60 120 180 240 300 600

@@ -14,7 +14,7 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 #: Connections the generator spreads its requests over.
 CONNECTIONS = 2
@@ -44,10 +44,25 @@ class _Connection:
     closed: bool = False
 
 
-class OpenLoopClient:
-    """The load generator's connections to one server."""
+async def _spin_until(condition: Callable[[], bool]) -> None:
+    """Yield to the event loop until ``condition()`` holds, never letting it sleep."""
+    while not condition():
+        await asyncio.sleep(0)
 
-    def __init__(self) -> None:
+
+class OpenLoopClient:
+    """The load generator's connections to one server.
+
+    With ``spin`` the generator never lets its event loop sleep during a
+    phase.  A sleeping generator lets its virtual CPU halt, and waking a
+    halted virtual CPU on a busy host takes milliseconds: sends would go
+    out late and responses would be time-stamped late.  A server hosted
+    in the generator's own process needs the interpreter lock whenever
+    the generator would spin, so it is driven without.
+    """
+
+    def __init__(self, spin: bool = True) -> None:
+        self.spin = spin
         self._conns: List[_Connection] = []
         self._readers: List[asyncio.Task] = []
 
@@ -104,19 +119,21 @@ class OpenLoopClient:
         start = time.perf_counter() + LEAD_S
         for index, (offset, payload) in enumerate(zip(due, payloads)):
             target = start + offset
-            delay = target - time.perf_counter()
-            if delay > 0:
-                await asyncio.sleep(delay)
+            if self.spin:
+                await _spin_until(lambda: time.perf_counter() >= target)
+            elif target > time.perf_counter():
+                await asyncio.sleep(target - time.perf_counter())
             result.due[index] = target
             result.sent[index] = time.perf_counter()
             futures.append(self._send(index, payload))
         for conn in self._conns:
             if not conn.closed:
                 await conn.writer.drain()
-        last_due = start + (due[-1] if due else 0.0)
-        timeout = max(0.0, last_due + DRAIN_TIMEOUT_S - time.perf_counter())
-        if futures:
-            await asyncio.wait(futures, timeout=timeout)
+        deadline = start + (due[-1] if due else 0.0) + DRAIN_TIMEOUT_S
+        if self.spin:
+            await _spin_until(lambda: all(f.done() for f in futures) or time.perf_counter() >= deadline)
+        elif futures:
+            await asyncio.wait(futures, timeout=max(0.0, deadline - time.perf_counter()))
         for index, future in enumerate(futures):
             if future.done() and future.exception() is None:
                 result.received[index], result.responses[index] = future.result()

@@ -3,7 +3,7 @@
 
 Run from the root of a checkout::
 
-    python3 perfbench/run.py --workload unique-small --seed 1 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload unique-small --seed 1 --seconds 36 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics against ``repro serve`` in a
 subprocess; ``--trace 1`` makes the separate traced run that reports the
@@ -45,19 +45,28 @@ SETUPS = 5
 #: beyond any limit, so such a request always misses it.
 FAILED_MS = DRAIN_TIMEOUT_S * 1000.0
 #: Generator lateness (p99, ms) above which the whole machine, not the
-#: server, stalled during a phase: the load was not offered as scheduled,
-#: so the phase is repeated once with fresh requests.
+#: server, stalled during a chunk: the load was not offered as scheduled.
 STALL_MS = 50.0
-#: Share of ``--seconds`` given to each of the traced run's two phases.
-TRACED_SHARE = 0.45
+#: Share of the machine's CPU time the hypervisor may steal during a chunk
+#: (``/proc/stat``) before the chunk counts as measuring the host, not the
+#: program.
+STEAL_LIMIT = 0.02
+#: Chunks a run may offer again after a stall or steal, at most once each.
+MAX_REPEATS = 3
+#: Share of ``--seconds`` given to each of the traced run's three phases.
+TRACED_SHARE = 0.3
+#: Chunks the traced run alternates between its traced and untraced in-process services.
+TRACE_CHUNKS = 4
+#: Platforms of the traced run's Figure 1 panel (7 cells each, 1000 tasks a cell).
+CAMPAIGN_PLATFORMS = 2
 #: Where traced runs leave their spans (ignored by git).
 OUT_DIR = ".perfbench_out"
 WORK_DIR = ".perfbench_work"
 
 #: End-to-end metric -> unit, in BENCHMARK.json order.
 END_TO_END = {
-    "setup_s": "s", "p50_ms.light": "ms", "p99_ms.light": "ms", "p50_ms.busy": "ms",
-    "p99_ms.busy": "ms", "max_rps": "req/s", "rss_mb": "MiB",
+    "setup_s": "s", "p50_ms.light": "ms", "p50_ms.busy": "ms", "server_cpu_ms_per_req": "ms",
+    "rss_mb": "MiB",
 }
 
 
@@ -67,19 +76,27 @@ def log(message: str) -> None:
 
 
 # -- inputs -------------------------------------------------------------------------
+def serve_args(state_dir: Path):
+    """The flags of the measured server: ``repro serve`` defaults plus a state dir.
+
+    Every service this benchmark builds in-process is configured from these
+    through the CLI's own builder, so it matches the measured subprocess.
+    """
+    from repro.cli import build_parser
+
+    return build_parser().parse_args(["serve", "--listen", "127.0.0.1:0", "--state-dir", str(state_dir)])
+
+
 def journal_popular(source: workloads.RequestSource, state_dir: Path) -> None:
     """Untimed pass: journal the hot-repeat pool through the program's own cache."""
-    from repro.service import LRUResultCache, ScheduleService, ShardPersistence, serve_lines
+    from repro.cli import _build_service
+    from repro.service import serve_lines
 
-    cache = LRUResultCache(
-        max_entries=1024,
-        persistence=ShardPersistence(state_dir / "shard-00", journal_max_entries=1024),
-    )
-    try:
-        with ScheduleService(workers=1, cache=cache) as service:
+    with _build_service(serve_args(state_dir)) as service:
+        try:
             serve_lines(source.journal_lines(), service, io.StringIO())
-    finally:
-        cache.close()
+        finally:
+            service.cache.close()
 
 
 def fresh_state(template: Optional[Path], target: Path) -> Path:
@@ -116,9 +133,11 @@ class Phase:
         self.backlog_growth = stats.backlog_growth(backlog)
         self.backlog_grew = stats.backlog_grows(backlog, rate, limit_ms)
         self.passed = self.tail_ms <= limit_ms and self.failed == 0 and not self.backlog_grew
-        self.scrape_before: Dict[str, Any] = {}
-        self.scrape_after: Dict[str, Any] = {}
+        #: Metrics scrapes taken before and after the phase (one pair per chunk).
+        self.scrapes: List[Tuple[Dict[str, Any], Dict[str, Any]]] = []
         self.cpu_s = 0.0
+        #: Share of the machine's CPU time stolen by the hypervisor during the phase.
+        self.steal_frac = 0.0
         #: The server's VmHWM right after this phase (subprocess servers only).
         self.peak_rss_mib = 0.0
         #: True when the generator stalled and the phase was offered again.
@@ -136,27 +155,51 @@ class Phase:
         return (
             f"phase {self.name:<9} offered {self.rate:7.1f} req/s  n={self.n:<5} "
             f"p50 {self.p50:7.2f} ms  p{self.tail_pct:g} {self.tail_ms:8.2f} ms  "
-            f"failed {self.failed}  late p99 {self.late_p99_ms:5.2f} ms  "
+            f"failed {self.failed}  late p99 {self.late_p99_ms:5.2f} ms  steal {self.steal_frac:5.1%}  "
             f"backlog growth {self.backlog_growth:+6.1f}  {'PASS' if self.passed else 'FAIL'}"
         )
 
 
+def pooled(name: str, chunks: Sequence[Phase], limit_ms: float) -> Phase:
+    """One phase made of ``chunks`` offered at the same rate (their requests pooled)."""
+    result = PhaseResult(
+        due=[t for c in chunks for t in c.result.due],
+        sent=[t for c in chunks for t in c.result.sent],
+        received=[t for c in chunks for t in c.result.received],
+        responses=[r for c in chunks for r in c.result.responses],
+        dropped=sum(c.result.dropped for c in chunks),
+    )
+    phase = Phase(name, chunks[0].rate, [line for c in chunks for line in c.lines], result, limit_ms)
+    phase.scrapes = [pair for c in chunks for pair in c.scrapes]
+    phase.cpu_s = sum(c.cpu_s for c in chunks)
+    phase.peak_rss_mib = max(c.peak_rss_mib for c in chunks)
+    return phase
+
+
 def scrape_layers(phase: Phase) -> Dict[str, float]:
-    """Per-layer numbers of one phase from the metrics scrapes and ``/proc``."""
-    before, after = phase.scrape_before, phase.scrape_after
-    if not before or not after:
+    """Per-layer numbers of one phase from the metrics scrapes and ``/proc``.
+
+    Counters and histograms are deltas across each scraped pair (one per
+    chunk of the phase), summed over the pairs.
+    """
+    if not phase.scrapes:
         return {}
 
     def count(name: str) -> float:
-        return after["counters"].get(name, 0) - before["counters"].get(name, 0)
+        return sum(after["counters"].get(name, 0) - before["counters"].get(name, 0) for before, after in phase.scrapes)
+
+    def delta(name: str) -> Dict:
+        total: Dict = {}
+        for before, after in phase.scrapes:
+            total = stats.histogram_add(total, stats.histogram_delta(before["histograms"].get(name, {}), after["histograms"][name]))
+        return total
 
     def quantile(name: str, q: float) -> float:
-        delta = stats.histogram_delta(before["histograms"].get(name, {}), after["histograms"][name])
-        return stats.histogram_quantile(delta, q)
+        return stats.histogram_quantile(delta(name), q)
 
     received = max(count("service.received"), 1)
     lookups = max(count("cache.hits") + count("cache.misses"), 1)
-    batch = stats.histogram_delta(before["histograms"]["service.batch_size"], after["histograms"]["service.batch_size"])
+    batch = delta("service.batch_size")
     return {
         "async_server.read_ms.p50": quantile("server.read_ms", 0.5),
         "async_server.write_ms.p50": quantile("server.write_ms", 0.5),
@@ -191,17 +234,19 @@ async def drive(
     pid: Optional[int],
     next_phase: Callable[[List[Phase]], Optional[PhaseSpec]],
     limit_ms: float,
-    freeze_gc: bool = True,
+    in_process: bool = False,
 ) -> List[Phase]:
     """Offer phases over one set of connections until ``next_phase`` returns None.
 
-    ``next_phase`` sees the phases run so far, so a search can choose its
-    next rate.  Metrics are scraped before and after every phase.  With
-    ``freeze_gc`` the generator moves its own live objects out of the
-    garbage collector's reach before each phase, so collections of earlier
-    phases' records cannot stall the sends and receives being timed.
+    ``next_phase`` sees the phases run so far, so a stalled phase can be
+    offered again.  Metrics are scraped before and after every phase.
+    Before each phase the generator moves its own live objects out of the
+    garbage collector's reach, so collections of earlier phases' records
+    cannot stall the sends and receives being timed.  A server hosted
+    ``in_process`` shares the interpreter: its collector is left alone
+    and the generator does not spin.
     """
-    client = OpenLoopClient()
+    client = OpenLoopClient(spin=not in_process)
     await client.connect(host, port)
     phases: List[Phase] = []
     try:
@@ -211,20 +256,23 @@ async def drive(
             if spec is None:
                 break
             name, rate, due, lines = spec
-            if freeze_gc:
+            if not in_process:
                 gc.collect()
                 gc.freeze()
             cpu_before = cpu_seconds(pid) if pid is not None else 0.0
+            steal_before, total_before = host_cpu_ticks()
             result = await client.run_phase(due, lines)
+            steal_after, total_after = host_cpu_ticks()
             phase = Phase(name, rate, lines, result, limit_ms)
             phase.cpu_s = (cpu_seconds(pid) if pid is not None else 0.0) - cpu_before
-            phase.scrape_before = scrape.get("metrics", {})
+            phase.steal_frac = (steal_after - steal_before) / max(total_after - total_before, 1)
             phases.append(phase)
             log(phase.report())
             if result.dropped or any(r is None for r in result.received):
                 break  # lost requests: the connections can no longer be trusted
+            before = scrape.get("metrics", {})
             scrape = await client.control({"type": "metrics", "id": f"scrape-{len(phases)}"})
-            phase.scrape_after = scrape.get("metrics", {})
+            phase.scrapes = [(before, scrape.get("metrics", {}))]
             if pid is not None:
                 phase.peak_rss_mib = vm_hwm_mib(pid)
     finally:
@@ -233,63 +281,54 @@ async def drive(
 
 
 def measured(phases: Sequence[Phase]) -> List[Phase]:
-    """The phases that count: all but those repeated after a machine stall."""
+    """The phases that count: all but those offered again after a disturbance."""
     return [phase for phase in phases if not phase.repeated]
 
 
-def max_rps(phases: Sequence[Phase], limit_ms: float) -> float:
-    """The bounded search's answer over light, busy and the search steps run."""
-    return stats.interpolate_capacity(
-        [(p.rate, p.tail_ms, p.passed) for p in phases if p.name != "warmup"], limit_ms
-    )
+def operating_points(phases: Sequence[Phase], limit_ms: float) -> Tuple[Optional[Phase], Optional[Phase]]:
+    """``(light, busy)``: the measured chunks of each operating point pooled.
 
-
-def search_ladder(busy: Phase) -> List[float]:
-    """Rates the ``max_rps`` search climbs, anchored on the busy phase's CPU cost.
-
-    The server answers from one interpreter, so the CPU it spent per
-    request at the busy rate predicts where it saturates; the search only
-    uses that to choose where to look.
+    Either is None until all of its chunks have been measured.
     """
-    cpu_ms = busy.cpu_s * 1000.0 / busy.n
-    predicted = 1000.0 / cpu_ms if cpu_ms > 0 else 2.0 * busy.rate
-    start = max(workloads.SEARCH_START * predicted, 1.05 * busy.rate)
-    log(f"search: {cpu_ms:.3f} CPU ms/request at busy predicts {predicted:.0f} req/s; starting at {start:.0f}")
-    return [start * workloads.SEARCH_GROWTH ** k for k in range(workloads.SEARCH_STEPS)]
+    done = measured(phases)
+    points = []
+    for name in ("light", "busy"):
+        chunks = [p for p in done if p.name.startswith(name + "-")]
+        points.append(pooled(name, chunks, limit_ms) if len(chunks) == workloads.CHUNKS else None)
+    return points[0], points[1]
 
 
 def service_phases(
     workload: workloads.Workload, source: workloads.RequestSource, seconds: float
 ) -> Callable[[List[Phase]], Optional[PhaseSpec]]:
-    """Warm-up, light and busy, then up to SEARCH_STEPS steps of the max_rps search.
+    """Warm-up, then the light and busy phases in alternating chunks.
 
-    A phase during which the generator itself ran late (see STALL_MS) is
-    marked ``repeated`` and offered once more with fresh requests; it still
-    counts as attempted and its responses are still checked.
+    A chunk during which the machine, not the program, was measured — the
+    generator itself ran late (STALL_MS) or the hypervisor took the CPUs
+    (STEAL_LIMIT) — is marked ``repeated`` and offered once more with
+    fresh requests, for at most MAX_REPEATS chunks a run.  A repeated
+    chunk still counts as attempted and its responses are still checked.
     """
     fixed = workloads.phase_plan(workload, seconds)
-    ladder: List[float] = []
 
     def next_phase(ran: List[Phase]) -> Optional[PhaseSpec]:
         last = ran[-1] if ran else None
-        if last is not None and last.late_p99_ms > STALL_MS and all(p.name != last.name for p in ran[:-1]):
+        if (
+            last is not None
+            and last.name != "warmup"
+            and (last.late_p99_ms > STALL_MS or last.steal_frac > STEAL_LIMIT)
+            and all(p.name != last.name for p in ran[:-1])
+            and sum(p.repeated for p in ran) < MAX_REPEATS
+        ):
             last.repeated = True
-            log(f"phase {last.name}: the generator ran {last.late_p99_ms:.0f} ms late (p99); repeating it")
+            log(
+                f"phase {last.name}: generator late {last.late_p99_ms:.0f} ms (p99), "
+                f"host steal {last.steal_frac:.1%}; repeating it"
+            )
         done = measured(ran)
-        if len(done) < len(fixed):
-            name, rate, count = fixed[len(done)]
-        else:
-            step = len(done) - len(fixed)
-            if step >= workloads.SEARCH_STEPS:
-                return None
-            if not ladder:
-                ladder.extend(search_ladder(done[len(fixed) - 1]))
-            steps = [(p.rate, p.passed) for p in done if p.name != "warmup"]
-            rate = stats.next_search_rate(steps, ladder)
-            if rate is None:
-                return None
-            name = f"search-{step}"
-            count = workloads.phase_requests(rate, workload.search_share, seconds)
+        if len(done) == len(fixed):
+            return None
+        name, rate, count = fixed[len(done)]
         return (name, rate) + source.phase(rate, count, name)
 
     return next_phase
@@ -346,18 +385,19 @@ def service_run(workload: workloads.Workload, seed: int, seconds: float, work: P
     outcome.failed = sum(p.failed for p in phases)
     outcome.failed += sum('"status":"ok"' not in r for r in probe_responses)
 
-    by_name = {p.name: p for p in measured(phases)}
-    light, busy = by_name["light"], by_name.get("busy")
-    if busy is None:
-        raise RuntimeError("the busy phase did not run (the light phase lost requests)")
+    light, busy = operating_points(phases, workload.p99_limit_ms)
+    if light is None or busy is None:
+        raise RuntimeError("the light and busy phases did not finish (requests were lost)")
     for phase in (light, busy):
+        log(phase.report())
         if phase.tail_pct != 99.0:
             raise RuntimeError(
                 f"{phase.name} phase has {phase.n} samples, too few for p99; raise --seconds"
             )
-    capacity = max_rps(measured(phases), workload.p99_limit_ms)
     log(f"setup_s samples: {' '.join(f'{t:.4f}' for t in setup_times)}")
-    log(f"max_rps {capacity:.1f} req/s (p99 limit {workload.p99_limit_ms:g} ms, {len(phases)} steps)")
+    cpu_ms = busy.cpu_s * 1000.0 / busy.n
+    if cpu_ms > 0:
+        log(f"server CPU {cpu_ms:.3f} ms/request at busy: one interpreter saturates near {1000.0 / cpu_ms:.0f} req/s")
     for phase in (light, busy):
         for name, value in sorted(scrape_layers(phase).items()):
             log(f"  {phase.name:<5} {name:<34} {value:12.4f}")
@@ -368,13 +408,8 @@ def service_run(workload: workloads.Workload, seed: int, seconds: float, work: P
     values = {
         "setup_s": statistics.median(setup_times),
         "p50_ms.light": light.p50,
-        "p99_ms.light": light.tail_ms,
         "p50_ms.busy": busy.p50,
-        "p99_ms.busy": busy.tail_ms,
-        "max_rps": capacity,
-        # Peak through the busy phase: the capacity search that follows
-        # overloads the server on purpose, and its backlog is not a
-        # footprint users see at the operating points.
+        "server_cpu_ms_per_req": (light.cpu_s + busy.cpu_s) * 1000.0 / (light.n + busy.n),
         "rss_mb": busy.peak_rss_mib,
     }
     outcome.metrics = {name: (values[name], unit) for name, unit in END_TO_END.items()}
@@ -385,17 +420,9 @@ class InProcessServer:
     """``AsyncScheduleServer`` in a thread of this process, for the traced run."""
 
     def __init__(self, state_dir: Path) -> None:
-        from repro.service import LRUResultCache, ScheduleService, ShardPersistence
-        from repro.service.observability import Observability
+        from repro.cli import _build_service
 
-        obs = Observability()
-        self.cache = LRUResultCache(
-            max_entries=1024,
-            persistence=ShardPersistence(state_dir / "shard-00", journal_max_entries=1024),
-            registry=obs.registry,
-        )
-        self.cache.warm_load()
-        self.service = ScheduleService(workers=1, cache=self.cache, observability=obs)
+        self.service = _build_service(serve_args(state_dir))
         self.port = 0
         self._ready = threading.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -432,9 +459,10 @@ class InProcessServer:
     def stop(self) -> None:
         if self._loop is not None and self._stop is not None and self._thread.is_alive():
             self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=60.0)
+        if self._thread.ident is not None:
+            self._thread.join(timeout=60.0)
         self.service.close()
-        self.cache.close()
+        self.service.cache.close()
         if self._thread.is_alive():
             raise RuntimeError("in-process server did not stop")
 
@@ -496,9 +524,95 @@ def budget_report(recorder, requests: int) -> None:
         log(f"  {name:<34} {calls / requests:10.2f} {self_s / requests * 1e6:12.1f} {self_s / grand:7.1%}")
 
 
+def traced_and_reference(
+    recorder, state_dirs: Tuple[Path, Path], spec: PhaseSpec, limit_ms: float
+) -> Tuple[Phase, Phase]:
+    """``(traced, reference)``: one phase offered to two services hosted in this process.
+
+    The phase is split into TRACE_CHUNKS chunks, each offered to the
+    untraced reference service and, with the wrappers installed, to the
+    traced one, in alternating order (ABBA...), so a process warming up or
+    a host slowing down is shared between the two.  The traced service is
+    built while the wrappers are installed, so its journal replay is
+    traced too.
+    """
+    from perfbench.tracing import Patcher, install
+
+    name, rate, due, lines = spec
+    patcher = Patcher()
+    install(patcher, recorder, workloads.HEURISTICS)
+    try:
+        traced_server = InProcessServer(state_dirs[0])
+    finally:
+        patcher.restore()
+    reference_server = InProcessServer(state_dirs[1])
+    chunks: Dict[bool, List[Phase]] = {True: [], False: []}
+    size = -(-len(lines) // TRACE_CHUNKS)
+    try:
+        traced_server.start()
+        reference_server.start()
+        for chunk in range(TRACE_CHUNKS):
+            part = slice(chunk * size, (chunk + 1) * size)
+            offset = due[part][0]
+            plan = in_order([(f"{name}-{chunk + 1}", rate, [t - offset for t in due[part]], lines[part])])
+            for traced in ((False, True) if chunk % 2 == 0 else (True, False)):
+                server = traced_server if traced else reference_server
+                if traced:
+                    install(patcher, recorder, workloads.HEURISTICS)
+                try:
+                    ran = asyncio.run(drive("127.0.0.1", server.port, None, plan, limit_ms, in_process=True))
+                finally:
+                    patcher.restore()
+                chunks[traced].append(measured(ran)[0])
+    finally:
+        for server in (traced_server, reference_server):
+            server.stop()
+    return pooled(name, chunks[True], limit_ms), pooled(name, chunks[False], limit_ms)
+
+
+def campaign_layers(seed: int) -> Tuple[Dict[str, float], int]:
+    """Per-layer numbers of the campaign path, and its output mismatches.
+
+    One small Figure 1 panel (root seed = workload seed) runs in-process
+    through ``run_campaign`` with the grid builder, ``run_cell`` and the
+    streaming aggregator wrapped; the same grid run on the ``array``
+    backend must give identical per-cell metrics and summaries (the
+    backend parity contract).
+    """
+    from perfbench.tracing import Patcher, SpanRecorder
+    from repro.campaigns import runner
+    from repro.experiments import figure1
+    from repro.experiments.config import Figure1Config
+
+    config = Figure1Config(n_platforms=CAMPAIGN_PLATFORMS)
+    by_heuristic = lambda cell: cell.param("scheduler")  # noqa: E731
+    recorder = SpanRecorder()
+    with Patcher() as patcher:
+        patcher.patch(figure1, "figure1_panel_grid", recorder.span("experiments.grid_build"))
+        patcher.patch(runner, "run_cell", recorder.span("campaigns.run_cell"))
+        patcher.patch(runner.StreamingAggregator, "add", recorder.span("campaigns.aggregate"))
+        cells = figure1.figure1_panel_grid(config, seed)
+        traced = runner.run_campaign(cells, workers=1, group_key=by_heuristic)
+    array = runner.run_campaign(cells, workers=1, group_key=by_heuristic, engine_backend="array")
+    mismatches = sum(a != b for a, b in zip(traced.metrics, array.metrics))
+    mismatches += int(traced.summaries != array.summaries)
+    run_cells = recorder.durations("campaigns.run_cell")
+    log(f"campaign: {len(cells)} Figure 1 cells, {sum(run_cells):.2f} s in run_cell, {mismatches} array-backend mismatch(es)")
+    return {
+        "campaigns.run_cell_ms.p50": stats.percentile(run_cells, 50.0) * 1e3,
+        "campaigns.aggregate_us.p50": stats.percentile(recorder.durations("campaigns.aggregate"), 50.0) * 1e6,
+        "experiments.grid_build_s": sum(recorder.durations("experiments.grid_build")),
+    }, mismatches
+
+
 def traced_run(workload: workloads.Workload, seed: int, seconds: float, work: Path) -> Outcome:
-    """The traced run: the same light-rate phase untraced (subprocess) and traced (in-process)."""
-    from perfbench.tracing import Patcher, SpanRecorder, install
+    """The traced run: one light-rate phase offered three times, then a small campaign.
+
+    The phase goes to the subprocess server (scrape and ``/proc`` numbers),
+    to the service hosted in this process untraced (the reference for the
+    tracing overhead), and to the same in-process service traced.
+    """
+    from perfbench.tracing import SpanRecorder
 
     outcome = Outcome()
     source = workloads.RequestSource(workload, seed)
@@ -512,26 +626,20 @@ def traced_run(workload: workloads.Workload, seed: int, seconds: float, work: Pa
     plan = in_order([("light", workload.light_rps, due, lines)])
     limit = workload.p99_limit_ms
 
-    with ServerProcess(ROOT, fresh_state(template, work / "state-untraced")) as server:
+    with ServerProcess(ROOT, fresh_state(template, work / "state-subprocess")) as server:
         _, probe_response = server.start_and_probe(probe)
         untraced = measured(asyncio.run(drive(server.host, server.port, server.pid, plan, limit)))[0]
-
     recorder = SpanRecorder()
-    with Patcher() as patcher:
-        install(patcher, recorder, workloads.HEURISTICS)
-        inproc = InProcessServer(fresh_state(template, work / "state-traced"))
-        inproc.start()
-        try:
-            # The server shares this process, so its collector is left alone.
-            traced = measured(asyncio.run(drive("127.0.0.1", inproc.port, None, plan, limit, freeze_gc=False)))[0]
-        finally:
-            inproc.stop()
+    state_dirs = (fresh_state(template, work / "state-traced"), fresh_state(template, work / "state-untraced"))
+    traced, reference = traced_and_reference(recorder, state_dirs, ("light", workload.light_rps, due, lines), limit)
+    campaign, campaign_mismatches = campaign_layers(seed)
 
     baseline = baseline_responses(str(ROOT / "src"), [probe] + lines)
-    outcome.mismatches = untraced.mismatches(baseline) + traced.mismatches(baseline)
+    phases = (untraced, reference, traced)
+    outcome.mismatches = sum(phase.mismatches(baseline) for phase in phases) + campaign_mismatches
     outcome.mismatches += int(baseline[probe] != probe_response)
-    outcome.attempted = 1 + untraced.n + traced.n
-    outcome.failed = untraced.failed + traced.failed + int('"status":"ok"' not in probe_response)
+    outcome.attempted = 1 + sum(phase.n for phase in phases)
+    outcome.failed = sum(phase.failed for phase in phases) + int('"status":"ok"' not in probe_response)
 
     spans_path = ROOT / OUT_DIR / f"spans-{workload.name}-seed{seed}.jsonl"
     recorder.write(spans_path)
@@ -540,10 +648,12 @@ def traced_run(workload: workloads.Workload, seed: int, seconds: float, work: Pa
 
     layers = scrape_layers(untraced)
     layers.update(span_layers(recorder))
-    layers["trace.overhead_p50_frac"] = traced.p50 / untraced.p50 - 1.0
+    layers.update(campaign)
+    layers["trace.overhead_p50_frac"] = traced.p50 / reference.p50 - 1.0
     log(
-        f"tracing overhead: p50 {untraced.p50:.3f} ms untraced -> {traced.p50:.3f} ms traced "
-        f"({layers['trace.overhead_p50_frac']:+.1%})"
+        f"tracing overhead (in-process server): p50 {reference.p50:.3f} ms untraced -> "
+        f"{traced.p50:.3f} ms traced ({layers['trace.overhead_p50_frac']:+.1%}); "
+        f"subprocess server p50 {untraced.p50:.3f} ms"
     )
     outcome.metrics = {
         name: (layers[name], unit) for name, (unit, *_rest) in workloads.LAYER_METRICS.items()

@@ -134,61 +134,6 @@ def self_time(span: Tuple[float, float], children: Iterable[Tuple[float, float]]
     return (end - start) - interval_union(clipped)
 
 
-def interpolate_capacity(steps: Sequence[Tuple[float, float, bool]], limit_ms: float) -> float:
-    """Highest offered rate meeting the limit, from the rate steps measured.
-
-    ``steps`` holds ``(rate, tail_ms, passed)`` in any order, where
-    ``passed`` already folds in the backlog and failure checks.  The answer
-    lies between the lowest failing rate and the highest passing rate below
-    it; the crossing of ``limit_ms`` is interpolated there on a log-latency
-    scale, so the figure moves continuously with the system instead of
-    snapping to the rates tried.  With no failing step it is the highest
-    rate tried; when even the lowest step failed, that rate scaled down by
-    how far it missed.
-    """
-    if not steps:
-        raise ValueError("no rate steps")
-    ordered = sorted(steps)
-    for index, (rate, tail_ms, passed) in enumerate(ordered):
-        if passed:
-            continue
-        if index == 0:
-            return rate * min(1.0, limit_ms / max(tail_ms, 1e-9))
-        low_rate, low_tail, _ = ordered[index - 1]
-        if tail_ms <= limit_ms or low_tail <= 0 or tail_ms <= low_tail:
-            # Failed on backlog or failures, not on the tail: no crossing.
-            return low_rate
-        share = (math.log(limit_ms) - math.log(low_tail)) / (math.log(tail_ms) - math.log(low_tail))
-        return low_rate + min(1.0, max(0.0, share)) * (rate - low_rate)
-    return ordered[-1][0]
-
-
-def next_search_rate(
-    steps: Sequence[Tuple[float, bool]], coarse: Sequence[float], resolution: float = 1.05
-) -> Optional[float]:
-    """The next offered rate of the bounded ``max_rps`` search, or ``None`` to stop.
-
-    ``steps`` holds ``(rate, passed)`` of every step so far.  Until a step
-    fails, the search climbs the ``coarse`` ladder; afterwards it bisects
-    (geometrically) between the highest passing rate and the lowest failing
-    rate above it, until their ratio is within ``resolution``.  The caller
-    bounds the number of steps.
-    """
-    failing = [rate for rate, passed in steps if not passed]
-    if not failing:
-        tried = max(rate for rate, _ in steps)
-        above = [rate for rate in coarse if rate > tried]
-        return above[0] if above else None
-    high = min(failing)
-    passing = [rate for rate, passed in steps if passed and rate < high]
-    if not passing:
-        return None
-    low = max(passing)
-    if high / low <= resolution:
-        return None
-    return math.sqrt(low * high)
-
-
 def histogram_delta(before: Dict, after: Dict) -> Dict:
     """Bucket-wise difference of two scraped histogram snapshots (one phase)."""
     buckets = dict(after.get("buckets", {}))
@@ -200,6 +145,20 @@ def histogram_delta(before: Dict, after: Dict) -> Dict:
         "zero": after.get("zero", 0) - before.get("zero", 0),
         "growth": after.get("growth"),
         "buckets": {key: count for key, count in buckets.items() if count > 0},
+    }
+
+
+def histogram_add(first: Dict, second: Dict) -> Dict:
+    """Bucket-wise sum of two histogram deltas (``{}`` is the empty histogram)."""
+    buckets = dict(first.get("buckets", {}))
+    for key, count in second.get("buckets", {}).items():
+        buckets[key] = buckets.get(key, 0) + count
+    return {
+        "count": first.get("count", 0) + second.get("count", 0),
+        "sum": first.get("sum", 0.0) + second.get("sum", 0.0),
+        "zero": first.get("zero", 0) + second.get("zero", 0),
+        "growth": first.get("growth") or second.get("growth"),
+        "buckets": buckets,
     }
 
 

@@ -136,30 +136,45 @@ def test_backlog_growth_flags_an_overloaded_step():
     assert stats.backlog_grows(growing, rate=100.0, limit_ms=50.0)
 
 
-def test_capacity_interpolates_between_last_pass_and_first_fail():
-    steps = [(300.0, 80.0, False), (100.0, 10.0, True), (200.0, 20.0, True)]
-    assert stats.interpolate_capacity(steps, 40.0) == pytest.approx(250.0)  # log(40/20)/log(80/20)
-    assert stats.interpolate_capacity(steps[1:], 40.0) == 200.0
-    backlog_only = [(100.0, 10.0, True), (200.0, 30.0, False)]
-    assert stats.interpolate_capacity(backlog_only, 40.0) == 100.0
-    assert stats.interpolate_capacity([(100.0, 80.0, False)], 40.0) == 50.0
-
-
-def test_search_climbs_the_ladder_then_bisects():
-    coarse = (300.0, 480.0, 770.0)
-    assert stats.next_search_rate([(85.0, True), (195.0, True)], coarse) == 300.0
-    assert stats.next_search_rate([(195.0, True), (300.0, True), (480.0, True), (770.0, True)], coarse) is None
-    assert stats.next_search_rate([(195.0, True), (300.0, True), (480.0, False)], coarse) == pytest.approx(379.47, rel=1e-4)
-    assert stats.next_search_rate([(85.0, True), (195.0, False)], coarse) == pytest.approx(128.74, rel=1e-4)
-    assert stats.next_search_rate([(85.0, False), (195.0, False)], coarse) is None
-    assert stats.next_search_rate([(300.0, True), (310.0, False)], coarse) is None
-
-
 def test_histogram_delta_is_one_phase():
     before = {"count": 3, "sum": 3.0, "zero": 1, "growth": 1.1, "buckets": {"1": 2}}
     after = {"count": 7, "sum": 9.0, "zero": 1, "growth": 1.1, "buckets": {"1": 3, "5": 3}}
     delta = stats.histogram_delta(before, after)
     assert delta == {"count": 4, "sum": 6.0, "zero": 0, "growth": 1.1, "buckets": {"1": 1, "5": 3}}
+
+
+def test_histogram_add_sums_chunk_deltas():
+    first = {"count": 4, "sum": 6.0, "zero": 0, "growth": 1.1, "buckets": {"1": 1, "5": 3}}
+    second = {"count": 2, "sum": 1.0, "zero": 1, "growth": 1.1, "buckets": {"1": 1}}
+    assert stats.histogram_add({}, first) == first
+    assert stats.histogram_add(first, second) == {
+        "count": 6, "sum": 7.0, "zero": 1, "growth": 1.1, "buckets": {"1": 2, "5": 3},
+    }
+
+
+def test_chunks_pool_into_one_operating_point():
+    from perfbench.driver import PhaseResult
+    from perfbench.run import Phase, operating_points
+
+    def chunk(name, start, latency_s):
+        due = [start + i * 0.01 for i in range(300)]
+        received = [t + latency_s for t in due]
+        phase = Phase(name, 100.0, [name] * 300, PhaseResult(due, list(due), received, ['"status":"ok"'] * 300), 50.0)
+        phase.cpu_s, phase.peak_rss_mib = 0.5, 40.0 + start
+        phase.scrapes = [({"at": start}, {"at": start + 3})]
+        return phase
+
+    phases = [chunk("warmup", 0.0, 0.001)]
+    for k in range(1, workloads.CHUNKS + 1):
+        phases += [chunk(f"light-{k}", 10.0 * k, 0.001 * k), chunk(f"busy-{k}", 10.0 * k + 5, 0.002)]
+    light, busy = operating_points(phases[:-1], 50.0)
+    assert light is not None and busy is None
+    light, busy = operating_points(phases, 50.0)
+    assert light.n == busy.n == 300 * workloads.CHUNKS
+    assert light.p50 == pytest.approx(2.0) and busy.p50 == pytest.approx(2.0)
+    assert light.cpu_s == pytest.approx(0.5 * workloads.CHUNKS)
+    assert busy.peak_rss_mib == 40.0 + 10.0 * workloads.CHUNKS + 5
+    assert [before["at"] for before, _ in light.scrapes] == [10.0 * k for k in range(1, workloads.CHUNKS + 1)]
 
 
 def test_histogram_quantile_interpolates_inside_the_bucket():
@@ -197,9 +212,12 @@ def test_hot_repeat_draws_mostly_from_the_journaled_pool():
 def test_frozen_workload_constants_are_consistent():
     workloads.validate()
     for workload in workloads.WORKLOADS.values():
-        assert workloads.shares_sum(workload) <= 1.0
-        for name, rate, count in workloads.phase_plan(workload, 40.0)[1:]:
-            assert count >= workloads.MIN_PHASE_REQUESTS, (workload.name, name)
+        plan = workloads.phase_plan(workload, 40.0)
+        for point in ("light", "busy"):
+            chunks = [count for name, _, count in plan if name.startswith(point + "-")]
+            assert len(chunks) == workloads.CHUNKS
+            assert sum(chunks) >= workloads.MIN_PHASE_REQUESTS, (workload.name, point)
+        assert [name for name, _, _ in plan[1:5]] == ["light-1", "busy-1", "light-2", "busy-2"]
 
 
 # -- patching ---------------------------------------------------------------------
@@ -283,21 +301,29 @@ def test_benchmark_json_matches_the_runner():
     assert max(bounds.values()) == bounds["setup_s"] <= 0.25
 
 
-def test_a_phase_the_generator_stalled_in_is_repeated_once():
+def test_a_chunk_the_machine_disturbed_is_repeated_once():
     from perfbench.driver import PhaseResult
-    from perfbench.run import STALL_MS, Phase, measured, service_phases
+    from perfbench.run import MAX_REPEATS, STALL_MS, STEAL_LIMIT, Phase, measured, service_phases
 
-    def phase(name, late_s):
+    def phase(name, late_s=0.0, steal=0.0):
         due = [i * 0.01 for i in range(1100)]
         sent = [t + late_s for t in due]
         received = [t + 0.003 for t in sent]
-        return Phase(name, 85.0, ["line"] * 1100, PhaseResult(due, sent, received, ['"status":"ok"'] * 1100), 100.0)
+        chunk = Phase(name, 85.0, ["line"] * 1100, PhaseResult(due, sent, received, ['"status":"ok"'] * 1100), 100.0)
+        chunk.steal_frac = steal
+        return chunk
 
     source = workloads.RequestSource(workloads.UNIQUE_SMALL, 0)
     next_phase = service_phases(workloads.UNIQUE_SMALL, source, 40.0)
-    ran = [phase("warmup", 0.0), phase("light", 2 * STALL_MS / 1000.0)]
-    assert next_phase(ran)[0] == "light"
+    ran = [phase("warmup"), phase("light-1", late_s=2 * STALL_MS / 1000.0)]
+    assert next_phase(ran)[0] == "light-1"
     assert ran[1].repeated and measured(ran) == ran[:1]
-    ran.append(phase("light", 2 * STALL_MS / 1000.0))
-    assert next_phase(ran)[0] == "busy"  # a second stall is measured, not repeated again
+    ran.append(phase("light-1", late_s=2 * STALL_MS / 1000.0))
+    assert next_phase(ran)[0] == "busy-1"  # a second stall is measured, not repeated again
     assert not ran[2].repeated
+    ran.append(phase("busy-1", steal=2 * STEAL_LIMIT))
+    assert next_phase(ran)[0] == "busy-1" and ran[3].repeated
+    for _ in range(2 * MAX_REPEATS):
+        ran.append(phase(next_phase(ran)[0], steal=2 * STEAL_LIMIT))
+    next_phase(ran)
+    assert sum(p.repeated for p in ran) == MAX_REPEATS  # the run's budget of repeats is spent

@@ -33,49 +33,12 @@ class Workload:
     #: Mean offered rates (requests/s) of the two latency phases.
     light_rps: float
     busy_rps: float
-    #: Latency limit on each step's p99 (ms).
+    #: Latency limit (ms) a phase's p99 must meet to be marked PASS in the report.
     p99_limit_ms: float
-    #: Share of ``--seconds`` given to the warm-up, light, busy and each search step.
-    warmup_share: float
-    light_share: float
-    busy_share: float
-    search_share: float
-    #: Why the workload was chosen, which layers it loads and which it
-    #: bypasses (prediction there: no change) — its BENCHMARK.json entry.
-    why: str
 
 
-UNIQUE_SMALL = Workload(
-    name="unique-small",
-    light_rps=85.0,
-    busy_rps=150.0,
-    p99_limit_ms=100.0,
-    warmup_share=0.03,
-    light_share=0.29,
-    busy_share=0.21,
-    search_share=0.11,
-    why=(
-        "per-request cost: distinct 2-5 worker, 20-100 task Poisson requests all miss, "
-        "journal and run the engine; light 85, busy 150 req/s, p99<=100 ms; "
-        "cache hits, replay bypassed"
-    ),
-)
-
-HOT_REPEAT = Workload(
-    name="hot-repeat",
-    light_rps=800.0,
-    busy_rps=1800.0,
-    p99_limit_ms=60.0,
-    warmup_share=0.03,
-    light_share=0.29,
-    busy_share=0.21,
-    search_share=0.11,
-    why=(
-        "read path: diurnal Zipf traffic on a journaled 300-config pool, replay in setup_s, "
-        "0.5% new-config bursts; light 800, busy 1800 req/s, p99<=60 ms; "
-        "engine ~idle, predict no change"
-    ),
-)
+UNIQUE_SMALL = Workload(name="unique-small", light_rps=85.0, busy_rps=120.0, p99_limit_ms=100.0)
+HOT_REPEAT = Workload(name="hot-repeat", light_rps=500.0, busy_rps=1000.0, p99_limit_ms=60.0)
 
 WORKLOADS: Dict[str, Workload] = {w.name: w for w in (UNIQUE_SMALL, HOT_REPEAT)}
 
@@ -93,30 +56,30 @@ DIURNAL_SWING = 0.8
 
 #: Per-layer metric -> (unit, better, end-to-end metric it should move, on which workload).
 LAYER_METRICS: Dict[str, Tuple[str, str, str, str]] = {
-    "async_server.read_ms.p50": ("ms", "lower", "p50_ms.light, max_rps", "hot-repeat"),
-    "async_server.write_ms.p50": ("ms", "lower", "p50_ms.light, max_rps", "hot-repeat"),
-    "async_server.self_ms.p50": ("ms", "lower", "p50_ms.light, max_rps", "hot-repeat"),
-    "schema.canonicalize_us.p50": ("us", "lower", "p50_ms.light, max_rps", "hot-repeat"),
-    "schema.invalid": ("count", "lower", "max_rps", "hot-repeat"),
-    "dispatcher.queue_wait_ms.p50": ("ms", "lower", "p99_ms.busy, max_rps", "unique-small"),
-    "dispatcher.queue_wait_ms.p99": ("ms", "lower", "p99_ms.busy, max_rps", "unique-small"),
-    "dispatcher.batch_size.mean": ("count", "higher", "p99_ms.busy, max_rps", "unique-small"),
-    "dispatcher.sims_per_request": ("ratio", "lower", "max_rps", "unique-small"),
-    "dispatcher.coalesced_frac": ("ratio", "higher", "max_rps", "hot-repeat"),
-    "dispatcher.shed_frac": ("ratio", "lower", "max_rps", "unique-small"),
+    "async_server.read_ms.p50": ("ms", "lower", "p50_ms.light, p50_ms.busy", "hot-repeat"),
+    "async_server.write_ms.p50": ("ms", "lower", "p50_ms.light, p50_ms.busy", "hot-repeat"),
+    "async_server.self_ms.p50": ("ms", "lower", "p50_ms.light, p50_ms.busy", "hot-repeat"),
+    "schema.canonicalize_us.p50": ("us", "lower", "p50_ms.light, p50_ms.busy", "hot-repeat"),
+    "schema.invalid": ("count", "lower", "p50_ms.light", "hot-repeat"),
+    "dispatcher.queue_wait_ms.p50": ("ms", "lower", "p50_ms.busy", "unique-small"),
+    "dispatcher.queue_wait_ms.p99": ("ms", "lower", "p50_ms.busy", "unique-small"),
+    "dispatcher.batch_size.mean": ("count", "higher", "p50_ms.busy", "unique-small"),
+    "dispatcher.sims_per_request": ("ratio", "lower", "p50_ms.busy", "unique-small"),
+    "dispatcher.coalesced_frac": ("ratio", "higher", "p50_ms.busy", "hot-repeat"),
+    "dispatcher.shed_frac": ("ratio", "lower", "p50_ms.busy", "unique-small"),
     "cache.hit_ratio": ("ratio", "higher", "p50_ms.light", "hot-repeat"),
     "cache.get_us.p50": ("us", "lower", "p50_ms.light", "hot-repeat"),
     "cache.put_us.p50": ("us", "lower", "p50_ms.light", "unique-small"),
     "cache.evictions": ("count", "lower", "p50_ms.light", "unique-small"),
-    "persistence.record_us.p50": ("us", "lower", "p99_ms.busy", "unique-small"),
-    "persistence.journal_bytes_per_put": ("bytes", "lower", "p99_ms.busy", "unique-small"),
-    "persistence.compactions": ("count", "lower", "p99_ms.busy", "unique-small"),
-    "persistence.compact_ms.max": ("ms", "lower", "p99_ms.busy", "unique-small"),
+    "persistence.record_us.p50": ("us", "lower", "p50_ms.busy", "unique-small"),
+    "persistence.journal_bytes_per_put": ("bytes", "lower", "p50_ms.busy", "unique-small"),
+    "persistence.compactions": ("count", "lower", "p50_ms.busy", "unique-small"),
+    "persistence.compact_ms.max": ("ms", "lower", "p50_ms.busy", "unique-small"),
     "persistence.replay_s": ("s", "lower", "setup_s", "hot-repeat"),
     "executor.build_tasks_us.p50": ("us", "lower", "p50_ms.light", "unique-small"),
-    "kernel.run_ms_per_job": ("ms", "lower", "p50_ms.light, max_rps", "unique-small"),
+    "kernel.run_ms_per_job": ("ms", "lower", "p50_ms.light, p50_ms.busy", "unique-small"),
     "kernel.jobs_per_batch": ("count", "higher", "p50_ms.busy", "unique-small"),
-    "engine.us_per_task": ("us", "lower", "p50_ms.light, max_rps", "unique-small"),
+    "engine.us_per_task": ("us", "lower", "p50_ms.light, p50_ms.busy", "unique-small"),
     "engine.self_frac": ("ratio", "lower", "p50_ms.light", "unique-small"),
     "engine.view_calls_per_task": ("count", "lower", "p50_ms.light", "unique-small"),
     "engine.view_us.p50": ("us", "lower", "p50_ms.light", "unique-small"),
@@ -127,8 +90,11 @@ LAYER_METRICS: Dict[str, Tuple[str, str, str, str]] = {
         for name in HEURISTICS
     },
     "metrics.evaluate_us_per_task": ("us", "lower", "p50_ms.light", "unique-small"),
-    "transport.serialize_us.p50": ("us", "lower", "p50_ms.light, max_rps", "hot-repeat"),
-    "process.server_cpu_ms_per_req": ("ms", "lower", "max_rps", "both"),
+    "campaigns.run_cell_ms.p50": ("ms", "lower", "none: campaign path", "both"),
+    "campaigns.aggregate_us.p50": ("us", "lower", "none: campaign path", "both"),
+    "experiments.grid_build_s": ("s", "lower", "none: campaign path", "both"),
+    "transport.serialize_us.p50": ("us", "lower", "p50_ms.light, p50_ms.busy", "hot-repeat"),
+    "process.server_cpu_ms_per_req": ("ms", "lower", "server_cpu_ms_per_req", "both"),
     "process.gen_late_ms.p99": ("ms", "lower", "none: generator health", "both"),
     "trace.overhead_p50_frac": ("ratio", "lower", "none: cost of tracing", "both"),
 }
@@ -272,14 +238,13 @@ class RequestSource:
         return [encode(dict(config, id=f"warm-{rank:04d}")) for rank, config in enumerate(self.pool)]
 
 
-#: The bounded ``max_rps`` search: at most SEARCH_STEPS steps after the busy
-#: phase, climbing from SEARCH_START times the capacity the busy phase's
-#: server CPU per request predicts, by SEARCH_GROWTH per passing step, then
-#: bisecting between the highest passing and lowest failing rate.
-SEARCH_STEPS = 4
-SEARCH_START = 0.8
-SEARCH_GROWTH = 1.25
-#: Fewest requests in a light, busy or search phase: enough for a p99
+#: Share of ``--seconds`` given to the warm-up and to the light and busy phases.
+WARMUP_SHARE = 0.03
+LIGHT_SHARE = 0.5
+BUSY_SHARE = 0.47
+#: Chunks the light and the busy phase are each split into.
+CHUNKS = 4
+#: Fewest requests in the light or busy phase: enough for a p99
 #: with more than ten samples beyond it.
 MIN_PHASE_REQUESTS = 1100
 
@@ -290,26 +255,25 @@ def phase_requests(rate: float, share: float, seconds: float, minimum: int = MIN
 
 
 def phase_plan(workload: Workload, seconds: float) -> List[Tuple[str, float, int]]:
-    """``(phase name, rate, requests)`` of the fixed phases of a run."""
-    return [
-        ("warmup", workload.light_rps, phase_requests(workload.light_rps, workload.warmup_share, seconds, 1)),
-        ("light", workload.light_rps, phase_requests(workload.light_rps, workload.light_share, seconds)),
-        ("busy", workload.busy_rps, phase_requests(workload.busy_rps, workload.busy_share, seconds)),
-    ]
+    """``(phase name, rate, requests)`` of the fixed phases of a run.
 
-
-def shares_sum(workload: Workload) -> float:
-    """Share of ``--seconds`` a run with every search step uses (at most 1)."""
-    return (
-        workload.warmup_share + workload.light_share + workload.busy_share
-        + SEARCH_STEPS * workload.search_share
-    )
+    After the warm-up, the light and busy phases are offered in CHUNKS
+    alternating chunks (``light-1``, ``busy-1``, ``light-2``, ...), so
+    both operating points sample the whole run: a slow spell of the
+    machine is shared between them instead of falling on one.
+    """
+    light = -(-phase_requests(workload.light_rps, LIGHT_SHARE, seconds) // CHUNKS)
+    busy = -(-phase_requests(workload.busy_rps, BUSY_SHARE, seconds) // CHUNKS)
+    plan = [("warmup", workload.light_rps, phase_requests(workload.light_rps, WARMUP_SHARE, seconds, 1))]
+    for chunk in range(1, CHUNKS + 1):
+        plan += [(f"light-{chunk}", workload.light_rps, light), (f"busy-{chunk}", workload.busy_rps, busy)]
+    return plan
 
 
 def validate(workloads: Sequence[Workload] = tuple(WORKLOADS.values())) -> None:
-    """Raise on a workload whose frozen constants are inconsistent."""
+    """Raise when the frozen constants are inconsistent."""
+    if WARMUP_SHARE + LIGHT_SHARE + BUSY_SHARE > 1.0 + 1e-9:
+        raise ValueError("phase shares exceed --seconds")
     for workload in workloads:
         if not 0 < workload.light_rps < workload.busy_rps:
             raise ValueError(f"{workload.name}: light must be below busy")
-        if shares_sum(workload) > 1.0 + 1e-9:
-            raise ValueError(f"{workload.name}: phase shares exceed --seconds")
