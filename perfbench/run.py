@@ -65,8 +65,7 @@ WORK_DIR = ".perfbench_work"
 
 #: End-to-end metric -> unit, in BENCHMARK.json order.
 END_TO_END = {
-    "setup_s": "s", "p50_ms.light": "ms", "p50_ms.busy": "ms", "server_cpu_ms_per_req": "ms",
-    "rss_mb": "MiB",
+    "setup_s": "s", "server_cpu_ms_per_req": "ms", "rss_mb": "MiB",
 }
 
 
@@ -306,10 +305,13 @@ def service_phases(
     A chunk during which the machine, not the program, was measured — the
     generator itself ran late (STALL_MS) or the hypervisor took the CPUs
     (STEAL_LIMIT) — is marked ``repeated`` and offered once more with
-    fresh requests, for at most MAX_REPEATS chunks a run.  A repeated
-    chunk still counts as attempted and its responses are still checked.
+    fresh requests after the last chunk, when a passing slow spell of the
+    host has had time to end; at most MAX_REPEATS chunks a run.  A
+    repeated chunk still counts as attempted and its responses are still
+    checked.
     """
-    fixed = workloads.phase_plan(workload, seconds)
+    plan = workloads.phase_plan(workload, seconds)
+    fixed = len(plan)
 
     def next_phase(ran: List[Phase]) -> Optional[PhaseSpec]:
         last = ran[-1] if ran else None
@@ -318,17 +320,17 @@ def service_phases(
             and last.name != "warmup"
             and (last.late_p99_ms > STALL_MS or last.steal_frac > STEAL_LIMIT)
             and all(p.name != last.name for p in ran[:-1])
-            and sum(p.repeated for p in ran) < MAX_REPEATS
+            and len(plan) - fixed < MAX_REPEATS
         ):
             last.repeated = True
+            plan.append((last.name, last.rate, last.n))
             log(
                 f"phase {last.name}: generator late {last.late_p99_ms:.0f} ms (p99), "
-                f"host steal {last.steal_frac:.1%}; repeating it"
+                f"host steal {last.steal_frac:.1%}; offering it again after the last chunk"
             )
-        done = measured(ran)
-        if len(done) == len(fixed):
+        if len(ran) == len(plan):
             return None
-        name, rate, count = fixed[len(done)]
+        name, rate, count = plan[len(ran)]
         return (name, rate) + source.phase(rate, count, name)
 
     return next_phase
@@ -407,8 +409,6 @@ def service_run(workload: workloads.Workload, seed: int, seconds: float, work: P
     )
     values = {
         "setup_s": statistics.median(setup_times),
-        "p50_ms.light": light.p50,
-        "p50_ms.busy": busy.p50,
         "server_cpu_ms_per_req": (light.cpu_s + busy.cpu_s) * 1000.0 / (light.n + busy.n),
         "rss_mb": busy.peak_rss_mib,
     }

@@ -315,15 +315,25 @@ def test_a_chunk_the_machine_disturbed_is_repeated_once():
 
     source = workloads.RequestSource(workloads.UNIQUE_SMALL, 0)
     next_phase = service_phases(workloads.UNIQUE_SMALL, source, 40.0)
-    ran = [phase("warmup"), phase("light-1", late_s=2 * STALL_MS / 1000.0)]
-    assert next_phase(ran)[0] == "light-1"
+    plan = workloads.phase_plan(workloads.UNIQUE_SMALL, 40.0)
+    ran = [phase("warmup", late_s=2 * STALL_MS / 1000.0), phase("light-1", late_s=2 * STALL_MS / 1000.0)]
+    assert not ran[0].repeated  # the warm-up is never offered again
+    assert next_phase(ran)[0] == "busy-1"
     assert ran[1].repeated and measured(ran) == ran[:1]
-    ran.append(phase("light-1", late_s=2 * STALL_MS / 1000.0))
-    assert next_phase(ran)[0] == "busy-1"  # a second stall is measured, not repeated again
-    assert not ran[2].repeated
     ran.append(phase("busy-1", steal=2 * STEAL_LIMIT))
-    assert next_phase(ran)[0] == "busy-1" and ran[3].repeated
-    for _ in range(2 * MAX_REPEATS):
-        ran.append(phase(next_phase(ran)[0], steal=2 * STEAL_LIMIT))
-    next_phase(ran)
+    assert next_phase(ran)[0] == "light-2" and ran[2].repeated
+    ran.append(phase("light-2", steal=2 * STEAL_LIMIT))
+    spec = next_phase(ran)
+    while len(ran) < len(plan):
+        ran.append(phase(spec[0], steal=2 * STEAL_LIMIT))
+        spec = next_phase(ran)
     assert sum(p.repeated for p in ran) == MAX_REPEATS  # the run's budget of repeats is spent
+    # The disturbed chunks come back once each, after the last chunk of the plan.
+    assert spec[0] == "light-1"
+    ran.append(phase("light-1", late_s=2 * STALL_MS / 1000.0))
+    assert next_phase(ran)[0] == "busy-1" and not ran[-1].repeated
+    ran.append(phase("busy-1"))
+    assert next_phase(ran)[0] == "light-2"
+    ran.append(phase("light-2"))
+    assert next_phase(ran) is None
+    assert len(measured(ran)) == len(plan)

@@ -56,44 +56,44 @@ DIURNAL_SWING = 0.8
 
 #: Per-layer metric -> (unit, better, end-to-end metric it should move, on which workload).
 LAYER_METRICS: Dict[str, Tuple[str, str, str, str]] = {
-    "async_server.read_ms.p50": ("ms", "lower", "p50_ms.light, p50_ms.busy", "hot-repeat"),
-    "async_server.write_ms.p50": ("ms", "lower", "p50_ms.light, p50_ms.busy", "hot-repeat"),
-    "async_server.self_ms.p50": ("ms", "lower", "p50_ms.light, p50_ms.busy", "hot-repeat"),
-    "schema.canonicalize_us.p50": ("us", "lower", "p50_ms.light, p50_ms.busy", "hot-repeat"),
-    "schema.invalid": ("count", "lower", "p50_ms.light", "hot-repeat"),
-    "dispatcher.queue_wait_ms.p50": ("ms", "lower", "p50_ms.busy", "unique-small"),
-    "dispatcher.queue_wait_ms.p99": ("ms", "lower", "p50_ms.busy", "unique-small"),
-    "dispatcher.batch_size.mean": ("count", "higher", "p50_ms.busy", "unique-small"),
-    "dispatcher.sims_per_request": ("ratio", "lower", "p50_ms.busy", "unique-small"),
-    "dispatcher.coalesced_frac": ("ratio", "higher", "p50_ms.busy", "hot-repeat"),
-    "dispatcher.shed_frac": ("ratio", "lower", "p50_ms.busy", "unique-small"),
-    "cache.hit_ratio": ("ratio", "higher", "p50_ms.light", "hot-repeat"),
-    "cache.get_us.p50": ("us", "lower", "p50_ms.light", "hot-repeat"),
-    "cache.put_us.p50": ("us", "lower", "p50_ms.light", "unique-small"),
-    "cache.evictions": ("count", "lower", "p50_ms.light", "unique-small"),
-    "persistence.record_us.p50": ("us", "lower", "p50_ms.busy", "unique-small"),
-    "persistence.journal_bytes_per_put": ("bytes", "lower", "p50_ms.busy", "unique-small"),
-    "persistence.compactions": ("count", "lower", "p50_ms.busy", "unique-small"),
-    "persistence.compact_ms.max": ("ms", "lower", "p50_ms.busy", "unique-small"),
+    "async_server.read_ms.p50": ("ms", "lower", "server_cpu_ms_per_req", "hot-repeat"),
+    "async_server.write_ms.p50": ("ms", "lower", "server_cpu_ms_per_req", "hot-repeat"),
+    "async_server.self_ms.p50": ("ms", "lower", "server_cpu_ms_per_req", "hot-repeat"),
+    "schema.canonicalize_us.p50": ("us", "lower", "server_cpu_ms_per_req", "hot-repeat"),
+    "schema.invalid": ("count", "lower", "server_cpu_ms_per_req", "hot-repeat"),
+    "dispatcher.queue_wait_ms.p50": ("ms", "lower", "none: busy latency in the report", "unique-small"),
+    "dispatcher.queue_wait_ms.p99": ("ms", "lower", "none: busy latency in the report", "unique-small"),
+    "dispatcher.batch_size.mean": ("count", "higher", "server_cpu_ms_per_req", "unique-small"),
+    "dispatcher.sims_per_request": ("ratio", "lower", "server_cpu_ms_per_req", "unique-small"),
+    "dispatcher.coalesced_frac": ("ratio", "higher", "server_cpu_ms_per_req", "hot-repeat"),
+    "dispatcher.shed_frac": ("ratio", "lower", "server_cpu_ms_per_req", "unique-small"),
+    "cache.hit_ratio": ("ratio", "higher", "server_cpu_ms_per_req", "hot-repeat"),
+    "cache.get_us.p50": ("us", "lower", "server_cpu_ms_per_req", "hot-repeat"),
+    "cache.put_us.p50": ("us", "lower", "server_cpu_ms_per_req", "unique-small"),
+    "cache.evictions": ("count", "lower", "server_cpu_ms_per_req", "unique-small"),
+    "persistence.record_us.p50": ("us", "lower", "server_cpu_ms_per_req", "unique-small"),
+    "persistence.journal_bytes_per_put": ("bytes", "lower", "server_cpu_ms_per_req", "unique-small"),
+    "persistence.compactions": ("count", "lower", "server_cpu_ms_per_req", "unique-small"),
+    "persistence.compact_ms.max": ("ms", "lower", "server_cpu_ms_per_req", "unique-small"),
     "persistence.replay_s": ("s", "lower", "setup_s", "hot-repeat"),
-    "executor.build_tasks_us.p50": ("us", "lower", "p50_ms.light", "unique-small"),
-    "kernel.run_ms_per_job": ("ms", "lower", "p50_ms.light, p50_ms.busy", "unique-small"),
-    "kernel.jobs_per_batch": ("count", "higher", "p50_ms.busy", "unique-small"),
-    "engine.us_per_task": ("us", "lower", "p50_ms.light, p50_ms.busy", "unique-small"),
-    "engine.self_frac": ("ratio", "lower", "p50_ms.light", "unique-small"),
-    "engine.view_calls_per_task": ("count", "lower", "p50_ms.light", "unique-small"),
-    "engine.view_us.p50": ("us", "lower", "p50_ms.light", "unique-small"),
-    "engine.events_per_task": ("count", "lower", "p50_ms.light", "unique-small"),
-    "schedulers.decide_calls_per_task": ("count", "lower", "p50_ms.light", "unique-small"),
+    "executor.build_tasks_us.p50": ("us", "lower", "server_cpu_ms_per_req", "unique-small"),
+    "kernel.run_ms_per_job": ("ms", "lower", "server_cpu_ms_per_req", "unique-small"),
+    "kernel.jobs_per_batch": ("count", "higher", "server_cpu_ms_per_req", "unique-small"),
+    "engine.us_per_task": ("us", "lower", "server_cpu_ms_per_req", "unique-small"),
+    "engine.self_frac": ("ratio", "lower", "server_cpu_ms_per_req", "unique-small"),
+    "engine.view_calls_per_task": ("count", "lower", "server_cpu_ms_per_req", "unique-small"),
+    "engine.view_us.p50": ("us", "lower", "server_cpu_ms_per_req", "unique-small"),
+    "engine.events_per_task": ("count", "lower", "server_cpu_ms_per_req", "unique-small"),
+    "schedulers.decide_calls_per_task": ("count", "lower", "server_cpu_ms_per_req", "unique-small"),
     **{
-        f"schedulers.decide_us.{name}": ("us", "lower", "p50_ms.light", "unique-small")
+        f"schedulers.decide_us.{name}": ("us", "lower", "server_cpu_ms_per_req", "unique-small")
         for name in HEURISTICS
     },
-    "metrics.evaluate_us_per_task": ("us", "lower", "p50_ms.light", "unique-small"),
+    "metrics.evaluate_us_per_task": ("us", "lower", "server_cpu_ms_per_req", "unique-small"),
     "campaigns.run_cell_ms.p50": ("ms", "lower", "none: campaign path", "both"),
     "campaigns.aggregate_us.p50": ("us", "lower", "none: campaign path", "both"),
     "experiments.grid_build_s": ("s", "lower", "none: campaign path", "both"),
-    "transport.serialize_us.p50": ("us", "lower", "p50_ms.light, p50_ms.busy", "hot-repeat"),
+    "transport.serialize_us.p50": ("us", "lower", "server_cpu_ms_per_req", "hot-repeat"),
     "process.server_cpu_ms_per_req": ("ms", "lower", "server_cpu_ms_per_req", "both"),
     "process.gen_late_ms.p99": ("ms", "lower", "none: generator health", "both"),
     "trace.overhead_p50_frac": ("ratio", "lower", "none: cost of tracing", "both"),
