@@ -269,6 +269,26 @@ def test_install_restores_every_traced_entry_point():
         assert dict(vars(target)) == saved, target
 
 
+def test_baseline_children_answer_like_serve_lines_and_are_reaped(monkeypatch):
+    import subprocess
+
+    from perfbench.baseline import baseline_responses, serve_all
+
+    started = []
+    popen = subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    source = workloads.RequestSource(workloads.UNIQUE_SMALL, 5)
+    lines = [source.probe() for _ in range(3)] + ["not json"]
+    expected = baseline_responses(str(ROOT / "src"), lines + lines[:1])
+    assert expected == dict(zip(lines, serve_all(str(ROOT / "src"), lines)))
+    assert len(started) == 2 and all(process.returncode == 0 for process in started)
+
+
 def test_traced_simulation_matches_untraced():
     from repro.service.executor import execute_request
     from repro.service.schema import canonicalize_request
