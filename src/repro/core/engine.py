@@ -66,7 +66,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
 from ..exceptions import (
     InvalidDecisionError,
@@ -91,11 +91,26 @@ __all__ = [
 ]
 
 
+#: Event kinds as module constants: the run loop compares them by identity.
+_COMPUTE_COMPLETE = EventKind.COMPUTE_COMPLETE
+_SEND_COMPLETE = EventKind.SEND_COMPLETE
+_PLATFORM_EVENT = EventKind.PLATFORM_EVENT
+_TASK_RELEASE = EventKind.TASK_RELEASE
+_WAKEUP = EventKind.WAKEUP
+
+#: Decision kinds, shared by :class:`Decision` and the engine's dispatch.
+_ASSIGN = "assign"
+_WAIT = "wait"
+_WAIT_UNTIL = "wait-until"
+
+_NAN = math.nan
+_tuple_new = tuple.__new__
+
+
 # ---------------------------------------------------------------------------
 # Decisions
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class Decision:
+class Decision(NamedTuple):
     """What a scheduler wants the engine to do at a decision point.
 
     Use the class-method constructors rather than instantiating directly.
@@ -104,38 +119,37 @@ class Decision:
     kind: str
     task_id: int = -1
     worker_id: int = -1
-    until: float = math.nan
+    until: float = _NAN
 
-    ASSIGN = "assign"
-    WAIT = "wait"
-    WAIT_UNTIL = "wait-until"
+    ASSIGN = _ASSIGN
+    WAIT = _WAIT
+    WAIT_UNTIL = _WAIT_UNTIL
 
     @classmethod
     def assign(cls, task_id: int, worker_id: int) -> "Decision":
         """Send ``task_id`` to ``worker_id`` starting now."""
-        return cls(kind=cls.ASSIGN, task_id=task_id, worker_id=worker_id)
+        return _tuple_new(cls, (_ASSIGN, task_id, worker_id, _NAN))
 
     @classmethod
     def wait(cls) -> "Decision":
         """Do nothing until the next natural event."""
-        return cls(kind=cls.WAIT)
+        return _tuple_new(cls, (_WAIT, -1, -1, _NAN))
 
     @classmethod
     def wait_until(cls, time: float) -> "Decision":
         """Do nothing, but guarantee a wake-up at ``time``."""
-        return cls(kind=cls.WAIT_UNTIL, until=float(time))
+        return _tuple_new(cls, (_WAIT_UNTIL, -1, -1, float(time)))
 
     @property
     def is_assignment(self) -> bool:
         """True when the decision starts a send."""
-        return self.kind == self.ASSIGN
+        return self.kind == _ASSIGN
 
 
 # ---------------------------------------------------------------------------
 # Scheduler-facing views
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class WorkerView:
+class WorkerView(NamedTuple):
     """What a scheduler may know about one worker at a decision point.
 
     All quantities are computable by a real on-line master: they only involve
@@ -182,8 +196,7 @@ class WorkerView:
         return max(arrival, self.ready_time) + self.p * comp_factor
 
 
-@dataclass(frozen=True, slots=True)
-class SchedulerView:
+class SchedulerView(NamedTuple):
     """Immutable snapshot handed to the scheduler at a decision point."""
 
     now: float
@@ -221,7 +234,7 @@ class SchedulerView:
 # ---------------------------------------------------------------------------
 # Internal mutable worker state
 # ---------------------------------------------------------------------------
-@dataclass
+@dataclass(slots=True)
 class _WorkerState:
     worker: Worker
     #: exact time at which all currently assigned work will be finished
@@ -245,49 +258,40 @@ class _WorkerState:
     eff_p: float = 0.0
     #: False while the worker is down or has not joined yet
     available: bool = True
-    #: memoised view for busy workers: (ready_time, backlog, completed) key
-    _view_key: Optional[Tuple[float, int, int]] = None
-    _view_cache: Optional[WorkerView] = None
+    #: the last view built; every mutation of a field above that the view
+    #: shows (ready_time, backlog, completed, eff_c, eff_p, available) must
+    #: reset it to None
+    cached_view: Optional[WorkerView] = None
 
     def __post_init__(self) -> None:
         self.eff_c = self.worker.c
         self.eff_p = self.worker.p
 
     def view(self, now: float) -> WorkerView:
-        if self.backlog and self.ready_time >= now:
-            # While a worker is busy its view does not depend on `now`, so the
-            # same frozen WorkerView can be handed out until the next state
-            # change — the engine consults the scheduler at every decision
-            # point, and rebuilding m views each time dominated the hot path.
-            # Platform events invalidate the key, so effective speeds and
-            # availability are never served stale.
-            key = (self.ready_time, self.backlog, self.completed)
-            if key == self._view_key:
-                return self._view_cache  # type: ignore[return-value]
-            view = WorkerView(
-                worker_id=self.worker.worker_id,
-                c=self.eff_c,
-                p=self.eff_p,
-                ready_time=self.ready_time,
-                backlog=self.backlog,
-                completed=self.completed,
-                available=self.available,
-            )
-            self._view_key = key
-            self._view_cache = view
+        # A view shows ``max(ready_time, now)`` for a busy worker and ``now``
+        # for an idle one, so an unchanged worker's last view stays exact for
+        # as long as its ready time has not fallen behind the clock: busy
+        # views are reused across instants, idle ones within one instant.
+        view = self.cached_view
+        if view is not None and view[3] >= now:
             return view
-        return WorkerView(
-            worker_id=self.worker.worker_id,
-            c=self.eff_c,
-            p=self.eff_p,
-            ready_time=max(self.ready_time, now) if self.backlog else now,
-            backlog=self.backlog,
-            completed=self.completed,
-            available=self.available,
+        ready = self.ready_time
+        view = self.cached_view = _tuple_new(
+            WorkerView,
+            (
+                self.worker.worker_id,
+                self.eff_c,
+                self.eff_p,
+                (now if now > ready else ready) if self.backlog else now,
+                self.backlog,
+                self.completed,
+                self.available,
+            ),
         )
+        return view
 
 
-@dataclass
+@dataclass(slots=True)
 class _PartialRecord:
     task_id: int
     worker_id: int
@@ -344,11 +348,13 @@ class OnePortEngine:
         self.tasks = tasks
         self.expose_task_count = expose_task_count
         self._timeline = timeline
+        self._n_tasks = n_tasks = len(tasks)
+        self._n_total = n_tasks if expose_task_count else None
         n_platform_events = len(timeline.events) if timeline is not None else 0
         self.max_events = (
             max_events
             if max_events is not None
-            else 100 * max(len(tasks), 1) + 1000 + n_platform_events
+            else 100 * max(n_tasks, 1) + 1000 + n_platform_events
         )
 
         self.now = 0.0
@@ -391,69 +397,68 @@ class OnePortEngine:
         state its assignment would be priced with (timeline-inclusive at
         ``now``).
         """
+        now = self.now
         if self._timeline is not None:
             for state in self._workers:
                 if self._sync_worker_state(state):
                     self._reprice_worker(state)
-        return SchedulerView(
-            now=self.now,
-            pending=tuple(self._pending),
-            workers=tuple(state.view(self.now) for state in self._workers),
-            channel_free=self.channel_free_at <= self.now,
-            channel_free_at=max(self.channel_free_at, self.now)
-            if self.channel_free_at > self.now
-            else self.now,
-            n_released=self._n_released,
-            n_completed=self._n_completed,
-            n_total=len(self.tasks) if self.expose_task_count else None,
+        free_at = self.channel_free_at
+        return _tuple_new(
+            SchedulerView,
+            (
+                now,
+                tuple(self._pending),
+                tuple([state.view(now) for state in self._workers]),
+                free_at <= now,
+                free_at if free_at > now else now,
+                self._n_released,
+                self._n_completed,
+                self._n_total,
+            ),
         )
 
     # -- main loop -----------------------------------------------------------
     def run(self, scheduler: "OnlineScheduler") -> Schedule:
         """Execute the scheduler until every task has completed."""
-        scheduler.reset(
-            self.platform,
-            n_tasks_hint=len(self.tasks) if self.expose_task_count else None,
-        )
+        n_tasks = self._n_tasks
+        scheduler.reset(self.platform, n_tasks_hint=self._n_total)
         processed = 0
-        n_tasks = len(self.tasks)
+        max_events = self.max_events
+        events = self._events
 
         while self._n_completed < n_tasks:
             # 1. consult the scheduler if a decision is possible
-            self._maybe_consult(scheduler)
+            if self._pending and self.channel_free_at <= self.now + 1e-15:
+                self._maybe_consult(scheduler)
 
             # 2. advance to the next event
-            if self._n_completed >= n_tasks:
-                break
-            event = self._events.peek()
-            if event is None:
+            if not events:
                 raise SchedulingStalledError(
                     "scheduler declined to act and no future event exists; "
                     f"{len(self._pending)} task(s) remain unassigned"
                 )
-            self._events.pop()
+            time, kind, _sequence, task_id, worker_id = events.pop()
             processed += 1
-            if processed > self.max_events:
+            if processed > max_events:
                 raise SchedulingError(
-                    f"simulation exceeded {self.max_events} events; "
+                    f"simulation exceeded {max_events} events; "
                     "the scheduler is probably requesting wake-ups in a loop"
                 )
-            if event.time < self.now - 1e-12:
+            if time > self.now:
+                self.now = time
+            elif time < self.now - 1e-12:
                 raise SchedulingError("event queue went back in time")
-            self.now = max(self.now, event.time)
 
-            if event.kind == EventKind.TASK_RELEASE:
-                self._on_release(event.task_id)
-            elif event.kind == EventKind.SEND_COMPLETE:
-                self._on_send_complete(event.task_id, event.worker_id)
-            elif event.kind == EventKind.COMPUTE_COMPLETE:
-                self._on_compute_complete(event.task_id, event.worker_id)
-            elif event.kind == EventKind.PLATFORM_EVENT:
-                self._on_platform_event(event.task_id)
-            elif event.kind == EventKind.WAKEUP:
-                pass  # its only purpose is to trigger a new consultation
-            else:  # pragma: no cover - exhaustive enum
-                raise SchedulingError(f"unknown event kind {event.kind}")
+            if kind is _TASK_RELEASE:
+                self._on_release(task_id)
+            elif kind is _SEND_COMPLETE:
+                self._on_send_complete(task_id, worker_id)
+            elif kind is _COMPUTE_COMPLETE:
+                self._on_compute_complete(task_id, worker_id)
+            elif kind is _PLATFORM_EVENT:
+                self._on_platform_event(task_id)
+            elif kind is not _WAKEUP:  # a wake-up only triggers a consultation
+                raise SchedulingError(f"unknown event kind {kind}")
 
         records = [
             TaskRecord(
@@ -475,28 +480,29 @@ class OnePortEngine:
         guard = 0
         while self.channel_free_at <= self.now + 1e-15 and self._pending:
             guard += 1
-            if guard > len(self.tasks) + 10:
+            if guard > self._n_tasks + 10:
                 raise SchedulingError(
                     "scheduler returned more assignments than possible in one instant"
                 )
             decision = scheduler.decide(self.view())
             if decision is None:
-                decision = Decision.wait()
+                return  # same as Decision.wait()
             if not isinstance(decision, Decision):
                 raise InvalidDecisionError(
                     f"scheduler returned {type(decision).__name__}, expected Decision"
                 )
-            if decision.kind == Decision.WAIT:
+            kind, task_id, worker_id, until = decision
+            if kind == _WAIT:
                 return
-            if decision.kind == Decision.WAIT_UNTIL:
-                if not math.isfinite(decision.until) or decision.until < self.now - 1e-12:
+            if kind == _WAIT_UNTIL:
+                if not math.isfinite(until) or until < self.now - 1e-12:
                     raise InvalidDecisionError(
-                        f"wake-up time {decision.until} is in the past (now={self.now})"
+                        f"wake-up time {until} is in the past (now={self.now})"
                     )
-                self._events.push(max(decision.until, self.now), EventKind.WAKEUP)
+                self._events.push(max(until, self.now), EventKind.WAKEUP)
                 return
             # assignment
-            self._start_send(decision.task_id, decision.worker_id)
+            self._start_send(task_id, worker_id)
             # After an assignment the port is busy, so the loop exits naturally.
 
     # -- dynamic-platform pricing ----------------------------------------------
@@ -505,21 +511,13 @@ class OnePortEngine:
     # exact timestamp tie the triggering completion may be processed before
     # the PLATFORM_EVENT entry pops, and the timeline is the only source
     # that is already consistent.  Schedule.validate() uses the very same
-    # expressions, so engine and validator can never disagree.
-    def _comm_duration(self, worker: Worker, task: Task) -> float:
-        if self._timeline is None:
-            return worker.comm_time(task.comm_factor)
-        return self._timeline.effective_comm_time(worker, task.comm_factor, self.now)
-
+    # expressions, so engine and validator can never disagree.  Without a
+    # timeline the hot paths price inline with Worker.comm_time/comp_time's
+    # own expressions (``c * comm_factor``, ``p * comp_factor``).
     def _comp_duration(self, worker: Worker, task: Task) -> float:
         if self._timeline is None:
-            return worker.comp_time(task.comp_factor)
+            return worker.p * task.comp_factor
         return self._timeline.effective_comp_time(worker, task.comp_factor, self.now)
-
-    def _worker_available(self, worker_id: int) -> bool:
-        if self._timeline is None:
-            return True
-        return self._timeline.available(worker_id, self.now)
 
     def _reprice_worker(self, state: _WorkerState) -> None:
         """Recompute a worker's ready-time estimate after a platform event.
@@ -528,6 +526,7 @@ class OnePortEngine:
         resumes immediately; the in-progress computation keeps its original
         finish time (in-flight work is never re-priced).
         """
+        state.cached_view = None
         if state.backlog == 0:
             state.ready_time = self.now
             return
@@ -547,7 +546,7 @@ class OnePortEngine:
         Inclusive lookup at ``now`` lands on the state after *all* events
         dated ``now``, so several same-instant events converge in one step
         (later applications are no-ops).  Returns True when anything
-        changed (the memoised view is invalidated in that case).
+        changed (the cached view is cleared in that case).
         """
         timeline = self._timeline
         worker_id = state.worker.worker_id
@@ -563,7 +562,7 @@ class OnePortEngine:
         state.available = available
         state.eff_c = eff_c
         state.eff_p = eff_p
-        state._view_key = None
+        state.cached_view = None
         return True
 
     def _on_platform_event(self, index: int) -> None:
@@ -578,7 +577,16 @@ class OnePortEngine:
     # -- event handlers --------------------------------------------------------
     def _on_release(self, task_id: int) -> None:
         task = self.tasks.by_id(task_id)
-        insort(self._pending, task)  # keep FIFO (release, id) order
+        pending = self._pending
+        # Releases pop in (release, id) order, so the task almost always
+        # belongs at the end; insort keeps FIFO order in the other cases.
+        last = pending[-1] if pending else None
+        if last is None or last.release < task.release or (
+            last.release == task.release and last.task_id < task.task_id
+        ):
+            pending.append(task)
+        else:
+            insort(pending, task)
         self._n_released += 1
 
     def _start_send(self, task_id: int, worker_id: int) -> None:
@@ -603,28 +611,32 @@ class OnePortEngine:
         worker = worker_state.worker
 
         send_start = self.now
-        send_end = send_start + self._comm_duration(worker, task)
+        timeline = self._timeline
+        if timeline is None:
+            send_end = send_start + worker.c * task.comm_factor
+            compute = worker.p * task.comp_factor
+        else:
+            send_end = send_start + timeline.effective_comm_time(
+                worker, task.comm_factor, send_start
+            )
+            compute = timeline.effective_comp_time(worker, task.comp_factor, send_start)
         self.channel_free_at = send_end
 
         # exact incremental ready-time update (FIFO execution on the worker);
         # on dynamic platforms this prices the future computation at today's
         # rate — the estimate is corrected at the next platform event
-        worker_state.ready_time = (
-            max(worker_state.ready_time, send_end) + self._comp_duration(worker, task)
-        )
+        ready = worker_state.ready_time
+        worker_state.ready_time = (send_end if send_end > ready else ready) + compute
         worker_state.backlog += 1
         worker_state.inflight = (task_id, send_end)
+        worker_state.cached_view = None
 
         del pending[pending_index]
         self._records[task_id] = _PartialRecord(
-            task_id=task_id,
-            worker_id=worker_id,
-            release=task.release,
-            send_start=send_start,
-            send_end=send_end,
+            task_id, worker_id, task.release, send_start, send_end
         )
         self._n_assigned += 1
-        self._events.push(send_end, EventKind.SEND_COMPLETE, task_id=task_id, worker_id=worker_id)
+        self._events.push(send_end, EventKind.SEND_COMPLETE, task_id, worker_id)
 
     def _on_send_complete(self, task_id: int, worker_id: int) -> None:
         state = self._workers[worker_id]
@@ -637,7 +649,8 @@ class OnePortEngine:
         state = self._workers[worker_id]
         if state.computing is not None or not state.queue:
             return
-        if not self._worker_available(worker_id):
+        timeline = self._timeline
+        if timeline is not None and not timeline.available(worker_id, self.now):
             # Downed (or not-yet-joined) workers hold their queue; the
             # matching WorkerUp/WorkerJoin platform event re-kicks them.
             return
@@ -649,9 +662,7 @@ class OnePortEngine:
         record = self._records[task_id]
         record.compute_start = start
         record.compute_end = finish
-        self._events.push(
-            finish, EventKind.COMPUTE_COMPLETE, task_id=task_id, worker_id=worker_id
-        )
+        self._events.push(finish, EventKind.COMPUTE_COMPLETE, task_id, worker_id)
 
     def _on_compute_complete(self, task_id: int, worker_id: int) -> None:
         state = self._workers[worker_id]
@@ -662,6 +673,7 @@ class OnePortEngine:
         state.computing = None
         state.backlog -= 1
         state.completed += 1
+        state.cached_view = None
         self._n_completed += 1
         self._start_next_computation(worker_id)
 

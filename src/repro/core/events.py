@@ -27,15 +27,16 @@ send/computation started).
 from __future__ import annotations
 
 import enum
-import heapq
 import itertools
-import math
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from heapq import heappop as _heappop, heappush as _heappush
+from typing import Iterator, List, NamedTuple, Optional
 
 from ..exceptions import SchedulingError
 
 __all__ = ["EventKind", "Event", "EventQueue"]
+
+_INF = float("inf")
+_tuple_new = tuple.__new__
 
 
 class EventKind(enum.IntEnum):
@@ -48,22 +49,38 @@ class EventKind(enum.IntEnum):
     WAKEUP = 4
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Event:
-    """A single simulation event.
-
-    ``task_id`` and ``worker_id`` are ``-1`` when not applicable (wake-ups).
-    """
-
+class _EventFields(NamedTuple):
     time: float
     kind: EventKind
-    sequence: int = field(compare=True, default=0)
-    task_id: int = field(compare=False, default=-1)
-    worker_id: int = field(compare=False, default=-1)
+    sequence: int = 0
+    task_id: int = -1
+    worker_id: int = -1
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.time) or self.time < 0.0:
-            raise SchedulingError(f"event time must be finite and >= 0, got {self.time}")
+
+class Event(_EventFields):
+    """A single simulation event: a plain tuple ``(time, kind, sequence,
+    task_id, worker_id)``.
+
+    Tuples compare in C, so the heap orders events by ``(time, kind,
+    sequence)`` without a per-comparison Python call; the sequence number
+    is unique within a queue, so ``task_id``/``worker_id`` never decide an
+    order.  ``task_id`` and ``worker_id`` are ``-1`` when not applicable
+    (wake-ups).
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        time: float,
+        kind: EventKind,
+        sequence: int = 0,
+        task_id: int = -1,
+        worker_id: int = -1,
+    ) -> "Event":
+        if not 0.0 <= time < _INF:
+            raise SchedulingError(f"event time must be finite and >= 0, got {time}")
+        return _tuple_new(cls, (time, kind, sequence, task_id, worker_id))
 
 
 class EventQueue:
@@ -72,15 +89,10 @@ class EventQueue:
     The queue assigns a monotonically increasing sequence number to each
     pushed event so that events with identical time and kind are processed in
     insertion order — this keeps the simulation fully deterministic.
-
-    Heap entries are plain ``(time, kind, sequence, event)`` tuples rather
-    than the events themselves: tuple comparisons run in C, whereas comparing
-    dataclass instances would rebuild a field tuple per comparison on the
-    engine's hottest path.
     """
 
     def __init__(self) -> None:
-        self._heap: List[tuple] = []
+        self._heap: List[Event] = []
         self._counter = itertools.count()
 
     def __len__(self) -> int:
@@ -91,7 +103,7 @@ class EventQueue:
 
     def __iter__(self) -> Iterator[Event]:
         """Iterate over pending events in an unspecified order (heap order)."""
-        return iter([entry[3] for entry in self._heap])
+        return iter(list(self._heap))
 
     def push(
         self,
@@ -100,27 +112,27 @@ class EventQueue:
         task_id: int = -1,
         worker_id: int = -1,
     ) -> Event:
-        """Create an event and insert it into the queue."""
-        sequence = next(self._counter)
-        event = Event(
-            time=time,
-            kind=kind,
-            sequence=sequence,
-            task_id=task_id,
-            worker_id=worker_id,
-        )
-        heapq.heappush(self._heap, (time, kind, sequence, event))
+        """Create an event and insert it into the queue.
+
+        Raises :class:`~repro.exceptions.SchedulingError` when ``time`` is
+        NaN, infinite or negative (the same check as :class:`Event`, made
+        here without a second constructor call).
+        """
+        if not 0.0 <= time < _INF:
+            raise SchedulingError(f"event time must be finite and >= 0, got {time}")
+        event = _tuple_new(Event, (time, kind, next(self._counter), task_id, worker_id))
+        _heappush(self._heap, event)
         return event
 
     def pop(self) -> Event:
         """Remove and return the earliest event."""
         if not self._heap:
             raise SchedulingError("pop from an empty event queue")
-        return heapq.heappop(self._heap)[3]
+        return _heappop(self._heap)
 
     def peek(self) -> Optional[Event]:
         """Return the earliest event without removing it, or ``None``."""
-        return self._heap[0][3] if self._heap else None
+        return self._heap[0] if self._heap else None
 
     @property
     def next_time(self) -> Optional[float]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.events import Event, EventKind, EventQueue
@@ -87,3 +89,61 @@ class TestEventQueue:
         queue.push(1.0, EventKind.WAKEUP)
         queue.push(2.0, EventKind.WAKEUP)
         assert len(list(queue)) == 2
+
+
+class TestEventTimeChecks:
+    """``push`` validates the time itself: it builds events without calling
+    :class:`Event`'s constructor, and outside input (request platforms with
+    overflowing costs) reaches it."""
+
+    BAD_TIMES = [math.nan, math.inf, -math.inf, -1.0, -5e-324]
+
+    @pytest.mark.parametrize("time", BAD_TIMES)
+    def test_push_rejects_bad_times(self, time):
+        queue = EventQueue()
+        with pytest.raises(SchedulingError, match="finite and >= 0"):
+            queue.push(time, EventKind.SEND_COMPLETE, task_id=0, worker_id=0)
+        assert len(queue) == 0
+
+    @pytest.mark.parametrize("time", BAD_TIMES)
+    def test_event_constructor_rejects_bad_times(self, time):
+        with pytest.raises(SchedulingError, match="finite and >= 0"):
+            Event(time, EventKind.WAKEUP)
+
+    def test_rejected_push_leaves_the_queue_usable(self):
+        queue = EventQueue()
+        queue.push(1.0, EventKind.WAKEUP, task_id=1)
+        with pytest.raises(SchedulingError):
+            queue.push(math.inf, EventKind.WAKEUP)
+        queue.push(0.5, EventKind.WAKEUP, task_id=2)
+        assert [queue.pop().task_id for _ in range(2)] == [2, 1]
+
+    def test_zero_and_largest_finite_time_accepted(self):
+        queue = EventQueue()
+        queue.push(0.0, EventKind.WAKEUP)
+        queue.push(1.7976931348623157e308, EventKind.WAKEUP)
+        assert len(queue) == 2
+
+
+class TestEventAsTuple:
+    def test_event_is_a_tuple_of_its_fields(self):
+        event = Event(1.5, EventKind.SEND_COMPLETE, 3, 7, 2)
+        assert tuple(event) == (1.5, EventKind.SEND_COMPLETE, 3, 7, 2)
+        assert event.time == 1.5 and event.sequence == 3
+        assert event.task_id == 7 and event.worker_id == 2
+
+    def test_event_defaults(self):
+        event = Event(2.0, EventKind.WAKEUP)
+        assert (event.sequence, event.task_id, event.worker_id) == (0, -1, -1)
+
+    def test_event_is_immutable(self):
+        event = Event(1.0, EventKind.WAKEUP)
+        with pytest.raises(AttributeError):
+            event.time = 2.0
+
+    def test_pushed_events_are_events(self):
+        queue = EventQueue()
+        pushed = queue.push(1.0, EventKind.TASK_RELEASE, task_id=4)
+        assert type(pushed) is Event
+        assert queue.peek() is pushed
+        assert list(queue) == [pushed]

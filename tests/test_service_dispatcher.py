@@ -97,6 +97,25 @@ class TestExecutionErrors:
         assert "engine bug" in responses[0]["error"]["message"]
         assert service.stats.failed == 2
 
+    def test_overflowing_platform_costs_resolve_to_an_execution_error(self):
+        # 1e308 is a valid finite cost, but a send starting at time 1e308
+        # ends at inf: the event queue rejects that time, and the request
+        # must resolve to a typed error instead of hanging or crashing.
+        service = ScheduleService(batch_size=2)
+        service.submit(
+            make_request(
+                tasks=5, id="huge", platform={"comm": [1e308, 1e308], "comp": [1.0, 1.0]}
+            )
+        )
+        service.submit(make_request(seed=1, id="after"))
+        huge, after = service.drain()
+        assert huge["id"] == "huge"
+        assert huge["status"] == "error"
+        assert huge["error"]["type"] == "execution-error"
+        assert "finite and >= 0" in huge["error"]["message"]
+        assert after["status"] == "ok"
+        assert service.stats.failed == 1
+
     def test_failed_results_are_not_cached(self, monkeypatch):
         import repro.service.dispatcher as dispatcher_module
 
