@@ -50,6 +50,9 @@ class EventKind(enum.IntEnum):
 
 
 class _EventFields(NamedTuple):
+    """Field layout of :class:`Event`, which subclasses it because a
+    ``NamedTuple`` body may not define ``__new__``."""
+
     time: float
     kind: EventKind
     sequence: int = 0
