@@ -16,8 +16,8 @@ regenerates the paper's tables and figures from a terminal:
   schedule is re-checked by ``Schedule.validate``).
 * ``serve`` — the scheduling service: a JSONL request/response loop over
   stdin/stdout with request canonicalization, an LRU result cache,
-  duplicate coalescing, admission control and a process-pool fan-out whose
-  response stream is byte-identical for any ``--workers`` value.
+  duplicate coalescing and admission control, whose response stream is
+  byte-identical for any batch size, engine backend or ``--shards`` count.
 * ``request`` — build one schedule request from flags and either execute
   it through the service pipeline (one response line on stdout) or
   ``--emit`` it as a JSONL line to feed into ``repro serve``.
@@ -258,9 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
             "response per stdout line, in submission order.  Requests are "
             "canonicalized (semantically equal requests share one cache "
             "key), served from a bounded LRU result cache when possible, "
-            "coalesced when identical requests are in flight, and fanned "
-            "out over a process pool.  The response stream is byte-identical "
-            "for any --workers value; statistics go to stderr.  With "
+            "coalesced when identical requests are in flight, and simulated "
+            "inline.  The response stream is byte-identical for any "
+            "--batch-size, --engine-backend or --shards value; statistics "
+            "go to stderr.  With "
             "--listen HOST:PORT the same protocol is served as a persistent "
             "JSONL-over-TCP socket (concurrent connections, bounded "
             "per-connection backpressure, graceful drain on SIGTERM); "
@@ -285,12 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
             "with --listen: number of shard server processes on consecutive "
             "ports (shard i listens on PORT+i; requests route by canonical key)"
         ),
-    )
-    serve.add_argument(
-        "--workers",
-        type=_nonnegative_int,
-        default=1,
-        help="process-pool width for a batch's unique simulations (1 = serial, 0 = all CPUs)",
     )
     serve.add_argument(
         "--batch-size",
@@ -835,7 +830,6 @@ def _build_service(args: argparse.Namespace) -> ScheduleService:
                 flush=True,
             )
     return ScheduleService(
-        workers=args.workers,
         batch_size=args.batch_size,
         max_queue=args.max_queue,
         cache=cache,
@@ -848,7 +842,6 @@ def _build_service(args: argparse.Namespace) -> ScheduleService:
 def _serve_flag_argv(args: argparse.Namespace) -> List[str]:
     """Re-encode the service flags for a shard child process."""
     argv = [
-        "--workers", str(args.workers),
         "--batch-size", str(args.batch_size),
         "--max-queue", str(args.max_queue),
         "--cache-size", str(args.cache_size),
@@ -956,16 +949,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print("error: --shards requires --listen", file=sys.stderr)
             return 2
         with _build_service(args) as service:
-            try:
-                serve_stream(
-                    sys.stdin,
-                    service,
-                    sys.stdout,
-                    err=None if args.quiet else sys.stderr,
-                )
-            finally:
-                if service.cache is not None:
-                    service.cache.close()
+            serve_stream(
+                sys.stdin,
+                service,
+                sys.stdout,
+                err=None if args.quiet else sys.stderr,
+            )
         return 0
 
     try:
@@ -982,21 +971,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     shard_count = int(os.environ.get("REPRO_SHARD_COUNT", "1"))
     shard_restarts = int(os.environ.get("REPRO_SHARD_RESTARTS", "0"))
     with _build_service(args) as service:
-        try:
-            main_serve_forever(
-                service,
-                host,
-                port,
-                shard_index=shard_index,
-                shard_count=shard_count,
-                shard_restarts=shard_restarts,
-                err=sys.stderr,
-            )
-            if not args.quiet:
-                print(service.stats.summary(), file=sys.stderr)
-        finally:
-            if service.cache is not None:
-                service.cache.close()
+        main_serve_forever(
+            service,
+            host,
+            port,
+            shard_index=shard_index,
+            shard_count=shard_count,
+            shard_restarts=shard_restarts,
+            err=sys.stderr,
+        )
+        if not args.quiet:
+            print(service.stats.summary(), file=sys.stderr)
     return 0
 
 
@@ -1093,7 +1078,6 @@ def _cmd_request(args: argparse.Namespace) -> int:
     from .service.observability import Observability
 
     with ScheduleService(
-        workers=1,
         batch_size=1,
         max_queue=1,
         observability=Observability(trace=args.trace),

@@ -14,8 +14,8 @@ ROADMAP's "serve heavy traffic" north star.  Five pieces compose:
   configuration in, one metrics payload out, deterministically seeded;
 * :mod:`~repro.service.dispatcher` — the batching **dispatcher** with
   admission control (bounded queue + cost budget, typed load-shedding),
-  duplicate coalescing, and a process-pool fan-out whose response stream is
-  byte-identical for any worker count;
+  duplicate coalescing, and one inline compute path per shard whose
+  response stream is byte-identical for any batch size or backend;
 * :mod:`~repro.service.server` — the JSONL stdin/stdout request loop
   behind ``repro serve``;
 * :mod:`~repro.service.async_server` — the **persistent asyncio
@@ -51,7 +51,7 @@ from __future__ import annotations
 from .async_server import AsyncScheduleServer, ServerStats, parse_address, run_server
 from .cache import LRUResultCache
 from .dispatcher import ScheduleService, ServiceStats
-from .executor import execute_config, execute_request, request_rng
+from .executor import execute_request, request_rng
 from .schema import (
     RELEASE_PROCESSES,
     SCHEMA_VERSION,
@@ -100,7 +100,6 @@ __all__ = [
     "canonicalize_request",
     "decode_journal",
     "encode_record",
-    "execute_config",
     "execute_request",
     "is_stats_request",
     "parse_address",

@@ -161,7 +161,7 @@ class AsyncScheduleServer:
     executor_threads:
         Worker threads running dispatcher chunks.  Chunks serialize on the
         dispatcher's chunk lock, so this bounds *waiting* connections, not
-        parallel compute (the process pool inside the service does that).
+        parallel compute.
     drain_timeout:
         Seconds :meth:`close` waits for open connections to flush before
         cancelling them.

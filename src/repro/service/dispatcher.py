@@ -14,18 +14,19 @@ service:
 2. :meth:`~ScheduleService.pump` takes the oldest batch off the queue,
    serves what the :class:`~repro.service.cache.LRUResultCache` already
    knows, **coalesces** duplicate in-flight requests (several queued
-   requests with one canonical key run one simulation), and fans the
-   remaining unique configurations out over a persistent process pool
-   (``workers > 1``) or runs them inline (``workers <= 1``).
+   requests with one canonical key run one simulation), and runs the
+   remaining unique configurations inline: one batched kernel call on a
+   non-reference backend, otherwise one simulation per key.  Parallelism
+   lives one tier up, in the shard processes of ``repro serve --shards``.
 3. Responses come back **strictly in submission order**, one per request.
 
 Determinism contract (mirrors the campaign runner): every response is a
 pure function of its canonical request, so the response *stream* is a pure
-function of the request stream and the pump schedule.  Worker count, cache
-state, coalescing and TTL expiry change only latency and the statistics —
-``--workers 4`` and ``--workers 1`` produce byte-identical stdout.
+function of the request stream and the pump schedule.  Batch size, shard
+count, engine backend, cache state, coalescing and TTL expiry change only
+latency and the statistics, never a response byte.
 
-Thread safety: all queue, cache, pool and statistics state is guarded by an
+Thread safety: all queue, cache and statistics state is guarded by an
 internal re-entrant lock, so :meth:`~ScheduleService.submit`,
 :meth:`~ScheduleService.pump` and :meth:`~ScheduleService.drain` may be
 driven concurrently from executor threads (the persistent asyncio server
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import json
 import threading
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
@@ -54,7 +54,7 @@ from ..exceptions import (
 from ..core.kernel import DEFAULT_BACKEND, available_backends
 from ..obs import Trace, mint_trace_id
 from .cache import LRUResultCache
-from .executor import execute_batch, execute_config, execute_request
+from .executor import execute_batch, execute_request
 from .observability import Observability
 from .schema import SCHEMA_VERSION, ScheduleRequest, canonicalize_request
 
@@ -127,10 +127,11 @@ class ScheduleService:
     Parameters
     ----------
     workers:
-        Process-pool width for a batch's unique simulations. ``1`` runs
-        inline (serial); ``0`` means all CPUs, the campaign convention.  A
-        batch with a single unique configuration always runs inline — a
-        pool round-trip cannot beat one direct call.
+        Accepts only ``1``, the default; any other value raises
+        :class:`~repro.exceptions.ServiceError`.  A service runs its
+        simulations inline, and serve-side parallelism is the shard count
+        (``repro serve --shards``).  The keyword stays only for the
+        benchmark's baseline helper, which still passes ``workers=1``.
     batch_size:
         How many queued requests one :meth:`pump` resolves.
     max_queue:
@@ -145,13 +146,12 @@ class ScheduleService:
         requests are shed at submission.
     engine_backend:
         Which simulation kernel executes a batch's unique configurations
-        (see :mod:`repro.core.kernel`).  ``"reference"`` (the default) keeps
-        the per-request path — inline or process pool.  Any other backend
-        (e.g. ``"array"``) turns each pump's unique configurations into one
-        batched :func:`~repro.service.executor.execute_batch` call executed
-        inline; the process pool is bypassed because the batch *is* the
-        parallelism.  Responses are identical either way (backend parity
-        contract).
+        (see :mod:`repro.core.kernel`).  ``"reference"`` (the default) runs
+        one :func:`~repro.service.executor.execute_request` call per key.
+        Any other backend (e.g. ``"array"``) first tries each pump's unique
+        configurations as one batched
+        :func:`~repro.service.executor.execute_batch` call.  Responses are
+        identical either way (backend parity contract).
     observability:
         Optional :class:`~repro.service.observability.Observability`
         context.  The dispatcher always records its stage histograms and
@@ -171,8 +171,11 @@ class ScheduleService:
         engine_backend: str = DEFAULT_BACKEND,
         observability: Optional[Observability] = None,
     ) -> None:
-        if workers < 0:
-            raise ServiceError(f"workers must be >= 0, got {workers}")
+        if workers != 1:
+            raise ServiceError(
+                f"workers must be 1, got {workers}; serve-side parallelism "
+                "is the shard count (repro serve --shards)"
+            )
         if batch_size < 1:
             raise ServiceError(f"batch_size must be >= 1, got {batch_size}")
         if max_queue < batch_size:
@@ -187,7 +190,6 @@ class ScheduleService:
                 f"available: {available_backends()}"
             )
         self.engine_backend = engine_backend.lower()
-        self.workers = workers
         self.batch_size = batch_size
         self.max_queue = max_queue
         self.cache = cache
@@ -196,8 +198,7 @@ class ScheduleService:
         self.obs = observability if observability is not None else Observability()
         self._batch_index = 0
         self._entries: List[_Entry] = []
-        self._pool: Optional[ProcessPoolExecutor] = None
-        # Guards queue/cache/pool/statistics state.  Re-entrant because
+        # Guards queue/cache/statistics state.  Re-entrant because
         # locked sections call properties (``pending``) that lock again.
         self._lock = threading.RLock()
         # Serializes whole submit-then-drain sequences (serve_chunk), so
@@ -476,99 +477,43 @@ class ScheduleService:
             }
 
     def _run_unique(
-        self, primaries: Mapping[str, Optional[ScheduleRequest]]
+        self, primaries: Mapping[str, ScheduleRequest]
     ) -> Dict[str, Any]:
         """Execute one simulation per key; values are metrics or the error.
 
-        Catches *any* exception — not just :class:`~repro.exceptions.ReproError`
-        — because the one-response-per-request invariant must survive even a
-        broken worker process (``BrokenProcessPool``) or an engine bug: the
-        failure becomes that key's ``execution-error`` response instead of
-        tearing down the serve loop and dropping every queued request.
+        A non-reference backend first tries every key in one batched
+        :func:`~repro.service.executor.execute_batch` call.  ``run_batch``
+        is all-or-nothing, so when it raises — one bad request must not
+        poison its batch-mates — and on the reference backend, each key
+        resolves through its own :func:`execute_request` call (backends are
+        metric-identical, so the fall-back changes nothing but latency).
+
+        The per-key loop catches *any* exception — not just
+        :class:`~repro.exceptions.ReproError` — because the
+        one-response-per-request invariant must survive even an engine bug:
+        the failure becomes that key's ``execution-error`` response instead
+        of tearing down the serve loop and dropping every queued request.
         """
-        results: Dict[str, Any] = {}
         if not primaries:
-            return results
+            return {}
         with self._lock:
             self.stats.simulations += len(primaries)
         if self.engine_backend != "reference":
-            return self._run_unique_batched(primaries)
-        if self.workers == 1 or len(primaries) == 1:
-            for key, request in primaries.items():
-                assert request is not None
-                try:
-                    results[key] = execute_request(request)
-                except Exception as exc:  # noqa: BLE001 - mapped to a response
-                    results[key] = exc
-        else:
-            pool = self._ensure_pool()
             try:
-                futures = {
-                    key: pool.submit(execute_config, dict(request.config))
-                    for key, request in primaries.items()
-                    if request is not None
-                }
-            except Exception:  # noqa: BLE001 - pool already broken: run inline
-                # submit() itself raises once the executor is marked broken
-                # (a worker process died).  Serve this batch inline so every
-                # key still resolves, and drop the dead pool.
-                self.close()
-                for key, request in primaries.items():
-                    assert request is not None
-                    try:
-                        results[key] = execute_request(request)
-                    except Exception as exc:  # noqa: BLE001 - mapped to a response
-                        results[key] = exc
-                return results
-            for key, future in futures.items():
-                try:
-                    results[key] = future.result()
-                except Exception as exc:  # noqa: BLE001 - mapped to a response
-                    results[key] = exc
-            if any(isinstance(value, BrokenExecutor) for value in results.values()):
-                # A worker died mid-batch: those keys resolve to
-                # execution-error responses, and the broken pool is dropped
-                # so the next pump starts a fresh one instead of failing
-                # forever.
-                self.close()
-        return results
-
-    def _run_unique_batched(
-        self, primaries: Mapping[str, Optional[ScheduleRequest]]
-    ) -> Dict[str, Any]:
-        """One batched kernel call for every unique key of this pump.
-
-        ``run_batch`` is all-or-nothing, so when the batch raises — one bad
-        request must not poison its batch-mates — the whole set falls back
-        to per-request execution, which maps each key to its own result or
-        error exactly like the serial path (backends are metric-identical,
-        so the fallback changes nothing but latency).
-        """
-        keys = [key for key, request in primaries.items() if request is not None]
+                payloads = execute_batch(
+                    list(primaries.values()), backend=self.engine_backend
+                )
+            except Exception:  # noqa: BLE001 - resolved request by request below
+                pass
+            else:
+                return dict(zip(primaries, payloads))
         results: Dict[str, Any] = {}
-        try:
-            payloads = execute_batch(
-                [primaries[key] for key in keys], backend=self.engine_backend
-            )
-        except Exception:  # noqa: BLE001 - resolved request by request below
-            for key in keys:
-                request = primaries[key]
-                assert request is not None
-                try:
-                    results[key] = execute_request(request)
-                except Exception as exc:  # noqa: BLE001 - mapped to a response
-                    results[key] = exc
-            return results
-        results.update(zip(keys, payloads))
+        for key, request in primaries.items():
+            try:
+                results[key] = execute_request(request)
+            except Exception as exc:  # noqa: BLE001 - mapped to a response
+                results[key] = exc
         return results
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                # workers == 0 mirrors the campaign convention: all CPUs,
-                # resolved by the pool itself.
-                self._pool = ProcessPoolExecutor(max_workers=self.workers or None)
-            return self._pool
 
     def _response(
         self, status: str, request_id: Optional[str], **extra: Any
@@ -583,16 +528,17 @@ class ScheduleService:
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown()
+        """Close the attached cache's journal handle (idempotent).
+
+        The cache itself stays usable: a later ``put`` reopens the journal.
+        """
+        if self.cache is not None:
+            self.cache.close()
 
     def __enter__(self) -> "ScheduleService":
         """Context-manager entry: the service itself."""
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        """Context-manager exit: close the worker pool."""
+        """Context-manager exit: :meth:`close` the service."""
         self.close()

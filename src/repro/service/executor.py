@@ -1,21 +1,20 @@
 """Pure request execution — the compute kernel behind the dispatcher.
 
-:func:`execute_config` maps one canonical request configuration to one
-result payload.  It is a top-level function of picklable inputs/outputs on
-purpose: the dispatcher ships it unchanged to
-:class:`~concurrent.futures.ProcessPoolExecutor` workers, and the module
-boundary is what makes the determinism contract auditable — everything a
-result can depend on is in the canonical configuration.
+:func:`execute_request` maps one canonical request to one result payload,
+and :func:`execute_batch` does the same for many requests in one kernel
+call.  The module boundary is what makes the determinism contract
+auditable: everything a result can depend on is in the canonical
+configuration.
 
 Seeding follows the campaign discipline
 (:func:`~repro.campaigns.grid.cell_rng`): the random stream is derived from
 ``(seed, "service", canonical task configuration)``, so it never depends on
-the worker process, the batch a request landed in, or its queue position.
+the shard process, the batch a request landed in, or its queue position.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping
+from typing import Any, Dict
 
 import numpy as np
 
@@ -32,7 +31,6 @@ __all__ = [
     "kernel_job",
     "execute_request",
     "execute_batch",
-    "execute_config",
 ]
 
 
@@ -90,9 +88,3 @@ def execute_request(request: ScheduleRequest) -> Dict[str, Any]:
     schedule = simulate(scheduler, platform, tasks, expose_task_count=True)
     return evaluate(schedule).as_dict()
 
-
-def execute_config(config: Mapping[str, Any]) -> Dict[str, Any]:
-    """Process-pool entry point: rebuild the request from its canonical
-    configuration (dicts pickle cheaply; :class:`ScheduleRequest` would drag
-    its cached key along) and run :func:`execute_request`."""
-    return execute_request(ScheduleRequest(config=dict(config)))

@@ -782,7 +782,6 @@ class ShardedClient:
             from .dispatcher import ScheduleService
 
             self._local_service = ScheduleService(
-                workers=1,
                 batch_size=1,
                 max_queue=1,
                 cache=LRUResultCache(max_entries=256),

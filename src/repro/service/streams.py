@@ -1,10 +1,8 @@
 """Deterministic synthetic request streams for throughput measurement.
 
-Both benchmark harnesses — the timed suite behind ``BENCH_service.json``
-(``tools/run_benchmarks.py``) and the pytest-benchmark file
-(``benchmarks/bench_service_throughput.py``) — must measure the *same*
-workload, or their numbers stop being comparable.  They therefore import
-this one builder instead of each rolling their own.
+The timed suite behind ``BENCH_service.json`` (``tools/run_benchmarks.py``)
+builds every service benchmark from this one stream, so its entries
+measure the *same* workload and stay comparable with each other.
 
 For realistic *traffic* (nonstationary arrivals, repeated configurations)
 use ``tools/loadgen.py``; this stream is deliberately plain — distinct

@@ -111,16 +111,23 @@ class TestVersionFlag:
 class TestServeCommand:
     def test_parser_accepts_serve_options(self):
         args = build_parser().parse_args(
-            ["serve", "--workers", "4", "--batch-size", "8", "--max-queue", "64",
+            ["serve", "--batch-size", "8", "--max-queue", "64",
              "--cache-size", "100", "--ttl", "30", "--max-cost", "5000", "--quiet"]
         )
         assert args.command == "serve"
-        assert args.workers == 4
         assert args.batch_size == 8
         assert args.cache_size == 100
         assert args.ttl == 30.0
         assert args.max_cost == 5000
         assert args.quiet is True
+
+    def test_parser_rejects_the_removed_workers_flag(self, capsys):
+        # serve-side parallelism is --shards; only `campaign` keeps --workers
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--workers", "2"])
+        assert "--workers" in capsys.readouterr().err
+        args = build_parser().parse_args(["serve", "--shards", "2"])
+        assert args.shards == 2
 
     def test_parser_rejects_bad_bounds(self):
         for argv in (["serve", "--batch-size", "0"], ["serve", "--ttl", "-1"]):
@@ -158,15 +165,6 @@ class TestServeCommand:
         monkeypatch.setattr("sys.stdin", io.StringIO(self._request_line() + "\n"))
         assert main(["serve", "--quiet"]) == 0
         assert capsys.readouterr().err == ""
-
-    def test_serve_workers_match_serial_byte_for_byte(self, capsys, monkeypatch):
-        stream = "\n".join(self._request_line(seed=s % 3) for s in range(8)) + "\n"
-        outputs = []
-        for workers in ("2", "1"):
-            monkeypatch.setattr("sys.stdin", io.StringIO(stream))
-            assert main(["serve", "--workers", workers, "--quiet"]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
 
 
 class TestRequestCommand:

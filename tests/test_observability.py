@@ -58,7 +58,6 @@ def make_service(**obs_kwargs):
     observability = Observability(**obs_kwargs)
     cache = LRUResultCache(max_entries=64, registry=observability.registry)
     return ScheduleService(
-        workers=1,
         batch_size=4,
         max_queue=64,
         cache=cache,
@@ -158,7 +157,7 @@ class TestSlowRequestLog:
             trace=True, slow_ms=slow_ms, event_log=EventLog(str(log_path))
         )
         with ScheduleService(
-            workers=1, batch_size=4, max_queue=64, observability=observability
+            batch_size=4, max_queue=64, observability=observability
         ) as service:
             (response,) = service.serve_chunk([request_line(seed=1, id="slow-1", trace=True)])
         events = []

@@ -483,7 +483,7 @@ class TestClientRetryAndReconnect:
 class TestCircuitBreaker:
     def test_open_breaker_degrades_to_byte_identical_local_execution(self):
         line = request_line(seed=3, id="deg-0")
-        with ScheduleService(workers=1, batch_size=1, max_queue=1) as reference:
+        with ScheduleService(batch_size=1, max_queue=1) as reference:
             (expected,) = reference.serve_chunk([line])
         expected_text = response_line(expected)
 

@@ -55,9 +55,15 @@ def test_corpus_covers_every_heuristic_release_process_and_width():
 
 
 @pytest.mark.parametrize("batch_size", [8, 1])
-def test_serve_lines_reproduces_the_golden_responses(batch_size):
+@pytest.mark.parametrize("engine_backend", ["reference", "array"])
+def test_serve_lines_reproduces_the_golden_responses(engine_backend, batch_size):
+    # Both backends, batched and one request per pump: the array kernel's
+    # batched path and the reference per-request path must write the same
+    # bytes (backend parity contract).
     expected = RESPONSES.read_text(encoding="utf-8")
-    actual = _serve(_request_lines(), batch_size=batch_size)
+    actual = _serve(
+        _request_lines(), batch_size=batch_size, engine_backend=engine_backend
+    )
     if actual == expected:
         return
     for got, want in zip(actual.splitlines(), expected.splitlines()):

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ServiceError
 from repro.service.cache import LRUResultCache
+from repro.service.dispatcher import ScheduleService
 from repro.service.persistence import (
     ShardPersistence,
     decode_journal,
@@ -258,6 +259,32 @@ class TestCacheIntegration:
         )
         assert warmed.warm_load() == 6
         assert warmed.stats()["snapshot_age_s"] is not None
+        warmed.close()
+
+    def test_leaving_the_service_closes_the_journal_and_put_reopens_it(
+        self, tmp_path
+    ):
+        persistence = ShardPersistence(tmp_path)
+        cache = LRUResultCache(max_entries=8, persistence=persistence)
+        request = {
+            "platform": {"comm": [0.2, 0.5], "comp": [1.0, 2.0]},
+            "tasks": 10,
+            "scheduler": "LS",
+            "seed": 0,
+        }
+        with ScheduleService(batch_size=1, cache=cache) as service:
+            (response,) = service.serve_chunk([request])
+            assert not persistence._journal_file.closed
+        assert persistence._journal_file is None
+
+        cache.put("late", {"makespan": 2.0})  # reopens the journal
+        cache.close()
+        warmed = LRUResultCache(
+            max_entries=8, persistence=ShardPersistence(tmp_path)
+        )
+        assert warmed.warm_load() == 2
+        assert warmed.get(response["key"]) == response["metrics"]
+        assert warmed.get("late") == {"makespan": 2.0}
         warmed.close()
 
 

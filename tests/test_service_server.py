@@ -66,19 +66,16 @@ class TestDeterminismContract:
         lines.insert(4, "not json")
         return lines
 
-    def serve(self, workers):
+    def serve(self):
         out = io.StringIO()
         with ScheduleService(
-            workers=workers, batch_size=4, cache=LRUResultCache(max_entries=32)
+            batch_size=4, cache=LRUResultCache(max_entries=32)
         ) as service:
             serve_lines(iter(self.stream()), service, out)
         return out.getvalue()
 
-    def test_workers_2_is_byte_identical_to_workers_1(self):
-        assert self.serve(workers=2) == self.serve(workers=1)
-
     def test_rerun_is_byte_identical(self):
-        assert self.serve(workers=1) == self.serve(workers=1)
+        assert self.serve() == self.serve()
 
 
 class TestServeStream:

@@ -109,7 +109,6 @@ class SupervisorTree:
             sys.executable, "-m", "repro", "serve",
             "--listen", f"127.0.0.1:{base_port}",
             "--shards", str(args.shards),
-            "--workers", "1",
             "--restart-base-delay", str(args.restart_base_delay),
             "--restart-limit", str(args.restart_limit),
             "--quiet",
@@ -320,7 +319,7 @@ def serial_baseline(lines: List[str]) -> Dict[str, str]:
 
     sink = _Sink()
     with ScheduleService(
-        workers=1, batch_size=16, max_queue=256, cache=LRUResultCache(max_entries=1024)
+        batch_size=16, max_queue=256, cache=LRUResultCache(max_entries=1024)
     ) as service:
         serve_lines(lines, service, sink)
     baseline = {}

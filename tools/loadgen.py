@@ -25,13 +25,15 @@ uniform batch:
 
 The stream is a pure function of ``--seed`` and the shape flags, so two
 invocations with the same flags are byte-identical — which is what lets CI
-compare ``repro serve --workers 4`` against ``--workers 1`` with a literal
-``cmp``.
+compare ``repro serve`` against ``repro serve --engine-backend array`` and
+``--batch-size 1`` with a literal ``cmp``.  ``--workers`` here is the
+simulated platform width of the generated requests, not serve-side
+parallelism; that is ``repro serve --listen HOST:PORT --shards N``.
 
 Run with::
 
     PYTHONPATH=src python tools/loadgen.py --requests 500 --workers 4 \\
-        | PYTHONPATH=src python -m repro serve --workers 4
+        | PYTHONPATH=src python -m repro serve
 
 or against a persistent 3-shard server (each of the ``--connections``
 clients streams the *same* generated request file, so every client's
@@ -304,7 +306,7 @@ def main(argv=None) -> int:
         default=4,
         help=(
             "maximum platform width (simulated workers per requested platform); "
-            "NOT serve-side parallelism — that is `repro serve --workers`"
+            "NOT serve-side parallelism — that is `repro serve --shards`"
         ),
     )
     parser.add_argument(

@@ -186,7 +186,7 @@ def bench_request_canonicalize(runs: int) -> Dict[str, Any]:
 
 
 def _serve(lines: List[str], cache: LRUResultCache) -> None:
-    with ScheduleService(workers=1, batch_size=16, max_queue=1024, cache=cache) as svc:
+    with ScheduleService(batch_size=16, max_queue=1024, cache=cache) as svc:
         serve_lines(iter(lines), svc, io.StringIO())
 
 
@@ -256,9 +256,7 @@ def bench_service_persistent_rps(runs: int, n_requests: int) -> Dict[str, Any]:
                 latencies.append(time.perf_counter() - t0)
 
     async def drive() -> None:
-        service = ScheduleService(
-            workers=1, batch_size=16, max_queue=4096, cache=None
-        )
+        service = ScheduleService(batch_size=16, max_queue=4096, cache=None)
         async with AsyncScheduleServer(service, port=0) as server:
             await asyncio.gather(
                 *(one_client(server.address) for _ in range(connections))
@@ -306,7 +304,7 @@ def bench_service_chaos_rps(runs: int, n_requests: int) -> Dict[str, Any]:
 
     def make_server(host: str, port: int) -> AsyncScheduleServer:
         return AsyncScheduleServer(
-            ScheduleService(workers=1, batch_size=16, max_queue=4096, cache=None),
+            ScheduleService(batch_size=16, max_queue=4096, cache=None),
             host,
             port,
         )
@@ -457,7 +455,6 @@ def bench_service_observability_overhead(runs: int, n_requests: int) -> Dict[str
         )
         service = stack.enter_context(
             ScheduleService(
-                workers=1,
                 batch_size=16,
                 max_queue=1024,
                 cache=cache,
