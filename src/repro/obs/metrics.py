@@ -218,9 +218,9 @@ class MetricsRegistry:
     """Thread-safe, process-local registry of counters, gauges, histograms.
 
     All mutation and the :meth:`snapshot` run under one internal lock, so
-    a snapshot taken while executor threads dispatch concurrently is a
-    consistent point-in-time view — never a half-applied update (the
-    atomicity property ``tests/test_obs_metrics.py`` drives).
+    a snapshot taken while another thread records is a consistent
+    point-in-time view — never a half-applied update (the atomicity
+    property ``tests/test_obs_metrics.py`` drives).
 
     Metrics are created on first use; :meth:`declare` pre-creates them at
     zero so a scrape taken before any traffic still lists the full metric

@@ -11,20 +11,28 @@ line out, **per-connection submission order**.
 Concurrency model (per connection)::
 
     socket ──► read loop ──► inbound queue ──► dispatch loop ──► outbound queue ──► write loop ──► socket
-                              (bounded)        (chunks through      (bounded)
-                                              ScheduleService.serve_chunk
-                                              in an executor thread)
+               (parses each    (bounded)       (resolves chunks     (bounded)
+                line once)                     on the loop thread)
 
-* the **read loop** turns socket lines into inbound-queue items; the queue
-  is bounded, so a dispatch stage that falls behind stops the reader, which
-  stops reading the socket — TCP flow control pushes the backpressure all
-  the way to the client;
+* the **read loop** turns socket lines into inbound-queue items, running
+  ``json.loads`` on each line exactly once to tell control requests from
+  schedule requests; the queue is bounded, so a dispatch stage that falls
+  behind stops the reader, which stops reading the socket — TCP flow
+  control pushes the backpressure all the way to the client;
 * the **dispatch loop** greedily gathers whatever accumulated (up to the
-  service batch size) and resolves it through
-  :meth:`~repro.service.dispatcher.ScheduleService.serve_chunk` in a worker
-  thread, so the event loop keeps multiplexing other connections while a
-  chunk simulates.  ``serve_chunk`` is atomic per chunk, which is what
-  keeps each connection's responses correctly attributed and ordered;
+  service batch size) and resolves it *on the event-loop thread* through
+  :meth:`~repro.service.dispatcher.ScheduleService.serve_chunk`, handing
+  over the parsed object of every JSON-object line and the raw text of
+  every other line (so malformed lines get the dispatcher's usual error
+  response).  The compute is pure Python under the GIL and chunks
+  serialize on the dispatcher's chunk lock anyway, so a worker thread
+  would add a queue hand-off and a wake-up per chunk and no parallelism;
+  process parallelism lives one tier up, in ``repro serve --shards``.
+  The trade-off: a stats or metrics request on *another* connection waits
+  for the chunk being resolved — at most one batch of requests.  Since a
+  connection's inbound queue holds at most two chunks and refills only
+  when the loop runs, one dispatch loop resolves at most two chunks
+  before it yields;
 * the **write loop** flushes responses from the bounded outbound queue; a
   slow-reading client fills its socket buffers, then the outbound queue,
   then pauses its own dispatch/read stages — never anyone else's, and never
@@ -38,7 +46,7 @@ counters.
 
 Determinism contract: a connection's response stream is byte-identical to
 what :func:`repro.service.server.serve_lines` writes for the same request
-lines, whatever the shard count, worker count or number of concurrent
+lines, whatever the shard count, batch size or number of concurrent
 connections (``tests/test_async_server.py`` asserts the bytes).
 
 A SIGTERM/SIGINT (see :func:`run_server`) triggers a **graceful drain**:
@@ -50,13 +58,14 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import itertools
 import json
 import signal
 import socket
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, TextIO, Tuple
 
 from .dispatcher import ScheduleService
@@ -80,6 +89,26 @@ __all__ = [
 #: ``asyncio.StreamReader`` line limit — requests beyond 1 MiB are a
 #: protocol violation and close the connection.
 _LINE_LIMIT = 1 << 20
+
+#: One inbound-queue item: ``(request, is_control)``.  ``request`` is the
+#: parsed object of a JSON-object line, else the line's raw text.
+_Item = Tuple[Any, bool]
+
+
+def _parse_line(text: str) -> _Item:
+    """Parse one request line, once, into an inbound-queue item.
+
+    A JSON object travels on parsed (``ScheduleService.submit`` accepts a
+    mapping); any other line travels on as its text, so the dispatcher
+    builds the same error response it builds for the raw line.
+    """
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError:
+        return text, False
+    if not isinstance(payload, dict):
+        return text, False
+    return payload, is_control_request(payload)
 
 
 def parse_address(text: str) -> Tuple[str, int]:
@@ -114,7 +143,8 @@ class ServerStats:
     responses_sent: int = 0
     #: Connections that vanished before their response stream flushed.
     disconnects: int = 0
-    #: Chunks currently executing in the dispatcher (gauge).
+    #: Schedule-request lines read but whose responses are not yet queued
+    #: for the writer (gauge; control requests are not counted).
     inflight: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -125,12 +155,15 @@ class ServerStats:
 class _Connection:
     """Mutable per-connection state shared by the three pipeline stages."""
 
-    __slots__ = ("alive",)
+    __slots__ = ("alive", "inflight")
 
     def __init__(self) -> None:
         #: Cleared by the write loop when the client vanishes; the dispatch
         #: loop then stops paying for simulations nobody will read.
         self.alive = True
+        #: This connection's share of ``ServerStats.inflight``, taken back
+        #: out at teardown so a cancelled connection cannot leak into it.
+        self.inflight = 0
 
 
 class AsyncScheduleServer:
@@ -158,10 +191,6 @@ class AsyncScheduleServer:
     write_queue_lines:
         Bound of the per-connection outbound queue — the backpressure
         budget between the dispatcher and a slow-reading client.
-    executor_threads:
-        Worker threads running dispatcher chunks.  Chunks serialize on the
-        dispatcher's chunk lock, so this bounds *waiting* connections, not
-        parallel compute.
     drain_timeout:
         Seconds :meth:`close` waits for open connections to flush before
         cancelling them.
@@ -184,7 +213,6 @@ class AsyncScheduleServer:
         shard_restarts: int = 0,
         max_chunk: Optional[int] = None,
         write_queue_lines: int = 256,
-        executor_threads: int = 4,
         drain_timeout: float = 10.0,
         per_connection_sndbuf: Optional[int] = None,
     ) -> None:
@@ -202,9 +230,6 @@ class AsyncScheduleServer:
         # Server-loop spans land in the service's registry so one metrics
         # scrape covers transport and dispatcher alike.
         self._registry = service.obs.registry
-        self._executor = ThreadPoolExecutor(
-            max_workers=executor_threads, thread_name_prefix="repro-serve"
-        )
         self._server: Optional[asyncio.base_events.Server] = None
         self._started_monotonic: Optional[float] = None
         self._draining = False
@@ -253,7 +278,6 @@ class AsyncScheduleServer:
             task.cancel()
         if self._connection_tasks:
             await asyncio.gather(*self._connection_tasks, return_exceptions=True)
-        self._executor.shutdown(wait=True)
         self.service.close()
 
     async def __aenter__(self) -> "AsyncScheduleServer":
@@ -380,13 +404,13 @@ class AsyncScheduleServer:
             # bound alone is unobservable.
             writer.transport.set_write_buffer_limits(high=self.per_connection_sndbuf)
         conn = _Connection()
-        inbound: "asyncio.Queue[Optional[str]]" = asyncio.Queue(
+        inbound: "asyncio.Queue[Optional[_Item]]" = asyncio.Queue(
             maxsize=max(2 * self.max_chunk, 2)
         )
         outbound: "asyncio.Queue[Optional[str]]" = asyncio.Queue(
             maxsize=self.write_queue_lines
         )
-        read_task = asyncio.create_task(self._read_loop(reader, inbound))
+        read_task = asyncio.create_task(self._read_loop(reader, inbound, conn))
         self._reader_tasks.add(read_task)
         write_task = asyncio.create_task(self._write_loop(writer, outbound, conn))
         try:
@@ -395,6 +419,7 @@ class AsyncScheduleServer:
             read_task.cancel()
             await asyncio.gather(read_task, return_exceptions=True)
             self._reader_tasks.discard(read_task)
+            self._track(conn, -conn.inflight)
             # Sentinel for the writer.  A slow-but-alive client gets up to
             # drain_timeout to make room in the outbound queue; a stuck one
             # gets its writer cancelled instead of deadlocking teardown.
@@ -411,10 +436,18 @@ class AsyncScheduleServer:
             self.stats.connections_active -= 1
             self._connection_tasks.discard(task)
 
+    def _track(self, conn: _Connection, delta: int) -> None:
+        """Move ``delta`` schedule-request lines into (or out of) inflight."""
+        conn.inflight += delta
+        self.stats.inflight += delta
+
     async def _read_loop(
-        self, reader: asyncio.StreamReader, inbound: "asyncio.Queue[Optional[str]]"
+        self,
+        reader: asyncio.StreamReader,
+        inbound: "asyncio.Queue[Optional[_Item]]",
+        conn: _Connection,
     ) -> None:
-        """Socket lines → bounded inbound queue; ``None`` sentinel on EOF."""
+        """Socket lines → parsed bounded inbound queue; ``None`` sentinel on EOF."""
         try:
             while not self._draining:
                 read_start = time.perf_counter()
@@ -429,7 +462,10 @@ class AsyncScheduleServer:
                 text = line.decode("utf-8", errors="replace")
                 if not text.strip():
                     continue
-                await inbound.put(text)
+                request, control = _parse_line(text)
+                if not control:
+                    self._track(conn, 1)
+                await inbound.put((request, control))
         except (ConnectionError, ValueError, asyncio.IncompleteReadError):
             # ConnectionError: client vanished; ValueError: line over the
             # protocol limit.  Either way this stream is over.
@@ -446,12 +482,11 @@ class AsyncScheduleServer:
 
     async def _dispatch_loop(
         self,
-        inbound: "asyncio.Queue[Optional[str]]",
+        inbound: "asyncio.Queue[Optional[_Item]]",
         outbound: "asyncio.Queue[Optional[str]]",
         conn: _Connection,
     ) -> None:
-        """Gather request chunks, resolve them off-loop, enqueue responses."""
-        loop = asyncio.get_running_loop()
+        """Gather request chunks, resolve them on the loop, enqueue responses."""
         eof = False
         while not eof:
             first = await inbound.get()
@@ -469,61 +504,41 @@ class AsyncScheduleServer:
                 chunk.append(item)
             self.stats.requests_received += len(chunk)
             if not conn.alive:
-                continue  # client is gone: drop the chunk instead of simulating
-            for line in await self._resolve_chunk(loop, chunk):
-                await outbound.put(line)
-
-    async def _resolve_chunk(
-        self, loop: asyncio.AbstractEventLoop, chunk: List[str]
-    ) -> List[str]:
-        """Resolve one chunk to response lines, control requests in position."""
-        out_lines: List[str] = []
-        pending: List[str] = []
-        for text in chunk:
-            payload = self._try_parse(text)
-            if is_control_request(payload):
-                if pending:
-                    out_lines.extend(await self._run_schedule_chunk(loop, pending))
-                    pending = []
-                request_id = control_request_id(payload)
-                if is_metrics_request(payload):
-                    response = self.metrics_response(request_id)
-                else:
-                    response = self.stats_response(request_id)
-                out_lines.append(response_line(response))
-            else:
-                pending.append(text)
-        if pending:
-            out_lines.extend(await self._run_schedule_chunk(loop, pending))
-        return out_lines
-
-    async def _run_schedule_chunk(
-        self, loop: asyncio.AbstractEventLoop, lines: List[str]
-    ) -> List[str]:
-        """Run one dispatcher chunk in the executor; returns response lines."""
-        self.stats.inflight += 1
-        dispatch_start = time.perf_counter()
-        try:
-            return await loop.run_in_executor(
-                self._executor, self._serve_chunk_sync, list(lines)
-            )
-        finally:
-            self.stats.inflight -= 1
+                # Client is gone: drop the chunk instead of simulating.
+                self._track(conn, -sum(not control for _, control in chunk))
+                continue
+            dispatch_start = time.perf_counter()
+            out_lines = self._resolve_chunk(chunk)
             self._registry.observe(
                 "server.dispatch_ms", (time.perf_counter() - dispatch_start) * 1000.0
             )
+            for (_, control), line in zip(chunk, out_lines):
+                await outbound.put(line)
+                if not control:
+                    self._track(conn, -1)
 
-    def _serve_chunk_sync(self, lines: List[str]) -> List[str]:
-        """Executor-thread body: atomic submit+drain, canonical encoding."""
-        return [response_line(r) for r in self.service.serve_chunk(lines)]
+    def _resolve_chunk(self, chunk: List[_Item]) -> List[str]:
+        """One response line per chunk item, in order; control requests in position.
 
-    @staticmethod
-    def _try_parse(text: str) -> Any:
-        """Best-effort JSON parse (malformed lines stay the dispatcher's job)."""
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError:
-            return None
+        Each run of consecutive schedule requests is one atomic
+        :meth:`ScheduleService.serve_chunk` call.
+        """
+        out_lines: List[str] = []
+        for control, run in itertools.groupby(chunk, key=itemgetter(1)):
+            requests = [request for request, _ in run]
+            if control:
+                responses = [self._control_response(payload) for payload in requests]
+            else:
+                responses = self.service.serve_chunk(requests)
+            out_lines.extend(response_line(response) for response in responses)
+        return out_lines
+
+    def _control_response(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """The stats or metrics response to one control request."""
+        request_id = control_request_id(payload)
+        if is_metrics_request(payload):
+            return self.metrics_response(request_id)
+        return self.stats_response(request_id)
 
     async def _write_loop(
         self,

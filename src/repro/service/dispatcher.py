@@ -29,13 +29,15 @@ latency and the statistics, never a response byte.
 Thread safety: all queue, cache and statistics state is guarded by an
 internal re-entrant lock, so :meth:`~ScheduleService.submit`,
 :meth:`~ScheduleService.pump` and :meth:`~ScheduleService.drain` may be
-driven concurrently from executor threads (the persistent asyncio server
-does exactly that).  Simulations themselves run *outside* the lock, so
-concurrent pumps overlap their compute.  Note that raw ``submit``/``drain``
-calls from several threads interleave their *attribution* — a drain returns
-whatever is queued, whoever queued it; a caller that needs "exactly my
-responses, in my order" must use :meth:`~ScheduleService.serve_chunk`,
-which makes the submit-then-drain sequence atomic.
+driven concurrently from several threads.  The persistent asyncio server
+does not: it resolves every chunk on its event-loop thread.  The sharded
+client's local fall-back does, calling ``serve_chunk`` from the loop's
+default executor.  Simulations themselves run *outside* the lock.  Note
+that raw ``submit``/``drain`` calls from several threads interleave their
+*attribution* — a drain returns whatever is queued, whoever queued it; a
+caller that needs "exactly my responses, in my order" must use
+:meth:`~ScheduleService.serve_chunk`, which makes the submit-then-drain
+sequence atomic.
 """
 
 from __future__ import annotations

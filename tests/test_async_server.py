@@ -1,7 +1,7 @@
 """Tests for the persistent asyncio server (:mod:`repro.service.async_server`).
 
 The load-bearing assertion is the **determinism contract**: whatever the
-shard count, worker count or number of concurrent connections, every
+shard count, batch size or number of concurrent connections, every
 client's response stream is byte-identical to what the serial
 :func:`repro.service.server.serve_lines` loop writes for the same request
 lines.
@@ -12,6 +12,7 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import threading
 
 import pytest
 
@@ -36,9 +37,16 @@ def request_line(seed=0, tasks=8, **extra):
 
 
 def mixed_stream(n=24):
-    """Duplicates + distinct configs + one malformed line, id-stamped."""
+    """Duplicates + distinct configs + invalid lines, id-stamped.
+
+    The invalid lines cover malformed JSON, every non-object JSON value and
+    an object with an unknown field: the server parses each line once and
+    hands objects on parsed, everything else as text.
+    """
     lines = [request_line(seed=index % 5, id=f"r{index}") for index in range(n)]
     lines.insert(n // 2, "{not json")
+    lines[3:3] = ["null", "[1, 2]", '"text"', "42"]
+    lines.insert(n // 3, request_line(seed=1, id="unknown-field", colour="blue"))
     return lines
 
 
@@ -202,6 +210,65 @@ class TestSingleConnection:
                 return response
 
         assert asyncio.run(go())["id"] == "ok"
+
+
+class TestOneThreadPerShard:
+    """Chunks resolve on the event-loop thread; ``server.inflight`` counts lines."""
+
+    @staticmethod
+    def serve_recording(monkeypatch, lines, record):
+        """Send ``lines`` in one write; ``record(server, raws)`` runs per chunk.
+
+        Returns the inflight gauge once every response has been read, the
+        event-loop thread's id and the response lines.
+        """
+        holder = []
+        original = ScheduleService.serve_chunk
+
+        def recording_serve_chunk(service, raws):
+            raws = list(raws)
+            record(holder[0], raws)
+            return original(service, raws)
+
+        monkeypatch.setattr(ScheduleService, "serve_chunk", recording_serve_chunk)
+
+        async def go():
+            async with AsyncScheduleServer(make_service()) as server:
+                holder.append(server)
+                reader, writer = await asyncio.open_connection(*server.address)
+                writer.write("".join(line + "\n" for line in lines).encode("utf-8"))
+                await writer.drain()
+                responses = [await reader.readline() for _ in lines]
+                inflight_after = server.stats.inflight
+                writer.close()
+                await writer.wait_closed()
+                return inflight_after, threading.get_ident(), responses
+
+        return asyncio.run(go())
+
+    def test_chunks_resolve_on_the_event_loop_thread(self, monkeypatch):
+        threads = []
+        lines = [request_line(seed=s, id=f"r{s}") for s in range(8)]
+        _, loop_thread, responses = self.serve_recording(
+            monkeypatch, lines, lambda server, raws: threads.append(threading.get_ident())
+        )
+        assert len(responses) == len(lines)
+        assert threads and set(threads) == {loop_thread}
+
+    def test_inflight_counts_request_lines_until_their_responses_are_queued(
+        self, monkeypatch
+    ):
+        seen = []
+        lines = [request_line(seed=s, id=f"r{s}") for s in range(8)]
+        inflight_after, _, responses = self.serve_recording(
+            monkeypatch,
+            lines,
+            lambda server, raws: seen.append((server.stats.inflight, len(raws))),
+        )
+        assert len(responses) == len(lines)
+        assert len(seen) >= 2  # batch_size=4: the 8 lines span several chunks
+        assert all(inflight >= size for inflight, size in seen), seen
+        assert inflight_after == 0
 
 
 class TestGracefulDrain:
