@@ -64,7 +64,7 @@ from .service.async_server import main_serve_forever, parse_address
 from .service.cache import LRUResultCache
 from .service.dispatcher import ScheduleService
 from .service.schema import RELEASE_PROCESSES, canonicalize_request
-from .service.server import response_line, serve_stream
+from .service.server import response_line, serve_stream, summary
 from .service.sharding import ShardedClient
 from .workloads.release import all_at_zero
 
@@ -294,12 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="queued requests resolved per dispatch round",
     )
     serve.add_argument(
-        "--max-queue",
-        type=_positive_int,
-        default=256,
-        help="admission bound on pending requests (see docs/SERVICE.md)",
-    )
-    serve.add_argument(
         "--cache-size",
         type=_nonnegative_int,
         default=1024,
@@ -490,14 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "with --connect: shard count of the server topology "
             "(shard i listens on PORT+i; the request routes by canonical key)"
-        ),
-    )
-    request.add_argument(
-        "--stats",
-        action="store_true",
-        help=(
-            "with --connect: query every shard's stats/health request type "
-            "instead of sending a schedule request (one JSON line per shard)"
         ),
     )
     request.add_argument(
@@ -831,7 +817,6 @@ def _build_service(args: argparse.Namespace) -> ScheduleService:
             )
     return ScheduleService(
         batch_size=args.batch_size,
-        max_queue=args.max_queue,
         cache=cache,
         max_cost=args.max_cost,
         engine_backend=args.engine_backend,
@@ -843,7 +828,6 @@ def _serve_flag_argv(args: argparse.Namespace) -> List[str]:
     """Re-encode the service flags for a shard child process."""
     argv = [
         "--batch-size", str(args.batch_size),
-        "--max-queue", str(args.max_queue),
         "--cache-size", str(args.cache_size),
         "--engine-backend", args.engine_backend,
     ]
@@ -902,7 +886,7 @@ def _run_shard_supervisor(args: argparse.Namespace, host: str, port: int) -> int
             "--listen", f"{host}:{port + index}", "--shards", "1",
         ] + _serve_flag_argv(args)
         # Shard identity and restart count ride on the environment so the
-        # child's stats responses report them without extra CLI surface.
+        # child's metrics responses report them without extra CLI surface.
         env = dict(os.environ)
         env["REPRO_SHARD_INDEX"] = str(index)
         env["REPRO_SHARD_COUNT"] = str(args.shards)
@@ -930,13 +914,6 @@ def _run_shard_supervisor(args: argparse.Namespace, host: str, port: int) -> int
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.max_queue < args.batch_size:
-        print(
-            f"error: --max-queue ({args.max_queue}) must be >= "
-            f"--batch-size ({args.batch_size})",
-            file=sys.stderr,
-        )
-        return 2
     if args.profile_every and args.metrics_log is None and args.state_dir is None:
         print(
             "error: --profile-every needs --metrics-log or --state-dir "
@@ -981,7 +958,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             err=sys.stderr,
         )
         if not args.quiet:
-            print(service.stats.summary(), file=sys.stderr)
+            print(summary(service.obs.registry.snapshot()), file=sys.stderr)
     return 0
 
 
@@ -1013,7 +990,7 @@ def _request_payload(args: argparse.Namespace) -> dict:
 
 
 def _cmd_request_connected(args: argparse.Namespace) -> int:
-    """Send one request (or a stats/metrics query) to a sharded server."""
+    """Send one request (or a metrics query) to a sharded server."""
     import asyncio
     import json
 
@@ -1027,9 +1004,6 @@ def _cmd_request_connected(args: argparse.Namespace) -> int:
         async with ShardedClient.from_base(
             host, port, args.shards, request_timeout=args.timeout
         ) as client:
-            if args.stats:
-                payloads = await client.stats(args.id)
-                return [canonical_json(payload) for payload in payloads]
             if args.metrics:
                 payloads = await client.metrics(args.id)
                 return [canonical_json(payload) for payload in payloads]
@@ -1043,7 +1017,7 @@ def _cmd_request_connected(args: argparse.Namespace) -> int:
         return 2
     for line in lines:
         print(line)
-    if args.stats or args.metrics:
+    if args.metrics:
         return 0
     response = json.loads(lines[0])
     if response["status"] != "ok":
@@ -1053,11 +1027,8 @@ def _cmd_request_connected(args: argparse.Namespace) -> int:
 
 
 def _cmd_request(args: argparse.Namespace) -> int:
-    if (args.stats or args.metrics) and args.connect is None:
-        print("error: --stats/--metrics requires --connect", file=sys.stderr)
-        return 2
-    if args.stats and args.metrics:
-        print("error: --stats and --metrics are mutually exclusive", file=sys.stderr)
+    if args.metrics and args.connect is None:
+        print("error: --metrics requires --connect", file=sys.stderr)
         return 2
     if args.connect is not None:
         if args.emit:
@@ -1078,9 +1049,7 @@ def _cmd_request(args: argparse.Namespace) -> int:
     from .service.observability import Observability
 
     with ScheduleService(
-        batch_size=1,
-        max_queue=1,
-        observability=Observability(trace=args.trace),
+        batch_size=1, observability=Observability(trace=args.trace)
     ) as service:
         service.submit(payload)
         (response,) = service.drain()

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 __all__ = ["DEFAULT_GROWTH", "StreamingHistogram", "MetricsRegistry"]
 
@@ -225,6 +225,11 @@ class MetricsRegistry:
     Metrics are created on first use; :meth:`declare` pre-creates them at
     zero so a scrape taken before any traffic still lists the full metric
     catalog (what the CI metrics-scrape step asserts against the docs).
+
+    A gauge that mirrors live state (a queue length, an open-connection
+    count) is *bound* with :meth:`bind_gauge` instead of being set: the
+    registry calls its reader on every :meth:`snapshot`, so the value can
+    never go stale and its owner pays nothing on the hot path.
     """
 
     def __init__(self) -> None:
@@ -232,6 +237,7 @@ class MetricsRegistry:
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, StreamingHistogram] = {}
+        self._readers: Dict[str, Callable[[], float]] = {}
 
     # -- mutation -----------------------------------------------------------
     def inc(self, name: str, amount: int = 1) -> None:
@@ -239,10 +245,33 @@ class MetricsRegistry:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + amount
 
+    def add(self, amounts: Mapping[str, int]) -> None:
+        """Add every ``name -> amount`` pair under one lock hold.
+
+        A snapshot sees all of the increments or none of them, so counters
+        that must stay consistent with each other (``responded`` and the
+        outcome counters it sums) are credited together through here.
+        """
+        with self._lock:
+            counters = self._counters
+            for name, amount in amounts.items():
+                counters[name] = counters.get(name, 0) + amount
+
     def set_gauge(self, name: str, value: float) -> None:
         """Set gauge ``name`` to ``value``."""
         with self._lock:
             self._gauges[name] = value
+
+    def bind_gauge(self, name: str, read: Callable[[], float]) -> None:
+        """Read gauge ``name`` from ``read()`` at every snapshot.
+
+        Replaces any earlier binding of ``name``.  Readers run *outside*
+        the registry lock, so a reader may take its owner's lock even when
+        that owner records metrics while holding it.
+        """
+        with self._lock:
+            self._gauges.setdefault(name, 0)
+            self._readers[name] = read
 
     def observe(self, name: str, value: float, growth: float = DEFAULT_GROWTH) -> None:
         """Record ``value`` into histogram ``name`` (created on first use)."""
@@ -277,7 +306,10 @@ class MetricsRegistry:
     def gauge(self, name: str) -> float:
         """Current value of gauge ``name`` (0 when never set)."""
         with self._lock:
-            return self._gauges.get(name, 0)
+            read = self._readers.get(name)
+            if read is None:
+                return self._gauges.get(name, 0)
+        return read()
 
     def histogram_quantile(self, name: str, q: float) -> float:
         """Quantile ``q`` of histogram ``name`` (0.0 when absent/empty)."""
@@ -290,12 +322,17 @@ class MetricsRegistry:
 
         ``{"counters": {...}, "gauges": {...}, "histograms": {...}}`` with
         every section sorted by name, so equal registries snapshot to
-        equal dicts.
+        equal dicts.  Bound gauges are read just before the lock is taken;
+        counters, set gauges and histograms form one consistent view.
         """
         with self._lock:
+            readers = list(self._readers.items())
+        readings = {name: read() for name, read in readers}
+        with self._lock:
+            gauges = {**self._gauges, **readings}
             return {
                 "counters": {name: self._counters[name] for name in sorted(self._counters)},
-                "gauges": {name: self._gauges[name] for name in sorted(self._gauges)},
+                "gauges": {name: gauges[name] for name in sorted(gauges)},
                 "histograms": {
                     name: self._histograms[name].snapshot()
                     for name in sorted(self._histograms)

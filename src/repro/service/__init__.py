@@ -9,18 +9,18 @@ ROADMAP's "serve heavy traffic" north star.  Five pieces compose:
   **canonicalizer** that maps semantically-equal requests onto one
   content-hash key (the same discipline as the campaign cache);
 * :mod:`~repro.service.cache` — a bounded **LRU result cache** with
-  optional TTL and hit/miss statistics;
+  optional TTL and hit/miss counters;
 * :mod:`~repro.service.executor` — the pure compute kernel: one canonical
   configuration in, one metrics payload out, deterministically seeded;
 * :mod:`~repro.service.dispatcher` — the batching **dispatcher** with
-  admission control (bounded queue + cost budget, typed load-shedding),
+  admission control (cost budget, typed load-shedding),
   duplicate coalescing, and one inline compute path per shard whose
   response stream is byte-identical for any batch size or backend;
 * :mod:`~repro.service.server` — the JSONL stdin/stdout request loop
   behind ``repro serve``;
 * :mod:`~repro.service.async_server` — the **persistent asyncio
   JSONL-over-TCP server** (``repro serve --listen``): concurrent
-  connections with bounded per-connection backpressure, a stats/health
+  connections with bounded per-connection backpressure, a metrics
   request type, and graceful drain on SIGTERM;
 * :mod:`~repro.service.sharding` — **shard-by-canonical-key** routing
   (stable content-hash shard assignment) plus the client-side
@@ -48,23 +48,20 @@ contract.
 
 from __future__ import annotations
 
-from .async_server import AsyncScheduleServer, ServerStats, parse_address, run_server
+from .async_server import AsyncScheduleServer, parse_address, run_server
 from .cache import LRUResultCache
-from .dispatcher import ScheduleService, ServiceStats
+from .dispatcher import ScheduleService
 from .executor import execute_request, request_rng
 from .schema import (
     RELEASE_PROCESSES,
     SCHEMA_VERSION,
-    STATS_REQUEST_TYPE,
     ScheduleRequest,
     build_tasks,
     canonicalize_request,
-    is_stats_request,
-    stats_request,
 )
 from .faults import FAULT_KINDS, FaultEvent, FaultSchedule
 from .persistence import ShardPersistence, decode_journal, encode_record
-from .server import response_line, serve_lines, serve_stream
+from .server import response_line, serve_lines, serve_stream, summary
 from .sharding import (
     ClientCounters,
     ShardedClient,
@@ -89,11 +86,8 @@ __all__ = [
     "LRUResultCache",
     "RELEASE_PROCESSES",
     "SCHEMA_VERSION",
-    "STATS_REQUEST_TYPE",
     "ScheduleRequest",
     "ScheduleService",
-    "ServerStats",
-    "ServiceStats",
     "ShardPersistence",
     "ShardedClient",
     "build_tasks",
@@ -101,7 +95,6 @@ __all__ = [
     "decode_journal",
     "encode_record",
     "execute_request",
-    "is_stats_request",
     "parse_address",
     "request_rng",
     "response_line",
@@ -114,5 +107,5 @@ __all__ = [
     "shard_index",
     "shard_timeout_response",
     "shard_unavailable_response",
-    "stats_request",
+    "summary",
 ]

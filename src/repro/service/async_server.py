@@ -28,7 +28,7 @@ Concurrency model (per connection)::
   serialize on the dispatcher's chunk lock anyway, so a worker thread
   would add a queue hand-off and a wake-up per chunk and no parallelism;
   process parallelism lives one tier up, in ``repro serve --shards``.
-  The trade-off: a stats or metrics request on *another* connection waits
+  The trade-off: a metrics request on *another* connection waits
   for the chunk being resolved — at most one batch of requests.  Since a
   connection's inbound queue holds at most two chunks and refills only
   when the loop runs, one dispatch loop resolves at most two chunks
@@ -38,11 +38,11 @@ Concurrency model (per connection)::
   then pauses its own dispatch/read stages — never anyone else's, and never
   an unbounded buffer.
 
-``{"type": "stats"}`` control requests (see
-:func:`repro.service.schema.is_stats_request`) are answered by the server
-itself, in stream position, with the shard's health payload: uptime, shard
-identity, connection/inflight gauges, shed count, dispatcher and cache
-counters.
+``{"type": "metrics"}`` control requests (see
+:func:`repro.service.schema.is_control_request`) are answered by the
+server itself, in stream position, with the shard's observability
+payload: shard identity, uptime and the snapshot of the metric registry
+the server shares with its dispatcher and cache.
 
 Determinism contract: a connection's response stream is byte-identical to
 what :func:`repro.service.server.serve_lines` writes for the same request
@@ -64,22 +64,14 @@ import signal
 import socket
 import sys
 import time
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, TextIO, Tuple
 
 from .dispatcher import ScheduleService
-from .observability import TELEMETRY_SCHEMA_VERSION
-from .schema import (
-    SCHEMA_VERSION,
-    control_request_id,
-    is_control_request,
-    is_metrics_request,
-)
+from .schema import SCHEMA_VERSION, control_request_id, is_control_request
 from .server import response_line
 
 __all__ = [
-    "ServerStats",
     "AsyncScheduleServer",
     "main_serve_forever",
     "parse_address",
@@ -129,29 +121,6 @@ def parse_address(text: str) -> Tuple[str, int]:
     return host, port
 
 
-@dataclass
-class ServerStats:
-    """Transport-level counters of one :class:`AsyncScheduleServer`."""
-
-    #: Connections accepted over the server's lifetime.
-    connections_total: int = 0
-    #: Connections currently open.
-    connections_active: int = 0
-    #: Request lines read off sockets (schedule and stats requests alike).
-    requests_received: int = 0
-    #: Response lines successfully written back.
-    responses_sent: int = 0
-    #: Connections that vanished before their response stream flushed.
-    disconnects: int = 0
-    #: Schedule-request lines read but whose responses are not yet queued
-    #: for the writer (gauge; control requests are not counted).
-    inflight: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """The counters as a plain dict (stats responses, tests)."""
-        return dict(vars(self))
-
-
 class _Connection:
     """Mutable per-connection state shared by the three pipeline stages."""
 
@@ -161,7 +130,7 @@ class _Connection:
         #: Cleared by the write loop when the client vanishes; the dispatch
         #: loop then stops paying for simulations nobody will read.
         self.alive = True
-        #: This connection's share of ``ServerStats.inflight``, taken back
+        #: This connection's share of the server's ``inflight``, taken back
         #: out at teardown so a cancelled connection cannot leak into it.
         self.inflight = 0
 
@@ -173,18 +142,18 @@ class AsyncScheduleServer:
     ----------
     service:
         The dispatcher every connection shares (one cache, one admission
-        policy, one statistics lifetime — this is what makes the server one
+        policy, one metrics registry — this is what makes the server one
         *shard* of the cache keyspace).
     host, port:
         Listen address.  ``port=0`` binds an ephemeral port; the real port
         is published on :attr:`port` after :meth:`start`.
     shard_index, shard_count:
-        This server's identity in a sharded topology, echoed in stats
+        This server's identity in a sharded topology, echoed in metrics
         responses (``0``/``1`` when unsharded).
     shard_restarts:
         How many times the supervisor has restarted this shard slot
-        (``REPRO_SHARD_RESTARTS``); echoed in stats responses so recovery
-        is observable end-to-end.
+        (``REPRO_SHARD_RESTARTS``); echoed in metrics responses and the
+        ``server.restarts`` gauge so recovery is observable end-to-end.
     max_chunk:
         Upper bound on request lines resolved per dispatcher round trip;
         defaults to the service batch size.
@@ -226,10 +195,19 @@ class AsyncScheduleServer:
         self.write_queue_lines = write_queue_lines
         self.drain_timeout = drain_timeout
         self.per_connection_sndbuf = per_connection_sndbuf
-        self.stats = ServerStats()
-        # Server-loop spans land in the service's registry so one metrics
-        # scrape covers transport and dispatcher alike.
-        self._registry = service.obs.registry
+        #: Connections currently open.
+        self.connections_active = 0
+        #: Schedule-request lines read but whose responses are not yet
+        #: queued for the writer (control requests are not counted).
+        self.inflight = 0
+        # Server counters and spans land in the service's registry so one
+        # metrics scrape covers transport, dispatcher and cache alike.
+        registry = self._registry = service.obs.registry
+        registry.bind_gauge(
+            "server.connections_active", lambda: self.connections_active
+        )
+        registry.bind_gauge("server.inflight", lambda: self.inflight)
+        registry.set_gauge("server.restarts", shard_restarts)
         self._server: Optional[asyncio.base_events.Server] = None
         self._started_monotonic: Optional[float] = None
         self._draining = False
@@ -289,78 +267,14 @@ class AsyncScheduleServer:
         """Async-context exit: graceful drain and shutdown."""
         await self.close()
 
-    # -- control request types ----------------------------------------------
-    def stats_payload(self) -> Dict[str, Any]:
-        """The shard's health payload (the body of a stats response)."""
-        snapshot = self.service.snapshot()
-        return {
-            "schema_version": TELEMETRY_SCHEMA_VERSION,
-            "uptime_s": round(self.uptime, 6),
-            "shard": {
-                "index": self.shard_index,
-                "count": self.shard_count,
-                "restarts": self.shard_restarts,
-            },
-            "server": self.stats.as_dict(),
-            "shed": snapshot["service"]["rejected"],
-            "pending": snapshot["pending"],
-            "service": snapshot["service"],
-            "cache": snapshot["cache"],
-        }
-
-    def stats_response(self, request_id: Optional[str]) -> Dict[str, Any]:
-        """One full stats response (canonical-JSON encodable)."""
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "status": "ok",
-            "type": "stats",
-            "id": request_id,
-            "stats": self.stats_payload(),
-        }
-
+    # -- control requests ---------------------------------------------------
     def metrics_payload(self) -> Dict[str, Any]:
         """The shard's observability payload (body of a metrics response).
 
-        One flat metric namespace: the registry snapshot (stage/span
-        histograms, shed counters), the cache's ``cache.*`` counters, and
-        the ``service.*`` / ``server.*`` values derived from the stats
-        dataclasses — see :data:`repro.service.observability.METRIC_CATALOG`
-        for the full name list.
+        One flat metric namespace, read from the registry the server
+        shares with its dispatcher and cache — see
+        :data:`repro.service.observability.METRIC_CATALOG` for the names.
         """
-        snapshot = self.service.snapshot()
-        service = snapshot["service"]
-        server = self.stats.as_dict()
-        derived_counters = {
-            f"service.{name}": service[name]
-            for name in (
-                "received",
-                "responded",
-                "ok",
-                "invalid",
-                "rejected",
-                "failed",
-                "simulations",
-                "coalesced",
-            )
-        }
-        derived_counters.update(
-            {
-                f"server.{name}": server[name]
-                for name in (
-                    "connections_total",
-                    "requests_received",
-                    "responses_sent",
-                    "disconnects",
-                )
-            }
-        )
-        derived_gauges = {
-            "server.connections_active": server["connections_active"],
-            "server.inflight": server["inflight"],
-            "server.restarts": self.shard_restarts,
-            "service.pending": snapshot["pending"],
-        }
-        cache = self.service.cache
         return self.service.obs.metrics_payload(
             shard={
                 "index": self.shard_index,
@@ -368,9 +282,6 @@ class AsyncScheduleServer:
                 "restarts": self.shard_restarts,
             },
             uptime_s=round(self.uptime, 6),
-            cache_counters=cache.counters() if cache is not None else {},
-            derived_counters=derived_counters,
-            derived_gauges=derived_gauges,
         )
 
     def metrics_response(self, request_id: Optional[str]) -> Dict[str, Any]:
@@ -391,8 +302,8 @@ class AsyncScheduleServer:
         task = asyncio.current_task()
         assert task is not None
         self._connection_tasks.add(task)
-        self.stats.connections_total += 1
-        self.stats.connections_active += 1
+        self._registry.inc("server.connections_total")
+        self.connections_active += 1
         if self.per_connection_sndbuf is not None:
             sock = writer.get_extra_info("socket")
             if sock is not None:
@@ -429,17 +340,17 @@ class AsyncScheduleServer:
                 write_task.cancel()
             await asyncio.gather(write_task, return_exceptions=True)
             if not conn.alive:
-                self.stats.disconnects += 1
+                self._registry.inc("server.disconnects")
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
-            self.stats.connections_active -= 1
+            self.connections_active -= 1
             self._connection_tasks.discard(task)
 
     def _track(self, conn: _Connection, delta: int) -> None:
         """Move ``delta`` schedule-request lines into (or out of) inflight."""
         conn.inflight += delta
-        self.stats.inflight += delta
+        self.inflight += delta
 
     async def _read_loop(
         self,
@@ -502,7 +413,7 @@ class AsyncScheduleServer:
                     eof = True
                     break
                 chunk.append(item)
-            self.stats.requests_received += len(chunk)
+            self._registry.inc("server.requests_received", len(chunk))
             if not conn.alive:
                 # Client is gone: drop the chunk instead of simulating.
                 self._track(conn, -sum(not control for _, control in chunk))
@@ -527,18 +438,14 @@ class AsyncScheduleServer:
         for control, run in itertools.groupby(chunk, key=itemgetter(1)):
             requests = [request for request, _ in run]
             if control:
-                responses = [self._control_response(payload) for payload in requests]
+                responses = [
+                    self.metrics_response(control_request_id(payload))
+                    for payload in requests
+                ]
             else:
                 responses = self.service.serve_chunk(requests)
             out_lines.extend(response_line(response) for response in responses)
         return out_lines
-
-    def _control_response(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """The stats or metrics response to one control request."""
-        request_id = control_request_id(payload)
-        if is_metrics_request(payload):
-            return self.metrics_response(request_id)
-        return self.stats_response(request_id)
 
     async def _write_loop(
         self,
@@ -562,7 +469,7 @@ class AsyncScheduleServer:
             try:
                 writer.write(line.encode("utf-8") + b"\n")
                 await writer.drain()
-                self.stats.responses_sent += 1
+                self._registry.inc("server.responses_sent")
                 self._registry.observe(
                     "server.write_ms", (time.perf_counter() - write_start) * 1000.0
                 )
@@ -587,7 +494,7 @@ async def run_server(
 
     Prints a ``listening on HOST:PORT`` line to ``err`` once the socket is
     bound — supervisors and tests parse it to learn ephemeral ports —
-    and returns the (closed) server so callers can read final statistics.
+    and returns the (closed) server so callers can read its final metrics.
     """
     server = AsyncScheduleServer(
         service,

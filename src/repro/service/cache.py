@@ -13,8 +13,8 @@ response payloads.  Two bounds keep a long-running service healthy:
 The cache deliberately stores *responses*, not simulations: because every
 response is a pure function of its canonical request (the service
 determinism contract, ``docs/SERVICE.md``), a hit and a recompute are
-byte-identical — caching changes latency and the hit/miss statistics on
-stderr, never the response stream on stdout.
+byte-identical — caching changes latency and the hit/miss counters, never
+the response stream on stdout.
 
 An optional :class:`~repro.service.persistence.ShardPersistence` makes the
 cache **durable across restarts**: every :meth:`put` writes through to an
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Optional, Tuple, TYPE_CHECKING
 
 from ..exceptions import ServiceError
 from ..obs import MetricsRegistry
@@ -57,10 +57,12 @@ class LRUResultCache:
     """Size- and age-bounded mapping from request keys to cached results.
 
     Counters (hits/misses/evictions/expirations/warm hits) live in a
-    :class:`~repro.obs.MetricsRegistry` — pass the service's registry so
-    they appear in the ``{"type": "metrics"}`` scrape, or let the cache
-    create a private one.  The classic attributes (``cache.hits`` …) and
-    the :meth:`stats` dict remain as read-only views over the registry.
+    :class:`~repro.obs.MetricsRegistry` — pass the shard's registry, or
+    let the cache create a private one that the service then builds its
+    telemetry on.  The ``cache.size`` and ``cache.journal_entries``
+    gauges are bound to the cache and read at scrape time (the journal
+    gauge reads 0 without a persistence layer).  The attributes
+    ``cache.hits`` … are read-only views over the registry.
     """
 
     def __init__(
@@ -81,6 +83,8 @@ class LRUResultCache:
         self.persistence = persistence
         self.registry = registry if registry is not None else MetricsRegistry()
         self.registry.declare(counters=_COUNTERS)
+        self.registry.bind_gauge("cache.size", self.__len__)
+        self.registry.bind_gauge("cache.journal_entries", self._journal_entries)
         #: key -> (stored_at, value); insertion/refresh order = LRU order.
         self._entries: "OrderedDict[str, Tuple[float, Any]]" = OrderedDict()
         #: Keys inserted by :meth:`warm_load` and not yet recomputed —
@@ -112,9 +116,9 @@ class LRUResultCache:
         """Hits on entries replayed by :meth:`warm_load`."""
         return self.registry.counter("cache.warm_hits")
 
-    def counters(self) -> Dict[str, int]:
-        """The ``cache.*`` registry counters as a plain dict."""
-        return {name: self.registry.counter(name) for name in _COUNTERS}
+    def _journal_entries(self) -> int:
+        """Records in the persistence journal (0 without durability)."""
+        return self.persistence.journal_entries if self.persistence is not None else 0
 
     def get(self, key: str) -> Optional[Any]:
         """Return the cached value for ``key``, or ``None`` on miss/expiry."""
@@ -221,28 +225,6 @@ class LRUResultCache:
         """Release the persistence layer's file handles (idempotent)."""
         if self.persistence is not None:
             self.persistence.close()
-
-    def stats(self) -> Dict[str, Any]:
-        """Hit/miss/eviction/expiration/warm counters plus durability state.
-
-        ``journal_entries`` and ``snapshot_age_s`` are ``None`` when no
-        persistence layer is attached (``snapshot_age_s`` also before the
-        first compaction), so consumers can distinguish "durability off"
-        from "journal empty".
-        """
-        stats: Dict[str, Any] = {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "expirations": self.expirations,
-            "size": len(self._entries),
-            "warm_hits": self.warm_hits,
-            "journal_entries": None,
-            "snapshot_age_s": None,
-        }
-        if self.persistence is not None:
-            stats.update(self.persistence.stats())
-        return stats
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

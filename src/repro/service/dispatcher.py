@@ -5,12 +5,13 @@
 service:
 
 1. :meth:`~ScheduleService.submit` validates and canonicalizes one raw
-   request and appends it to a bounded FIFO queue.  **Admission control**
-   happens here: a full queue, or a request whose estimated cost
-   (``n_tasks * n_workers``) exceeds the configured budget, is *shed* — it
-   still gets exactly one response, a typed ``service-overloaded``
-   rejection, so clients never hang on a dropped request.  Malformed
-   requests likewise resolve immediately to ``request-invalid`` responses.
+   request and appends it to a FIFO queue.  **Admission control** happens
+   here: a request whose estimated cost (``n_tasks * n_workers``) exceeds
+   the configured budget is *shed* — it still gets exactly one response, a
+   typed ``service-overloaded`` rejection, so clients never hang on a
+   dropped request.  Malformed requests likewise resolve immediately to
+   ``request-invalid`` responses.  The queue needs no length bound of its
+   own: every transport submits at most one batch before it drains.
 2. :meth:`~ScheduleService.pump` takes the oldest batch off the queue,
    serves what the :class:`~repro.service.cache.LRUResultCache` already
    knows, **coalesces** duplicate in-flight requests (several queued
@@ -24,10 +25,14 @@ Determinism contract (mirrors the campaign runner): every response is a
 pure function of its canonical request, so the response *stream* is a pure
 function of the request stream and the pump schedule.  Batch size, shard
 count, engine backend, cache state, coalescing and TTL expiry change only
-latency and the statistics, never a response byte.
+latency and the metric counters, never a response byte.
 
-Thread safety: all queue, cache and statistics state is guarded by an
-internal re-entrant lock, so :meth:`~ScheduleService.submit`,
+Telemetry: every counter lives in the shard's
+:class:`~repro.obs.MetricsRegistry` (``service.obs.registry``), which is
+also the cache's registry; see :mod:`repro.service.observability`.
+
+Thread safety: all queue and cache state is guarded by an internal lock,
+and counters by the registry's own, so :meth:`~ScheduleService.submit`,
 :meth:`~ScheduleService.pump` and :meth:`~ScheduleService.drain` may be
 driven concurrently from several threads.  The persistent asyncio server
 does not: it resolves every chunk on its event-loop thread.  The sharded
@@ -60,47 +65,7 @@ from .executor import execute_batch, execute_request
 from .observability import Observability
 from .schema import SCHEMA_VERSION, ScheduleRequest, canonicalize_request
 
-__all__ = ["ServiceStats", "ScheduleService"]
-
-
-@dataclass
-class ServiceStats:
-    """Execution counters of one :class:`ScheduleService` lifetime."""
-
-    #: Requests submitted (valid or not).
-    received: int = 0
-    #: Responses produced (exactly one per received request, eventually).
-    responded: int = 0
-    #: ``status: "ok"`` responses.
-    ok: int = 0
-    #: ``request-invalid`` error responses.
-    invalid: int = 0
-    #: ``service-overloaded`` rejections (admission control).
-    rejected: int = 0
-    #: ``execution-error`` responses (the simulation itself raised).
-    failed: int = 0
-    #: Simulations actually run.
-    simulations: int = 0
-    #: Requests answered by an in-flight duplicate's simulation.
-    coalesced: int = 0
-    #: Requests answered straight from the result cache.
-    cache_hits: int = 0
-    #: Requests that had to go to the compute stage.
-    cache_misses: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """The counters as a plain dict (stderr summary, tests)."""
-        return dict(vars(self))
-
-    def summary(self) -> str:
-        """One human-readable stderr line."""
-        return (
-            f"service: {self.received} request(s) -> {self.ok} ok, "
-            f"{self.invalid} invalid, {self.rejected} rejected, "
-            f"{self.failed} failed; {self.simulations} simulation(s), "
-            f"{self.coalesced} coalesced, {self.cache_hits} cache hit(s), "
-            f"{self.cache_misses} miss(es)"
-        )
+__all__ = ["ScheduleService"]
 
 
 @dataclass
@@ -136,10 +101,6 @@ class ScheduleService:
         benchmark's baseline helper, which still passes ``workers=1``.
     batch_size:
         How many queued requests one :meth:`pump` resolves.
-    max_queue:
-        Admission bound on *unresolved* queued requests; submissions beyond
-        it are shed with a ``service-overloaded`` response.  Must be at
-        least ``batch_size``.
     cache:
         Optional :class:`~repro.service.cache.LRUResultCache` consulted
         before, and fed after, every simulation.
@@ -156,18 +117,21 @@ class ScheduleService:
         identical either way (backend parity contract).
     observability:
         Optional :class:`~repro.service.observability.Observability`
-        context.  The dispatcher always records its stage histograms and
-        shed counters into it; per-request traces (attached under the
-        opt-in ``"trace"`` response field) and the slow-request log are
-        produced only when the context enables them.  When omitted a
-        default all-quiet context is created so call sites never branch.
+        context.  The dispatcher always records its counters and stage
+        histograms into its registry; per-request traces (attached under
+        the opt-in ``"trace"`` response field) and the slow-request log
+        are produced only when the context enables them.  When omitted a
+        default all-quiet context is built on the cache's registry (or a
+        fresh one without a cache), so call sites never branch.  A cache
+        and a context must share one registry —
+        :class:`~repro.exceptions.ServiceError` otherwise — so one scrape
+        covers both.
     """
 
     def __init__(
         self,
         workers: int = 1,
         batch_size: int = 16,
-        max_queue: int = 256,
         cache: Optional[LRUResultCache] = None,
         max_cost: Optional[int] = None,
         engine_backend: str = DEFAULT_BACKEND,
@@ -180,10 +144,6 @@ class ScheduleService:
             )
         if batch_size < 1:
             raise ServiceError(f"batch_size must be >= 1, got {batch_size}")
-        if max_queue < batch_size:
-            raise ServiceError(
-                f"max_queue ({max_queue}) must be >= batch_size ({batch_size})"
-            )
         if max_cost is not None and max_cost <= 0:
             raise ServiceError(f"max_cost must be positive (or None), got {max_cost}")
         if engine_backend.lower() not in available_backends():
@@ -192,20 +152,28 @@ class ScheduleService:
                 f"available: {available_backends()}"
             )
         self.engine_backend = engine_backend.lower()
+        if observability is None:
+            observability = Observability(
+                registry=cache.registry if cache is not None else None
+            )
+        elif cache is not None and cache.registry is not observability.registry:
+            raise ServiceError(
+                "the cache and the observability context must share one "
+                "metrics registry (build the cache with registry=obs.registry)"
+            )
         self.batch_size = batch_size
-        self.max_queue = max_queue
         self.cache = cache
         self.max_cost = max_cost
-        self.stats = ServiceStats()
-        self.obs = observability if observability is not None else Observability()
+        self.obs = observability
+        self._registry = observability.registry
         self._batch_index = 0
         self._entries: List[_Entry] = []
-        # Guards queue/cache/statistics state.  Re-entrant because
-        # locked sections call properties (``pending``) that lock again.
-        self._lock = threading.RLock()
+        # Guards queue and cache state.
+        self._lock = threading.Lock()
         # Serializes whole submit-then-drain sequences (serve_chunk), so
         # concurrent chunks never steal each other's responses.
         self._chunk_lock = threading.Lock()
+        self._registry.bind_gauge("service.pending", lambda: self.pending)
 
     # -- submission / admission ---------------------------------------------
     def submit(self, raw: Union[str, bytes, Mapping[str, Any]]) -> None:
@@ -215,6 +183,8 @@ class ScheduleService:
         pre-resolved error/rejection responses so the output stream stays
         one response per request, in order.
         """
+        registry = self._registry
+        registry.inc("service.received")
         request_id: Optional[str] = None
         try:
             if isinstance(raw, (str, bytes)):
@@ -227,50 +197,32 @@ class ScheduleService:
             if isinstance(payload, Mapping) and isinstance(payload.get("id"), str):
                 request_id = payload["id"]
             request = canonicalize_request(payload)
+            self._check_admission(request)
         except RequestValidationError as exc:
-            with self._lock:
-                self.stats.received += 1
-                self.stats.invalid += 1
-                self._entries.append(
-                    _Entry(
-                        response=self._response(
-                            "error",
-                            request_id,
-                            error=_error_body("request-invalid", str(exc)),
-                        )
-                    )
+            registry.inc("service.invalid")
+            entry = _Entry(
+                response=self._response(
+                    "error", request_id, error=_error_body("request-invalid", str(exc))
                 )
-            return
-
+            )
+        except ServiceOverloadedError as exc:
+            registry.inc("service.rejected")
+            entry = _Entry(
+                response=self._response(
+                    "rejected",
+                    request_id,
+                    error=_error_body("service-overloaded", str(exc)),
+                )
+            )
+        else:
+            entry = _Entry(request=request, submitted_at=perf_counter())
         with self._lock:
-            self.stats.received += 1
-            try:
-                self._check_admission(request)
-            except ServiceOverloadedError as exc:
-                self.stats.rejected += 1
-                self._entries.append(
-                    _Entry(
-                        response=self._response(
-                            "rejected",
-                            request.request_id,
-                            error=_error_body("service-overloaded", str(exc)),
-                        )
-                    )
-                )
-                return
-
-            self._entries.append(_Entry(request=request, submitted_at=perf_counter()))
+            self._entries.append(entry)
 
     def _check_admission(self, request: ScheduleRequest) -> None:
         """Raise :class:`~repro.exceptions.ServiceOverloadedError` on shed."""
-        if self.pending >= self.max_queue:
-            self.obs.registry.inc("service.shed_queue_full")
-            raise ServiceOverloadedError(
-                f"queue full ({self.pending}/{self.max_queue} requests "
-                "pending); retry later"
-            )
         if self.max_cost is not None and request.cost > self.max_cost:
-            self.obs.registry.inc("service.shed_cost")
+            self._registry.inc("service.shed_cost")
             raise ServiceOverloadedError(
                 f"request cost {request.cost} (tasks x workers) exceeds the "
                 f"admission budget {self.max_cost}"
@@ -278,7 +230,7 @@ class ScheduleService:
 
     @property
     def pending(self) -> int:
-        """Unresolved queued requests (the admission-controlled backlog)."""
+        """Unresolved queued requests (the ``service.pending`` gauge)."""
         with self._lock:
             return sum(1 for entry in self._entries if entry.response is None)
 
@@ -322,25 +274,23 @@ class ScheduleService:
                 cached = self.cache.get(request.key) if self.cache is not None else None
                 entry.cache_window = (lookup_start, perf_counter())
                 if cached is not None:
-                    self.stats.cache_hits += 1
                     # Fresh copy per response: a caller mutating its response
                     # must never rewrite the cached value or a sibling's view.
                     entry.response = self._response(
                         "ok", request.request_id, key=request.key, metrics=dict(cached)
                     )
                     # The ``ok`` credit is deferred to the fan-out section so
-                    # it lands under the same lock hold as ``responded`` —
-                    # snapshots must never see the outcome sum torn.
+                    # it lands in the same registry update as ``responded``
+                    # — snapshots must never see the outcome sum torn.
                     hit_count += 1
                     self._finalize_entry(entry, sim_window=None)
                 else:
-                    self.stats.cache_misses += 1
                     groups.setdefault(request.key, []).append(entry)
             primaries = {k: v[0].request for k, v in groups.items()}
             batch_index = self._batch_index
             self._batch_index += 1
 
-        registry = self.obs.registry
+        registry = self._registry
         registry.inc("service.batches")
         registry.observe("service.batch_size", len(batch))
 
@@ -353,11 +303,11 @@ class ScheduleService:
             registry.observe("service.simulate_ms", (sim_end - sim_start) * 1000.0)
 
         # 3. fan results back out to every coalesced duplicate
+        ok, failed, coalesced = hit_count, 0, 0
         with self._lock:
-            self.stats.ok += hit_count
             for key, entries in groups.items():
                 result = results[key]
-                self.stats.coalesced += len(entries) - 1
+                coalesced += len(entries) - 1
                 if isinstance(result, Exception):
                     for entry in entries:
                         assert entry.request is not None
@@ -367,7 +317,7 @@ class ScheduleService:
                             key=key,
                             error=_error_body("execution-error", str(result)),
                         )
-                        self.stats.failed += 1
+                        failed += 1
                         self._finalize_entry(entry, sim_window=(sim_start, sim_end))
                 else:
                     if self.cache is not None:
@@ -377,14 +327,22 @@ class ScheduleService:
                         entry.response = self._response(
                             "ok", entry.request.request_id, key=key, metrics=dict(result)
                         )
-                        self.stats.ok += 1
+                        ok += 1
                         self._finalize_entry(entry, sim_window=(sim_start, sim_end))
 
             responses = []
             for entry in batch:
                 assert entry.response is not None
                 responses.append(entry.response)
-            self.stats.responded += len(responses)
+        registry.add(
+            {
+                "service.simulations": len(primaries),
+                "service.ok": ok,
+                "service.failed": failed,
+                "service.coalesced": coalesced,
+                "service.responded": len(responses),
+            }
+        )
         return responses
 
     def _finalize_entry(
@@ -409,7 +367,7 @@ class ScheduleService:
         done = perf_counter()
         submitted = entry.submitted_at or entry.cache_window[0]
         lookup_start, lookup_end = entry.cache_window
-        registry = self.obs.registry
+        registry = self._registry
         registry.observe("service.queue_wait_ms", (lookup_start - submitted) * 1000.0)
         registry.observe("service.cache_lookup_ms", (lookup_end - lookup_start) * 1000.0)
         if sim_window is not None:
@@ -464,20 +422,6 @@ class ScheduleService:
                 self.submit(raw)
             return self.drain()
 
-    def snapshot(self) -> Dict[str, Any]:
-        """Consistent point-in-time statistics (service, backlog, cache).
-
-        Taken under the internal lock so a concurrent pump can never be
-        observed half-applied; this is what the persistent server's stats
-        request type reports per shard.
-        """
-        with self._lock:
-            return {
-                "service": self.stats.as_dict(),
-                "pending": self.pending,
-                "cache": None if self.cache is None else self.cache.stats(),
-            }
-
     def _run_unique(
         self, primaries: Mapping[str, ScheduleRequest]
     ) -> Dict[str, Any]:
@@ -498,8 +442,6 @@ class ScheduleService:
         """
         if not primaries:
             return {}
-        with self._lock:
-            self.stats.simulations += len(primaries)
         if self.engine_backend != "reference":
             try:
                 payloads = execute_batch(

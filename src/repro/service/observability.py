@@ -19,18 +19,26 @@ scheduling service.  It owns three things:
   the registry, the ``--trace`` switch (per-request span collection),
   the slow-request threshold, and the sampled cProfile hook.
 
-Metric sections and who writes them:
+The registry is the only store of service telemetry.  One registry per
+shard: the :class:`~repro.service.cache.LRUResultCache` counts into it,
+the :class:`~repro.service.dispatcher.ScheduleService` builds its default
+context on the cache's registry, and the
+:class:`~repro.service.async_server.AsyncScheduleServer` records into the
+service's.  Metric sections and who writes them:
 
-* ``cache.*`` counters live in the **cache's** registry (the cache is
-  constructed before the service); the payload builder copies them in by
-  name so the scrape is one flat namespace.
-* ``service.shed_*``, ``service.slow_requests``, ``service.batches``,
-  ``service.profile_dumps`` and every histogram are **registry-native**,
-  incremented/observed on the hot path.
-* ``service.received`` … ``server.disconnects`` are **derived at
-  snapshot time** from the existing :class:`ServiceStats` /
-  :class:`ServerStats` dataclasses — zero extra hot-path cost and no
-  double-bookkeeping drift.
+* **counters** are incremented where the event happens: ``cache.*`` by
+  the cache, ``service.*`` by the dispatcher (a pump credits its
+  outcomes — ``ok``, ``failed``, ``coalesced``, ``responded`` — in one
+  atomic :meth:`~repro.obs.MetricsRegistry.add`, so a scrape never sees
+  a batch's ``responded`` without the ``ok``/``failed`` it sums),
+  ``server.*`` by the connection pipeline;
+* **gauges** mirror live state and are *bound* to their owners
+  (:meth:`~repro.obs.MetricsRegistry.bind_gauge`), read at scrape time:
+  the cache's size and journal length, the dispatcher's backlog, the
+  server's open connections and inflight lines.  ``server.restarts`` is
+  set once, when the server is built;
+* **histograms** are observed on the hot path (per-request stage spans,
+  batch shape, per-connection server-loop spans).
 """
 
 from __future__ import annotations
@@ -53,30 +61,30 @@ __all__ = [
 
 T = TypeVar("T")
 
-#: Version of the stats/metrics payload shapes.  Bump when a field is
-#: renamed or removed; the round-trip tests pin the current shape so a
-#: payload change without a bump fails loudly instead of breaking
-#: ``repro top`` / soak parsers silently.
-TELEMETRY_SCHEMA_VERSION = 1
+#: Version of the metrics payload shape.  Bump when a field is renamed or
+#: removed; the round-trip tests pin the current shape so a payload change
+#: without a bump fails loudly instead of breaking ``repro top`` / soak
+#: parsers silently.  Version 2 removed the ``{"type": "stats"}`` payload
+#: and the queue-full shed counter, and added the ``cache.size`` and
+#: ``cache.journal_entries`` gauges.
+TELEMETRY_SCHEMA_VERSION = 2
 
 #: Every metric a shard exports, by section.  ``docs/OBSERVABILITY.md``
 #: lists exactly these names and the CI metrics-scrape step asserts the
 #: scraped payload matches them.
 METRIC_CATALOG: Dict[str, Tuple[str, ...]] = {
     "counters": (
-        # cache (registry-native, owned by LRUResultCache)
+        # cache (LRUResultCache)
         "cache.hits",
         "cache.misses",
         "cache.evictions",
         "cache.expirations",
         "cache.warm_hits",
-        # dispatcher (registry-native)
-        "service.shed_queue_full",
+        # dispatcher (ScheduleService)
         "service.shed_cost",
         "service.slow_requests",
         "service.batches",
         "service.profile_dumps",
-        # dispatcher (derived from ServiceStats at snapshot time)
         "service.received",
         "service.responded",
         "service.ok",
@@ -85,13 +93,15 @@ METRIC_CATALOG: Dict[str, Tuple[str, ...]] = {
         "service.failed",
         "service.simulations",
         "service.coalesced",
-        # async server (derived from ServerStats at snapshot time)
+        # async server (AsyncScheduleServer)
         "server.connections_total",
         "server.requests_received",
         "server.responses_sent",
         "server.disconnects",
     ),
     "gauges": (
+        "cache.size",
+        "cache.journal_entries",
         "server.connections_active",
         "server.inflight",
         "server.restarts",
@@ -240,37 +250,20 @@ class Observability:
 
     # -- payload ------------------------------------------------------------
     def metrics_payload(
-        self,
-        *,
-        shard: Mapping[str, Any],
-        uptime_s: float,
-        cache_counters: Mapping[str, int],
-        derived_counters: Mapping[str, int],
-        derived_gauges: Mapping[str, float],
+        self, *, shard: Mapping[str, Any], uptime_s: float
     ) -> Dict[str, Any]:
         """Assemble the ``{"type": "metrics"}`` response payload.
 
-        Starts from an atomic registry snapshot, then overlays the
-        ``cache.*`` counters (owned by the cache's registry) and the
-        derived ``service.*`` / ``server.*`` values computed by the
-        caller from its stats dataclasses.  Every name in
-        :data:`METRIC_CATALOG` is present in every payload because the
-        registry pre-declares them.
+        One atomic registry snapshot plus the shard's identity and uptime.
+        Every name in :data:`METRIC_CATALOG` is present in every payload
+        because the registry pre-declares them.
         """
         snapshot = self.registry.snapshot()
-        counters = snapshot["counters"]
-        for name, value in cache_counters.items():
-            counters[name] = value
-        for name, value in derived_counters.items():
-            counters[name] = value
-        gauges = snapshot["gauges"]
-        for name, value in derived_gauges.items():
-            gauges[name] = value
         return {
             "schema_version": TELEMETRY_SCHEMA_VERSION,
             "uptime_s": uptime_s,
             "shard": dict(shard),
-            "counters": counters,
-            "gauges": gauges,
+            "counters": snapshot["counters"],
+            "gauges": snapshot["gauges"],
             "histograms": snapshot["histograms"],
         }

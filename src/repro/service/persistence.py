@@ -44,7 +44,7 @@ import os
 import time
 import zlib
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 from .._hashing import canonical_json
 from ..exceptions import ServiceError
@@ -299,14 +299,6 @@ class ShardPersistence:
         except OSError:
             return None
         return max(0.0, self._clock() - mtime)
-
-    def stats(self) -> Dict[str, Any]:
-        """Durability counters for the cache's stats payload."""
-        age = self.snapshot_age_s()
-        return {
-            "journal_entries": self.journal_entries,
-            "snapshot_age_s": None if age is None else round(age, 3),
-        }
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:

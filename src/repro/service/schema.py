@@ -44,15 +44,10 @@ from ..workloads import release
 __all__ = [
     "SCHEMA_VERSION",
     "RELEASE_PROCESSES",
-    "STATS_REQUEST_TYPE",
     "METRICS_REQUEST_TYPE",
     "ScheduleRequest",
     "canonicalize_request",
     "build_tasks",
-    "is_stats_request",
-    "stats_request",
-    "stats_request_id",
-    "is_metrics_request",
     "metrics_request",
     "is_control_request",
     "control_request_id",
@@ -78,20 +73,15 @@ RELEASE_PROCESSES: Dict[str, Dict[str, Tuple[str, Any, str]]] = {
     "saturating": {"load_factor": ("float", 1.0, "positive")},
 }
 
-#: ``{"type": "stats"}`` marks a *control request*: instead of scheduling a
-#: simulation it asks the serving transport for its health/statistics
-#: payload (uptime, shard identity, cache hit/miss, inflight, shed count).
+#: ``{"type": "metrics"}`` marks a *control request*: instead of scheduling
+#: a simulation it asks a shard for its observability payload — shard
+#: identity, uptime and the metric registry snapshot (counters, gauges,
+#: streaming-histogram quantiles) assembled by
+#: :meth:`repro.service.observability.Observability.metrics_payload`.
 #: Control requests are a transport-level concept — the persistent asyncio
 #: server answers them in stream position; the plain stdin/stdout loop has
-#: no server state to report and treats them as invalid schedule requests.
-STATS_REQUEST_TYPE = "stats"
-
-#: ``{"type": "metrics"}`` marks the second control-request kind: it asks a
-#: shard for its full observability payload — the metric registry snapshot
-#: (counters, gauges, streaming-histogram quantiles) assembled by
-#: :meth:`repro.service.observability.Observability.metrics_payload`.  Like
-#: stats requests it is answered by the transport in stream position and
-#: never becomes a :class:`ScheduleRequest`.
+#: no server state to report and treats them as invalid schedule requests,
+#: as every transport treats any other ``type``.
 METRICS_REQUEST_TYPE = "metrics"
 
 #: Top-level request fields that are *transport metadata*: echoed in the
@@ -344,39 +334,6 @@ def canonicalize_request(raw: Any) -> ScheduleRequest:
     )
 
 
-def is_stats_request(payload: Any) -> bool:
-    """True when ``payload`` is a ``{"type": "stats"}`` control request.
-
-    Used by serving transports *before* :func:`canonicalize_request`: a
-    stats request never becomes a :class:`ScheduleRequest` (it has no
-    canonical configuration and must not occupy a cache key).
-    """
-    return isinstance(payload, Mapping) and payload.get("type") == STATS_REQUEST_TYPE
-
-
-def stats_request(request_id: Optional[str] = None) -> Dict[str, Any]:
-    """Build one stats control-request payload (optionally correlated)."""
-    payload: Dict[str, Any] = {"type": STATS_REQUEST_TYPE}
-    if request_id is not None:
-        payload["id"] = request_id
-    return payload
-
-
-def stats_request_id(payload: Any) -> Optional[str]:
-    """The correlation id of a stats control request, if it carries one."""
-    return control_request_id(payload)
-
-
-def is_metrics_request(payload: Any) -> bool:
-    """True when ``payload`` is a ``{"type": "metrics"}`` control request.
-
-    Like :func:`is_stats_request`, checked by serving transports before
-    canonicalization — a metrics request never becomes a
-    :class:`ScheduleRequest`.
-    """
-    return isinstance(payload, Mapping) and payload.get("type") == METRICS_REQUEST_TYPE
-
-
 def metrics_request(request_id: Optional[str] = None) -> Dict[str, Any]:
     """Build one metrics control-request payload (optionally correlated)."""
     payload: Dict[str, Any] = {"type": METRICS_REQUEST_TYPE}
@@ -386,8 +343,13 @@ def metrics_request(request_id: Optional[str] = None) -> Dict[str, Any]:
 
 
 def is_control_request(payload: Any) -> bool:
-    """True for any control request (stats or metrics)."""
-    return is_stats_request(payload) or is_metrics_request(payload)
+    """True when ``payload`` is a ``{"type": "metrics"}`` control request.
+
+    Checked by serving transports *before* :func:`canonicalize_request`: a
+    control request never becomes a :class:`ScheduleRequest` (it has no
+    canonical configuration and must not occupy a cache key).
+    """
+    return isinstance(payload, Mapping) and payload.get("type") == METRICS_REQUEST_TYPE
 
 
 def control_request_id(payload: Any) -> Optional[str]:

@@ -76,7 +76,6 @@ from .schema import (
     canonicalize_request,
     is_control_request,
     metrics_request,
-    stats_request,
 )
 from .server import response_line
 
@@ -113,8 +112,8 @@ def shard_for_payload(payload: Any, n_shards: int) -> int:
 
     Canonicalizing *before* hashing is what collapses semantically-equal
     spellings onto one shard (and one shard-local cache entry).  Payloads
-    that fail validation — and stats/metrics control requests, which carry
-    no canonical configuration — deterministically route to shard 0.
+    that fail validation — and metrics control requests, which carry no
+    canonical configuration — deterministically route to shard 0.
     """
     if is_control_request(payload):
         return 0
@@ -209,8 +208,8 @@ class ClientCounters:
     """Resilience counters of one :class:`ShardedClient` lifetime.
 
     These are the client-side half of the recovery observability story —
-    the server-side half (``restarts``) rides in the shard's own stats
-    payload.  :meth:`ShardedClient.stats` merges both.
+    the server-side half (``restarts``) rides in the shard's own metrics
+    payload.  :meth:`ShardedClient.metrics` merges both.
     """
 
     #: Resubmissions after a connection failure (bounded retry).
@@ -227,7 +226,7 @@ class ClientCounters:
     breaker_closes: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        """The counters as a plain dict (stats payloads, tests)."""
+        """The counters as a plain dict (metrics payloads, tests)."""
         return dict(vars(self))
 
 
@@ -285,17 +284,19 @@ class _Breaker:
 class _Pending:
     """One in-flight request: its future, raw line and retry bookkeeping."""
 
-    __slots__ = ("future", "line", "attempts", "timer", "timed_out", "is_stats", "sent_at")
+    __slots__ = ("future", "line", "attempts", "timer", "timed_out", "is_control", "sent_at")
 
     def __init__(
-        self, future: "asyncio.Future[str]", line: str, is_stats: bool = False
+        self, future: "asyncio.Future[str]", line: str, is_control: bool = False
     ) -> None:
         self.future = future
         self.line = line
         self.attempts = 0
         self.timer: Optional[asyncio.TimerHandle] = None
         self.timed_out = False
-        self.is_stats = is_stats
+        #: A metrics probe: bypasses an open breaker, never retries or
+        #: degrades, and stays out of the client latency histograms.
+        self.is_control = is_control
         #: ``perf_counter`` of the (latest) send — client latency span start.
         self.sent_at = 0.0
 
@@ -581,57 +582,27 @@ class ShardedClient:
             responses.append(await window.popleft())
         return responses
 
-    async def stats(self, request_id: Optional[str] = None) -> List[Dict[str, Any]]:
-        """Query every shard's stats request type; one payload per shard.
-
-        Unreachable shards contribute their ``shard-unavailable`` response
-        instead, so the result always has one entry per shard,
-        index-aligned.  Each payload is augmented with a ``client``
-        section carrying this client's recovery counters
-        (``retries``, ``degraded_responses``, …) and the shard's
-        ``breaker_state`` — the round trip the stats schema test pins.
-        Stats probes bypass an open breaker on purpose: a successful
-        probe is exactly the signal that closes it.
-        """
-        line = response_line(stats_request(request_id))
-        loop = asyncio.get_running_loop()
-        futures = []
-        for shard in self._shards:
-            future: "asyncio.Future[str]" = loop.create_future()
-            entry = _Pending(future, line, is_stats=True)
-            await self._dispatch(shard, entry)
-            futures.append(future)
-        payloads = [json.loads(await future) for future in futures]
-        for shard, payload in zip(self._shards, payloads):
-            client_section = {
-                **self.counters.as_dict(),
-                "breaker_state": shard.breaker.state,
-            }
-            if isinstance(payload.get("stats"), dict):
-                payload["stats"]["client"] = client_section
-            else:
-                payload["client"] = client_section
-        return payloads
-
     async def metrics(self, request_id: Optional[str] = None) -> List[Dict[str, Any]]:
         """Query every shard's metrics request type; one payload per shard.
 
-        The observability twin of :meth:`stats`: each shard answers with
-        its full metric registry payload (see
+        Each shard answers with its identity, uptime and full metric
+        registry payload (see
         :data:`repro.service.observability.METRIC_CATALOG`), and the
-        client augments it with a ``client`` section — recovery counters,
-        that shard's breaker state, and this client's view of the shard's
-        request latency (``client.shard{i}.request_ms`` snapshot).
-        Unreachable shards contribute their ``shard-unavailable`` response
-        instead, index-aligned, and — like stats probes — metrics probes
-        bypass an open breaker.
+        client augments it with a ``client`` section — recovery counters
+        (``retries``, ``degraded_responses``, …), that shard's breaker
+        state, and this client's view of the shard's request latency
+        (``client.shard{i}.request_ms`` snapshot).  Unreachable shards
+        contribute their ``shard-unavailable`` response instead, so the
+        result always has one entry per shard, index-aligned.  Metrics
+        probes bypass an open breaker on purpose: a successful probe is
+        exactly the signal that closes it.
         """
         line = response_line(metrics_request(request_id))
         loop = asyncio.get_running_loop()
         futures = []
         for shard in self._shards:
             future: "asyncio.Future[str]" = loop.create_future()
-            entry = _Pending(future, line, is_stats=True)
+            entry = _Pending(future, line, is_control=True)
             await self._dispatch(shard, entry)
             futures.append(future)
         payloads = [json.loads(await future) for future in futures]
@@ -656,7 +627,7 @@ class ShardedClient:
         if self._closed:
             self._resolve_unavailable(shard, entry)
             return
-        if not entry.is_stats and shard.breaker.state == "open":
+        if not entry.is_control and shard.breaker.state == "open":
             await self._resolve_degraded(shard, entry)
             return
         if not shard.alive and not await self._reconnect(shard):
@@ -730,7 +701,7 @@ class ShardedClient:
                 )
             )
             return
-        if entry.is_stats or self._closed:
+        if entry.is_control or self._closed:
             self._resolve_unavailable(shard, entry)
             return
         if entry.attempts >= self.max_retries:
@@ -782,9 +753,7 @@ class ShardedClient:
             from .dispatcher import ScheduleService
 
             self._local_service = ScheduleService(
-                batch_size=1,
-                max_queue=1,
-                cache=LRUResultCache(max_entries=256),
+                batch_size=1, cache=LRUResultCache(max_entries=256)
             )
         (response,) = self._local_service.serve_chunk([line])
         return response_line(response)
@@ -823,7 +792,7 @@ class ShardedClient:
                 entry.cancel_timer()
                 if shard.breaker.record_success():
                     self.counters.breaker_closes += 1
-                if not entry.is_stats and entry.sent_at:
+                if not entry.is_control and entry.sent_at:
                     latency_ms = (time.perf_counter() - entry.sent_at) * 1000.0
                     self.registry.observe("client.request_ms", latency_ms)
                     self.registry.observe(
@@ -871,7 +840,7 @@ class ShardedClient:
 
     def _needs_async_resolution(self, shard: _ShardConnection, entry: _Pending) -> bool:
         """Whether an entry's failure path may retry or degrade (async work)."""
-        if self._closed or entry.is_stats or entry.timed_out:
+        if self._closed or entry.is_control or entry.timed_out:
             return False
         if entry.attempts < self.max_retries:
             return True

@@ -22,7 +22,7 @@ until the operator intervened.  :class:`ShardSupervisor` closes that gap:
   ``shard I/N: HOST:PORT pid=P restarts=K`` (``tools/chaos.py`` parses
   these lines to aim its fault injections), and the restart count rides
   into the child on the ``REPRO_SHARD_RESTARTS`` environment variable so
-  the shard's own ``{"type": "stats"}`` response reports it;
+  the shard's own ``{"type": "metrics"}`` response reports it;
 * **signal forwarding** — SIGTERM/SIGINT is forwarded to every live
   child (each drains gracefully), pending restarts are cancelled, and
   the supervisor exits once every child has.

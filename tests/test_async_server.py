@@ -19,7 +19,7 @@ import pytest
 from repro.service.async_server import AsyncScheduleServer, parse_address
 from repro.service.cache import LRUResultCache
 from repro.service.dispatcher import ScheduleService
-from repro.service.schema import stats_request
+from repro.service.schema import metrics_request
 from repro.service.server import response_line, serve_lines
 from repro.service.sharding import ShardedClient
 
@@ -39,14 +39,16 @@ def request_line(seed=0, tasks=8, **extra):
 def mixed_stream(n=24):
     """Duplicates + distinct configs + invalid lines, id-stamped.
 
-    The invalid lines cover malformed JSON, every non-object JSON value and
-    an object with an unknown field: the server parses each line once and
-    hands objects on parsed, everything else as text.
+    The invalid lines cover malformed JSON, every non-object JSON value, an
+    object with an unknown field and the retired ``{"type": "stats"}``
+    control request: the server parses each line once and hands objects on
+    parsed, everything else as text.
     """
     lines = [request_line(seed=index % 5, id=f"r{index}") for index in range(n)]
     lines.insert(n // 2, "{not json")
     lines[3:3] = ["null", "[1, 2]", '"text"', "42"]
     lines.insert(n // 3, request_line(seed=1, id="unknown-field", colour="blue"))
+    lines.insert(n // 4, json.dumps({"type": "stats", "id": "old-health"}))
     return lines
 
 
@@ -131,7 +133,7 @@ class TestConcurrentDeterminism:
 
 
 class TestSingleConnection:
-    """Raw-socket behaviour: ordering, stats-in-position, counters."""
+    """Raw-socket behaviour: ordering, metrics-in-position, counters."""
 
     @staticmethod
     def run_raw(server_kwargs, lines):
@@ -159,34 +161,50 @@ class TestSingleConnection:
         lines = [request_line(seed=s, id=f"r{s}") for s in range(6)]
         server, responses = self.run_raw({}, lines)
         assert [json.loads(r)["id"] for r in responses] == [f"r{s}" for s in range(6)]
-        assert server.stats.requests_received == 6
-        assert server.stats.responses_sent == 6
-        assert server.stats.connections_total == 1
-        assert server.stats.connections_active == 0
+        registry = server.service.obs.registry
+        assert registry.counter("server.requests_received") == 6
+        assert registry.counter("server.responses_sent") == 6
+        assert registry.counter("server.connections_total") == 1
+        assert server.connections_active == 0
+        assert registry.gauge("server.connections_active") == 0
 
-    def test_stats_request_is_answered_in_stream_position(self):
+    def test_metrics_request_is_answered_in_stream_position(self):
         lines = [
             request_line(seed=1, id="before"),
-            json.dumps(stats_request("health-1")),
+            json.dumps(metrics_request("health-1")),
             request_line(seed=2, id="after"),
         ]
         server, responses = self.run_raw(
             {"shard_index": 1, "shard_count": 3}, lines
         )
-        before, stats, after = (json.loads(r) for r in responses)
+        before, scrape, after = (json.loads(r) for r in responses)
         assert before["id"] == "before" and after["id"] == "after"
-        assert stats["type"] == "stats" and stats["id"] == "health-1"
-        assert stats["status"] == "ok"
-        payload = stats["stats"]
+        assert scrape["type"] == "metrics" and scrape["id"] == "health-1"
+        assert scrape["status"] == "ok"
+        payload = scrape["metrics"]
         assert payload["shard"] == {"index": 1, "count": 3, "restarts": 0}
         assert payload["uptime_s"] > 0
-        assert payload["shed"] == 0
-        assert payload["server"]["requests_received"] >= 1
-        assert payload["service"]["ok"] >= 1
-        assert payload["cache"]["size"] >= 1
+        assert payload["counters"]["service.rejected"] == 0
+        assert payload["counters"]["server.requests_received"] >= 1
+        assert payload["counters"]["service.ok"] >= 1
+        assert payload["gauges"]["cache.size"] >= 1
+        assert payload["gauges"]["server.connections_active"] == 1
 
-    def test_stats_response_is_canonical_jsonl(self):
-        _, responses = self.run_raw({}, [json.dumps(stats_request())])
+    def test_retired_stats_request_is_request_invalid_in_stream_position(self):
+        lines = [
+            request_line(seed=1, id="before"),
+            json.dumps({"type": "stats", "id": "old-health"}),
+            request_line(seed=2, id="after"),
+        ]
+        server, responses = self.run_raw({}, lines)
+        before, stats, after = (json.loads(r) for r in responses)
+        assert before["status"] == after["status"] == "ok"
+        assert stats["status"] == "error" and stats["id"] == "old-health"
+        assert stats["error"]["type"] == "request-invalid"
+        assert server.service.obs.registry.counter("service.invalid") == 1
+
+    def test_metrics_response_is_canonical_jsonl(self):
+        _, responses = self.run_raw({}, [json.dumps(metrics_request())])
         (line,) = responses
         assert line == response_line(json.loads(line))
 
@@ -239,7 +257,7 @@ class TestOneThreadPerShard:
                 writer.write("".join(line + "\n" for line in lines).encode("utf-8"))
                 await writer.drain()
                 responses = [await reader.readline() for _ in lines]
-                inflight_after = server.stats.inflight
+                inflight_after = server.inflight
                 writer.close()
                 await writer.wait_closed()
                 return inflight_after, threading.get_ident(), responses
@@ -263,7 +281,7 @@ class TestOneThreadPerShard:
         inflight_after, _, responses = self.serve_recording(
             monkeypatch,
             lines,
-            lambda server, raws: seen.append((server.stats.inflight, len(raws))),
+            lambda server, raws: seen.append((server.inflight, len(raws))),
         )
         assert len(responses) == len(lines)
         assert len(seen) >= 2  # batch_size=4: the 8 lines span several chunks

@@ -111,7 +111,7 @@ class TestVersionFlag:
 class TestServeCommand:
     def test_parser_accepts_serve_options(self):
         args = build_parser().parse_args(
-            ["serve", "--batch-size", "8", "--max-queue", "64",
+            ["serve", "--batch-size", "8",
              "--cache-size", "100", "--ttl", "30", "--max-cost", "5000", "--quiet"]
         )
         assert args.command == "serve"
@@ -134,8 +134,10 @@ class TestServeCommand:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)
 
-    def test_max_queue_below_batch_size_fails_cleanly(self, capsys):
-        assert main(["serve", "--max-queue", "8"]) == 2  # default batch is 16
+    def test_parser_rejects_the_removed_max_queue_flag(self, capsys):
+        # the dispatcher's queue has no length bound; --max-cost sheds
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--max-queue", "64"])
         assert "--max-queue" in capsys.readouterr().err
 
     def _request_line(self, seed=0, **extra):
@@ -159,7 +161,23 @@ class TestServeCommand:
         responses = [json.loads(line) for line in captured.out.splitlines()]
         assert [r["status"] for r in responses] == ["ok", "error", "ok"]
         assert responses[0]["metrics"] == responses[2]["metrics"]
-        assert "service: 3 request(s)" in captured.err
+        assert captured.err.splitlines() == [
+            "service: 3 request(s) -> 2 ok, 1 invalid, 0 rejected, 0 failed; "
+            "1 simulation(s), 1 coalesced, 0 cache hit(s), 2 miss(es)",
+            "cache: 0 hit(s), 2 miss(es), 0 eviction(s), 0 expiration(s), "
+            "1 resident, 0 warm hit(s)",
+        ]
+
+    def test_serve_summary_without_a_cache_counts_compute_misses(
+        self, capsys, monkeypatch
+    ):
+        stream = "\n".join(self._request_line(seed=s % 2) for s in range(4))
+        monkeypatch.setattr("sys.stdin", io.StringIO(stream + "\n"))
+        assert main(["serve", "--cache-size", "0", "--batch-size", "1"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "service: 4 request(s) -> 4 ok, 0 invalid, 0 rejected, 0 failed; "
+            "4 simulation(s), 0 coalesced, 0 cache hit(s), 4 miss(es)",
+        ]
 
     def test_serve_quiet_suppresses_stderr(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(self._request_line() + "\n"))
@@ -168,6 +186,16 @@ class TestServeCommand:
 
 
 class TestRequestCommand:
+    def test_parser_rejects_the_removed_stats_flag(self, capsys):
+        # shard health is part of the metrics payload: request --metrics
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["request", "--connect", "h:1", "--stats"])
+        assert "--stats" in capsys.readouterr().err
+
+    def test_metrics_query_requires_connect(self, capsys):
+        assert main(["request", "--metrics"]) == 2
+        assert "--metrics requires --connect" in capsys.readouterr().err
+
     def test_parser_accepts_request_options(self):
         args = build_parser().parse_args(
             ["request", "--scheduler", "srpt", "--tasks", "40", "--process",

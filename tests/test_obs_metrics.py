@@ -172,38 +172,85 @@ class TestRegistry:
 
         Each worker increments ``received`` strictly before ``responded``;
         because every mutation and snapshot runs under the registry lock,
-        no snapshot may ever show ``responded > received``.
+        no snapshot may ever show ``responded > received``.  Each worker
+        also credits ``responded``, ``ok`` and ``failed`` in one
+        :meth:`MetricsRegistry.add`, so no snapshot may ever show
+        ``responded != ok + failed`` either.
         """
         registry = MetricsRegistry()
         stop = threading.Event()
         violations = []
 
         def worker():
+            flip = 0
             while not stop.is_set():
                 registry.inc("service.received")
                 registry.observe("service.request_ms", 1.25)
                 registry.inc("service.responded")
+                flip ^= 1
+                registry.add(
+                    {
+                        "batch.ok": 2 + flip,
+                        "batch.failed": 1 - flip,
+                        "batch.responded": 3,
+                    }
+                )
 
         def scraper():
             while not stop.is_set():
                 snapshot = registry.snapshot()
-                received = snapshot["counters"].get("service.received", 0)
-                responded = snapshot["counters"].get("service.responded", 0)
+                counters = snapshot["counters"]
+                received = counters.get("service.received", 0)
+                responded = counters.get("service.responded", 0)
                 if responded > received:
                     violations.append((received, responded))
+                outcomes = counters.get("batch.ok", 0) + counters.get("batch.failed", 0)
+                if counters.get("batch.responded", 0) != outcomes:
+                    violations.append(dict(counters))
 
         threads = [threading.Thread(target=worker) for _ in range(4)]
         threads += [threading.Thread(target=scraper) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        stop_timer = threading.Timer(0.5, stop.set)
-        stop_timer.start()
-        stop_timer.join()
-        for thread in threads:
-            thread.join()
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often: tear what can tear
+        try:
+            for thread in threads:
+                thread.start()
+            stop_timer = threading.Timer(0.5, stop.set)
+            stop_timer.start()
+            stop_timer.join()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            stop.set()
+            sys.setswitchinterval(switch_interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert violations == []
         final = registry.snapshot()
         assert final["counters"]["service.received"] == final["counters"]["service.responded"]
         assert final["histograms"]["service.request_ms"]["count"] == final["counters"][
             "service.received"
         ]
+        received = final["counters"]["service.received"]
+        assert final["counters"]["batch.responded"] == 3 * received
+
+    def test_bound_gauge_is_read_at_every_snapshot_outside_the_lock(self):
+        registry = MetricsRegistry()
+        registry.declare(gauges=["queue.depth", "plain"])
+        registry.set_gauge("plain", 7)
+        depth = [3]
+
+        def read_depth():
+            # A reader may record into the registry itself: it runs
+            # outside the (non-reentrant) registry lock.
+            registry.inc("reads")
+            return depth[0]
+
+        registry.bind_gauge("queue.depth", read_depth)
+        assert registry.snapshot()["gauges"] == {"plain": 7, "queue.depth": 3}
+        depth[0] = 5
+        assert registry.gauge("queue.depth") == 5
+        assert registry.snapshot()["gauges"]["queue.depth"] == 5
+        assert registry.counter("reads") == 3
+        registry.bind_gauge("queue.depth", lambda: 11)  # rebinding replaces
+        assert registry.snapshot()["gauges"]["queue.depth"] == 11
+        assert registry.names()[1] == ("plain", "queue.depth")

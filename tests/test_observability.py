@@ -8,8 +8,8 @@ pins the wire-visible contracts:
   non-overlapping spans that tile ``total_ms``, and **no** trace on
   plain requests (byte-identity of the untraced stream);
 * the slow-request event log fires strictly by threshold and rotates;
-* the stats and metrics payloads carry the pinned
-  ``TELEMETRY_SCHEMA_VERSION`` and exactly the documented metric names;
+* the metrics payload carries the pinned ``TELEMETRY_SCHEMA_VERSION``
+  and exactly the documented metric names;
 * ``docs/OBSERVABILITY.md``'s catalog tables match ``METRIC_CATALOG``;
 * ``repro top`` renders one row per live shard.
 """
@@ -57,12 +57,7 @@ def request_line(seed=0, tasks=8, **extra):
 def make_service(**obs_kwargs):
     observability = Observability(**obs_kwargs)
     cache = LRUResultCache(max_entries=64, registry=observability.registry)
-    return ScheduleService(
-        batch_size=4,
-        max_queue=64,
-        cache=cache,
-        observability=observability,
-    )
+    return ScheduleService(batch_size=4, cache=cache, observability=observability)
 
 
 def run_sharded(lines, n_shards=2, **obs_kwargs):
@@ -156,9 +151,7 @@ class TestSlowRequestLog:
         observability = Observability(
             trace=True, slow_ms=slow_ms, event_log=EventLog(str(log_path))
         )
-        with ScheduleService(
-            batch_size=4, max_queue=64, observability=observability
-        ) as service:
+        with ScheduleService(batch_size=4, observability=observability) as service:
             (response,) = service.serve_chunk([request_line(seed=1, id="slow-1", trace=True)])
         events = []
         if log_path.exists():
@@ -204,22 +197,20 @@ class TestTelemetrySchema:
             try:
                 async with ShardedClient([server.address]) as client:
                     await client.stream([request_line(seed=index) for index in range(5)])
-                    stats = await client.stats("s-1")
-                    metrics = await client.metrics("m-1")
-                    return stats, metrics
+                    return await client.metrics("m-1")
             finally:
                 await server.close()
 
         return asyncio.run(go())
 
-    def test_stats_and_metrics_pin_schema_version(self):
-        stats, metrics = self._scrape()
-        assert stats[0]["stats"]["schema_version"] == TELEMETRY_SCHEMA_VERSION
+    def test_metrics_pin_schema_version(self):
+        metrics = self._scrape()
+        assert TELEMETRY_SCHEMA_VERSION == 2  # the stats payload was removed
         assert metrics[0]["metrics"]["schema_version"] == TELEMETRY_SCHEMA_VERSION
         assert metrics[0]["id"] == "m-1"
 
     def test_metrics_payload_lists_exactly_the_catalog(self):
-        _, metrics = self._scrape()
+        metrics = self._scrape()
         payload = metrics[0]["metrics"]
         assert tuple(sorted(payload["counters"])) == tuple(sorted(METRIC_CATALOG["counters"]))
         assert tuple(sorted(payload["gauges"])) == tuple(sorted(METRIC_CATALOG["gauges"]))
@@ -227,11 +218,21 @@ class TestTelemetrySchema:
             sorted(METRIC_CATALOG["histograms"])
         )
         assert payload["shard"] == {"index": 0, "count": 1, "restarts": 0}
-        assert payload["counters"]["service.responded"] == 5
+        counters, gauges = payload["counters"], payload["gauges"]
+        assert counters["service.responded"] == 5
+        assert counters["service.responded"] == (
+            counters["service.ok"]
+            + counters["service.invalid"]
+            + counters["service.rejected"]
+            + counters["service.failed"]
+        )
+        assert gauges["cache.size"] == 5
+        assert gauges["cache.journal_entries"] == 0  # durability off
+        assert gauges["server.connections_active"] == 1
         assert payload["histograms"]["service.request_ms"]["count"] == 5
 
     def test_client_section_annotates_each_scrape(self):
-        _, metrics = self._scrape()
+        metrics = self._scrape()
         client = metrics[0]["metrics"]["client"]
         assert client["breaker_state"] == "closed"
         assert client["request_ms"]["count"] >= 5

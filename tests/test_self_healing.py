@@ -14,7 +14,7 @@ The recovery stack has three layers, each tested at its natural level:
   determinism contract buys);
 * the real thing — a ``repro serve --shards 2`` supervisor tree whose
   child is SIGKILLed and must come back serving on its original port,
-  restart counter visible through the stats request type.
+  restart counter visible through the metrics request type.
 
 :mod:`repro.service.faults` schedules are pinned for determinism: the
 same seed must always produce the same chaos.
@@ -483,7 +483,7 @@ class TestClientRetryAndReconnect:
 class TestCircuitBreaker:
     def test_open_breaker_degrades_to_byte_identical_local_execution(self):
         line = request_line(seed=3, id="deg-0")
-        with ScheduleService(batch_size=1, max_queue=1) as reference:
+        with ScheduleService(batch_size=1) as reference:
             (expected,) = reference.serve_chunk([line])
         expected_text = response_line(expected)
 
@@ -534,8 +534,8 @@ class TestCircuitBreaker:
         assert client.counters.breaker_opens >= 1
 
 
-class TestStatsSchemaRoundTrip:
-    def test_stats_payload_carries_restart_and_client_counters(self):
+class TestMetricsSchemaRoundTrip:
+    def test_metrics_payload_carries_restart_and_client_counters(self):
         async def go():
             service = ScheduleService(
                 batch_size=4, cache=LRUResultCache(max_entries=16)
@@ -547,17 +547,18 @@ class TestStatsSchemaRoundTrip:
                     await asyncio.wait_for(
                         await client.submit(request_line(id="warm")), timeout=10.0
                     )
-                    (payload,) = await client.stats("health-x")
+                    (payload,) = await client.metrics("health-x")
                     return payload
 
         payload = asyncio.run(go())
         assert payload["status"] == "ok" and payload["id"] == "health-x"
-        stats = payload["stats"]
+        metrics = payload["metrics"]
         # Server-side recovery observability: the supervisor's restart
         # count rides through REPRO_SHARD_RESTARTS into the payload.
-        assert stats["shard"] == {"index": 0, "count": 1, "restarts": 2}
+        assert metrics["shard"] == {"index": 0, "count": 1, "restarts": 2}
+        assert metrics["gauges"]["server.restarts"] == 2
         # Client-side: the resilience counters and breaker state.
-        client_section = stats["client"]
+        client_section = metrics["client"]
         for key in (
             "retries",
             "timeouts",
@@ -650,14 +651,14 @@ class TestSupervisedRestartEndToEnd:
                 async with ShardedClient.from_base(
                     "127.0.0.1", base_port, 2, request_timeout=10.0
                 ) as client:
-                    payloads = await client.stats()
+                    payloads = await client.metrics()
                     responses = await client.stream(
                         [request_line(seed=s, id=f"r{s}") for s in range(8)]
                     )
                     return payloads, responses
 
             payloads, responses = asyncio.run(go())
-            restarts = [p["stats"]["shard"]["restarts"] for p in payloads]
+            restarts = [p["metrics"]["shard"]["restarts"] for p in payloads]
             assert restarts == [0, 1]
             assert all(json.loads(r)["status"] == "ok" for r in responses)
         finally:

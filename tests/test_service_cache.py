@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ServiceError
+from repro.obs import MetricsRegistry
 from repro.service.cache import LRUResultCache
 
 
@@ -29,7 +30,7 @@ class TestBasics:
     def test_miss_returns_none(self):
         cache = LRUResultCache(max_entries=4)
         assert cache.get("absent") is None
-        assert cache.stats()["misses"] == 1
+        assert cache.misses == 1
 
     def test_clear(self):
         cache = LRUResultCache(max_entries=4)
@@ -110,8 +111,8 @@ class TestTTL:
         assert "k" in cache
         clock.now = 11.0
         assert "k" not in cache  # expired entries read as absent...
-        assert cache.stats()["hits"] == 0  # ...and membership never counts
-        assert cache.stats()["misses"] == 0
+        assert cache.hits == 0  # ...and membership never counts
+        assert cache.misses == 0
 
     def test_no_ttl_means_no_expiry(self):
         clock = FakeClock()
@@ -121,7 +122,7 @@ class TestTTL:
         assert cache.get("k") == "v"
 
 
-class TestStats:
+class TestMetrics:
     def test_counters_track_every_outcome(self):
         clock = FakeClock()
         cache = LRUResultCache(max_entries=2, ttl=5.0, clock=clock)
@@ -132,14 +133,24 @@ class TestStats:
         cache.put("c", 3)  # evicts "b" ("a" was refreshed by the hit)
         clock.now = 6.0
         cache.get("a")  # expired -> miss + expiration
-        stats = cache.stats()
-        assert stats == {
-            "hits": 1,
-            "misses": 2,
-            "evictions": 1,
-            "expirations": 1,
-            "size": 1,
-            "warm_hits": 0,
-            "journal_entries": None,
-            "snapshot_age_s": None,
+        snapshot = cache.registry.snapshot()
+        assert snapshot["counters"] == {
+            "cache.hits": 1,
+            "cache.misses": 2,
+            "cache.evictions": 1,
+            "cache.expirations": 1,
+            "cache.warm_hits": 0,
         }
+        assert snapshot["gauges"] == {"cache.size": 1, "cache.journal_entries": 0}
+        assert cache.hits == 1 and cache.misses == 2
+        assert cache.evictions == 1 and cache.expirations == 1
+
+    def test_size_gauge_reads_live_state_of_a_shared_registry(self):
+        registry = MetricsRegistry()
+        cache = LRUResultCache(max_entries=4, registry=registry)
+        assert registry.gauge("cache.size") == 0
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert registry.snapshot()["gauges"]["cache.size"] == 2
+        cache.clear()
+        assert registry.gauge("cache.size") == 0

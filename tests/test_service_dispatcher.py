@@ -10,6 +10,7 @@ from repro.exceptions import ServiceError
 from repro.service.cache import LRUResultCache
 from repro.service.dispatcher import ScheduleService
 from repro.service.executor import execute_request
+from repro.service.observability import Observability
 from repro.service.schema import canonicalize_request
 
 
@@ -25,13 +26,17 @@ def make_request(seed=0, tasks=10, scheduler="LS", **extra):
     return payload
 
 
+def counter(service, name):
+    """One ``service.*`` counter of ``service``'s metrics registry."""
+    return service.obs.registry.counter(f"service.{name}")
+
+
 class TestConstruction:
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"workers": 2},
             {"batch_size": 0},
-            {"batch_size": 8, "max_queue": 4},
             {"max_cost": 0},
         ],
     )
@@ -46,6 +51,25 @@ class TestConstruction:
         assert not hasattr(service, "workers")
         with pytest.raises(ServiceError, match="--shards"):
             ScheduleService(workers=4)
+
+    def test_default_observability_counts_into_the_cache_registry(self):
+        cache = LRUResultCache(max_entries=4)
+        service = ScheduleService(batch_size=1, cache=cache)
+        assert service.obs.registry is cache.registry
+        service.submit(make_request(seed=1))
+        service.submit(make_request(seed=1))
+        service.drain()
+        snapshot = cache.registry.snapshot()
+        assert snapshot["counters"]["service.responded"] == 2
+        assert snapshot["counters"]["cache.hits"] == 1
+        assert snapshot["gauges"]["cache.size"] == 1
+
+    def test_cache_and_observability_on_different_registries_are_rejected(self):
+        cache = LRUResultCache(max_entries=4)
+        with pytest.raises(ServiceError, match="registry"):
+            ScheduleService(cache=cache, observability=Observability())
+        shared = Observability(registry=cache.registry)
+        assert ScheduleService(cache=cache, observability=shared).obs is shared
 
 
 class TestLifecycle:
@@ -71,7 +95,7 @@ class TestResponses:
         responses = service.drain()
         assert [r["id"] for r in responses] == [f"r{seed}" for seed in range(5)]
         assert all(r["status"] == "ok" for r in responses)
-        assert service.stats.responded == 5
+        assert counter(service, "responded") == 5
 
     def test_malformed_requests_resolve_to_error_responses(self):
         service = ScheduleService(batch_size=2)
@@ -84,7 +108,7 @@ class TestResponses:
         assert bad["status"] == "error"
         assert bad["id"] == "bad"  # the id survives even when validation fails
         assert good["status"] == "ok"
-        assert service.stats.invalid == 2
+        assert counter(service, "invalid") == 2
 
     def test_response_metrics_match_direct_execution(self):
         raw = make_request(seed=5, tasks=15)
@@ -111,7 +135,7 @@ class TestExecutionErrors:
         assert [r["status"] for r in responses] == ["error", "error"]
         assert all(r["error"]["type"] == "execution-error" for r in responses)
         assert "engine bug" in responses[0]["error"]["message"]
-        assert service.stats.failed == 2
+        assert counter(service, "failed") == 2
 
     def test_overflowing_platform_costs_resolve_to_an_execution_error(self):
         # 1e308 is a valid finite cost, but a send starting at time 1e308
@@ -130,7 +154,7 @@ class TestExecutionErrors:
         assert huge["error"]["type"] == "execution-error"
         assert "finite and >= 0" in huge["error"]["message"]
         assert after["status"] == "ok"
-        assert service.stats.failed == 1
+        assert counter(service, "failed") == 1
 
     def test_failed_results_are_not_cached(self, monkeypatch):
         import repro.service.dispatcher as dispatcher_module
@@ -169,8 +193,8 @@ class TestTTLExpiry:
         hit, expired = service.drain()
         assert hit["status"] == "ok" and expired["status"] == "ok"
         assert hit["metrics"] == expired["metrics"]
-        assert service.stats.cache_hits == 1
-        assert service.stats.simulations == 2  # warm-up + the expired re-run
+        assert service.cache.hits == 1
+        assert counter(service, "simulations") == 2  # warm-up + the expired re-run
         assert cache.expirations == 1
 
 
@@ -220,7 +244,7 @@ class TestEngineBackend:
         service.submit(make_request(seed=2, id="b"))
         responses = service.drain()
         assert [r["status"] for r in responses] == ["ok", "ok"]
-        assert service.stats.simulations == 2
+        assert counter(service, "simulations") == 2
 
 
 class TestCoalescing:
@@ -229,8 +253,8 @@ class TestCoalescing:
         for index in range(6):
             service.submit(make_request(seed=1, id=f"dup{index}"))
         responses = service.drain()
-        assert service.stats.simulations == 1
-        assert service.stats.coalesced == 5
+        assert counter(service, "simulations") == 1
+        assert counter(service, "coalesced") == 5
         payloads = [r["metrics"] for r in responses]
         assert all(p == payloads[0] for p in payloads)
         assert len({r["id"] for r in responses}) == 6
@@ -241,8 +265,8 @@ class TestCoalescing:
         service.submit({**make_request(seed=1), "tasks": {"n": 10.0}})  # same key
         service.submit(make_request(seed=2))  # different key
         service.drain()
-        assert service.stats.simulations == 2
-        assert service.stats.coalesced == 1
+        assert counter(service, "simulations") == 2
+        assert counter(service, "coalesced") == 1
 
 
 class TestCaching:
@@ -252,8 +276,8 @@ class TestCaching:
         first = service.drain()
         service.submit(make_request(seed=3))
         second = service.drain()
-        assert service.stats.simulations == 1
-        assert service.stats.cache_hits == 1
+        assert counter(service, "simulations") == 1
+        assert service.cache.hits == 1
         assert first[0]["metrics"] == second[0]["metrics"]
 
     def test_responses_never_alias_the_cached_metrics(self):
@@ -273,31 +297,10 @@ class TestCaching:
         service.drain()
         service.submit(make_request(seed=3))
         service.drain()
-        assert service.stats.simulations == 2
+        assert counter(service, "simulations") == 2
 
 
 class TestAdmissionControl:
-    def test_queue_overflow_is_shed_with_a_typed_response(self):
-        service = ScheduleService(batch_size=2, max_queue=2)
-        for seed in range(3):
-            service.submit(make_request(seed=seed, id=f"r{seed}"))
-        responses = service.drain()
-        assert [r["status"] for r in responses] == ["ok", "ok", "rejected"]
-        assert responses[2]["error"]["type"] == "service-overloaded"
-        assert "queue full" in responses[2]["error"]["message"]
-        assert service.stats.rejected == 1
-
-    def test_pumping_frees_queue_slots(self):
-        service = ScheduleService(batch_size=2, max_queue=2)
-        service.submit(make_request(seed=0))
-        service.submit(make_request(seed=1))
-        assert service.ready()
-        service.pump()
-        service.submit(make_request(seed=2))  # admitted again after the pump
-        responses = service.drain()
-        assert service.stats.rejected == 0
-        assert len(responses) == 1
-
     def test_cost_budget_sheds_expensive_requests(self):
         service = ScheduleService(batch_size=4, max_cost=50)
         service.submit(make_request(tasks=10))  # cost 20: admitted
@@ -305,17 +308,33 @@ class TestAdmissionControl:
         ok, shed = service.drain()
         assert ok["status"] == "ok"
         assert shed["status"] == "rejected"
+        assert shed["error"]["type"] == "service-overloaded"
         assert "admission budget" in shed["error"]["message"]
+        assert counter(service, "rejected") == counter(service, "shed_cost") == 1
 
-    def test_invalid_requests_do_not_occupy_queue_slots(self):
-        service = ScheduleService(batch_size=2, max_queue=2)
-        service.submit("broken")
-        service.submit("also broken")
-        service.submit(make_request(seed=0))
-        service.submit(make_request(seed=1))
+    def test_queue_has_no_length_bound(self):
+        # Transports bound the backlog themselves (one batch per
+        # serve_chunk); the dispatcher admits whatever is submitted.
+        service = ScheduleService(batch_size=2)
+        for seed in range(300):
+            service.submit(make_request(seed=seed % 3, id=f"r{seed}"))
+        assert service.pending == 300
         responses = service.drain()
-        assert [r["status"] for r in responses] == ["error", "error", "ok", "ok"]
-        assert service.stats.rejected == 0
+        assert [r["status"] for r in responses] == ["ok"] * 300
+        assert counter(service, "rejected") == 0
+
+    def test_pending_gauge_counts_unresolved_requests_at_scrape_time(self):
+        service = ScheduleService(batch_size=4)
+
+        def gauge():
+            return service.obs.registry.snapshot()["gauges"]["service.pending"]
+
+        service.submit(make_request(seed=1))
+        service.submit("broken")  # pre-resolved: not pending
+        service.submit(make_request(seed=2))
+        assert gauge() == 2
+        service.drain()
+        assert gauge() == 0
 
 
 class TestThreadSafety:
@@ -333,7 +352,7 @@ class TestThreadSafety:
         # old slicing race this reliably lost entries.  Every submitted id
         # must come back exactly once.
         n_threads, per_thread = 4, 40
-        service = ScheduleService(batch_size=4, max_queue=100_000)
+        service = ScheduleService(batch_size=4)
         barrier = threading.Barrier(n_threads + 1)
 
         def submitter(thread_index):
@@ -363,7 +382,7 @@ class TestThreadSafety:
         got = [r["id"] for r in responses]
         assert len(got) == n_threads * per_thread  # nothing lost, nothing doubled
         assert set(got) == expected
-        assert service.stats.responded == n_threads * per_thread
+        assert counter(service, "responded") == n_threads * per_thread
 
     def test_serve_chunk_attributes_responses_to_the_submitting_thread(self):
         # Two threads serve interleaved chunks off one shared service (the
@@ -404,14 +423,16 @@ class TestThreadSafety:
 
         def reader():
             while not stop.is_set():
-                snapshot = service.snapshot()
-                stats = snapshot["service"]
+                counters = service.obs.registry.snapshot()["counters"]
                 # Invariant: every response is accounted for by exactly one
                 # outcome counter — a torn snapshot would break the sum.
-                if stats["responded"] != (
-                    stats["ok"] + stats["invalid"] + stats["rejected"] + stats["failed"]
+                if counters["service.responded"] != (
+                    counters["service.ok"]
+                    + counters["service.invalid"]
+                    + counters["service.rejected"]
+                    + counters["service.failed"]
                 ):
-                    errors.append(snapshot)
+                    errors.append(counters)
 
         thread = threading.Thread(target=reader)
         thread.start()
@@ -422,6 +443,7 @@ class TestThreadSafety:
             stop.set()
             thread.join()
         assert not errors
+        assert counter(service, "responded") == 60
 
 
 class TestDeterminism:

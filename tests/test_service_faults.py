@@ -83,10 +83,10 @@ class TestClientDisconnect:
                 # The server must reap the connection and settle: no open
                 # connection, no inflight chunk left behind.
                 assert await wait_until(
-                    lambda: server.stats.connections_active == 0
+                    lambda: server.connections_active == 0
                 ), "server never reaped the aborted connection"
-                assert server.stats.inflight == 0
-                assert server.stats.disconnects == 1
+                assert server.inflight == 0
+                assert service.obs.registry.counter("server.disconnects") == 1
 
                 # Client B on the same server still gets the full,
                 # byte-identical stream.
@@ -203,14 +203,12 @@ class TestSlowReaderBackpressure:
         n_requests = 400
         lines = [request_line(seed=s % 4, id=f"r{s}") for s in range(n_requests)]
         baseline = io.StringIO()
-        with ScheduleService(
-            batch_size=4, max_queue=4096, cache=LRUResultCache(max_entries=64)
-        ) as ref:
+        with ScheduleService(batch_size=4, cache=LRUResultCache(max_entries=64)) as ref:
             serve_lines(iter(lines), ref, baseline)
 
         async def go():
             service = ScheduleService(
-                batch_size=4, max_queue=4096, cache=LRUResultCache(max_entries=64)
+                batch_size=4, cache=LRUResultCache(max_entries=64)
             )
             # Tiny kernel buffers + a tiny outbound queue: the ~100 KiB of
             # responses cannot fit anywhere until the client reads.
@@ -238,11 +236,14 @@ class TestSlowReaderBackpressure:
                 # Without anyone reading, the write pipeline must wedge at a
                 # stable level strictly below the full stream: queue bound +
                 # kernel buffers, not an unbounded backlog.
+                def responses_sent():
+                    return service.obs.registry.counter("server.responses_sent")
+
                 previous = -1
-                while server.stats.responses_sent != previous:
-                    previous = server.stats.responses_sent
+                while responses_sent() != previous:
+                    previous = responses_sent()
                     await asyncio.sleep(0.3)
-                stalled_at = server.stats.responses_sent
+                stalled_at = responses_sent()
                 assert stalled_at < n_requests
 
                 # The client finally reads: the stream completes, in order,

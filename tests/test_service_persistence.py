@@ -207,9 +207,11 @@ class TestCacheIntegration:
         )
         assert warmed.warm_load() == 1
         assert warmed.get("k") == {"makespan": 1.0}
-        stats = warmed.stats()
-        assert stats["warm_hits"] == 1 and stats["hits"] == 1
-        assert stats["journal_entries"] == 1
+        assert warmed.warm_hits == 1 and warmed.hits == 1
+        gauges = warmed.registry.snapshot()["gauges"]
+        assert gauges == {"cache.size": 1, "cache.journal_entries": 1}
+        warmed.put("k2", {"makespan": 2.0})
+        assert warmed.registry.gauge("cache.journal_entries") == 2
         warmed.close()
 
     def test_warm_load_is_idempotent_and_respects_capacity(self, tmp_path):
@@ -258,7 +260,8 @@ class TestCacheIntegration:
             max_entries=8, persistence=ShardPersistence(tmp_path)
         )
         assert warmed.warm_load() == 6
-        assert warmed.stats()["snapshot_age_s"] is not None
+        assert warmed.persistence.snapshot_age_s() is not None
+        assert warmed.registry.gauge("cache.journal_entries") <= 3
         warmed.close()
 
     def test_leaving_the_service_closes_the_journal_and_put_reopens_it(

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ServiceError
-from repro.service.schema import canonicalize_request, stats_request
+from repro.service.schema import canonicalize_request, metrics_request
 from repro.service.sharding import (
     shard_addresses,
     shard_for_line,
@@ -143,8 +143,10 @@ class TestReachability:
 
 
 class TestRoutingEdgeCases:
-    def test_stats_requests_route_to_shard_zero(self):
-        assert shard_for_payload(stats_request(), 5) == 0
+    def test_metrics_requests_route_to_shard_zero(self):
+        assert shard_for_payload(metrics_request(), 5) == 0
+        # the retired stats request is just an invalid payload now
+        assert shard_for_payload({"type": "stats"}, 5) == 0
 
     def test_invalid_payloads_route_to_shard_zero(self):
         assert shard_for_payload({"tasks": 10}, 5) == 0  # missing fields

@@ -26,7 +26,7 @@ rely on:
    ``repro serve`` baseline for the same request, by the determinism
    contract;
 3. **recovery** — every SIGKILLed shard is restarted and serving again
-   by end of run, its stats payload reporting ``restarts >= 1``;
+   by end of run, its metrics payload reporting ``restarts >= 1``;
 4. **no hot-loop** — every restart delay announced by the supervisor
    respects the capped-backoff policy's lower bound.
 
@@ -270,9 +270,7 @@ def summarize_telemetry(
             "p99_ms": histograms["service.request_ms"]["p99"],
             "batch_wait_p95_ms": histograms["service.batch_assembly_ms"]["p95"],
             "cache_hit_rate": round(hits / lookups, 4) if lookups else None,
-            "shed": (
-                counters["service.shed_queue_full"] + counters["service.shed_cost"]
-            ),
+            "shed": counters["service.shed_cost"],
             "slow": counters["service.slow_requests"],
             "restarts": metrics["gauges"]["server.restarts"],
         }
@@ -298,6 +296,33 @@ def format_telemetry_table(summary: Dict[str, Any]) -> List[str]:
     return lines
 
 
+async def await_recovery(
+    client: ShardedClient, killed_shards: "set[int]", timeout: float
+) -> Dict[int, Dict[str, Any]]:
+    """Poll every shard's metrics until each killed shard reports a restart.
+
+    Returns ``shard -> {"restarts", "uptime_s"}`` for every killed shard
+    whose metrics payload showed ``shard.restarts >= 1`` within
+    ``timeout`` seconds; a shard missing from the result never came back.
+    """
+    recovery: Dict[int, Dict[str, Any]] = {}
+    deadline = time.monotonic() + timeout
+    pending_shards = set(killed_shards)
+    while pending_shards and time.monotonic() < deadline:
+        payloads = await client.metrics()
+        for shard in sorted(pending_shards):
+            metrics = payloads[shard].get("metrics")
+            if isinstance(metrics, dict) and metrics["shard"]["restarts"] >= 1:
+                recovery[shard] = {
+                    "restarts": metrics["shard"]["restarts"],
+                    "uptime_s": metrics["uptime_s"],
+                }
+                pending_shards.discard(shard)
+        if pending_shards:
+            await asyncio.sleep(0.2)
+    return recovery
+
+
 def serial_baseline(lines: List[str]) -> Dict[str, str]:
     """The byte-identity oracle: every request served serially, in-process.
 
@@ -319,7 +344,7 @@ def serial_baseline(lines: List[str]) -> Dict[str, str]:
 
     sink = _Sink()
     with ScheduleService(
-        batch_size=16, max_queue=256, cache=LRUResultCache(max_entries=1024)
+        batch_size=16, cache=LRUResultCache(max_entries=1024)
     ) as service:
         serve_lines(lines, service, sink)
     baseline = {}
@@ -388,30 +413,13 @@ async def drive(
         )
 
         # Recovery check: every killed shard must be serving again.  The
-        # stats probe doubles as the breaker's half-open probe, so poll
-        # until the payload is a real stats response with restarts >= 1.
-        recovery: Dict[int, Dict[str, Any]] = {}
-        deadline = time.monotonic() + args.recovery_timeout
-        pending_shards = set(killed_shards)
-        while pending_shards and time.monotonic() < deadline:
-            payloads = await client.stats()
-            for shard in sorted(pending_shards):
-                payload = payloads[shard]
-                stats = payload.get("stats", {})
-                if payload.get("status") == "ok" and (
-                    stats.get("shard", {}).get("restarts", 0) >= 1
-                ):
-                    recovery[shard] = {
-                        "restarts": stats["shard"]["restarts"],
-                        "uptime_s": stats["uptime_s"],
-                    }
-                    pending_shards.discard(shard)
-            if pending_shards:
-                await asyncio.sleep(0.2)
+        # metrics probe doubles as the breaker's half-open probe, so poll
+        # until the payload is a real metrics response with restarts >= 1.
+        recovery = await await_recovery(client, killed_shards, args.recovery_timeout)
 
         # Observability audit inputs.  Settle the breakers first (a
         # drop/stall-only schedule never enters the recovery loop, whose
-        # stats probes double as half-open probes), then scrape every
+        # metrics probes double as half-open probes), then scrape every
         # shard's metrics endpoint and fire the sampled trace requests.
         # Fresh seeds + a heavy task count keep every sample an uncached
         # simulation whose server-side spans dominate the round trip.
@@ -422,7 +430,7 @@ async def drive(
                 for shard in client._shards  # noqa: SLF001 - chaos harness
             ):
                 break
-            await client.stats()
+            await client.metrics()
             await asyncio.sleep(0.1)
         telemetry = await client.metrics()
         trace_samples: List[Dict[str, Any]] = []
@@ -482,7 +490,7 @@ async def drive(
         "responses": list(responses),
         "fired": fired,
         "killed_shards": sorted(killed_shards),
-        "unrecovered_shards": sorted(pending_shards),
+        "unrecovered_shards": sorted(killed_shards - set(recovery)),
         "recovery": {str(k): v for k, v in sorted(recovery.items())},
         "telemetry": telemetry,
         "trace_samples": trace_samples,

@@ -186,7 +186,7 @@ def bench_request_canonicalize(runs: int) -> Dict[str, Any]:
 
 
 def _serve(lines: List[str], cache: LRUResultCache) -> None:
-    with ScheduleService(batch_size=16, max_queue=1024, cache=cache) as svc:
+    with ScheduleService(batch_size=16, cache=cache) as svc:
         serve_lines(iter(lines), svc, io.StringIO())
 
 
@@ -256,7 +256,7 @@ def bench_service_persistent_rps(runs: int, n_requests: int) -> Dict[str, Any]:
                 latencies.append(time.perf_counter() - t0)
 
     async def drive() -> None:
-        service = ScheduleService(batch_size=16, max_queue=4096, cache=None)
+        service = ScheduleService(batch_size=16, cache=None)
         async with AsyncScheduleServer(service, port=0) as server:
             await asyncio.gather(
                 *(one_client(server.address) for _ in range(connections))
@@ -304,7 +304,7 @@ def bench_service_chaos_rps(runs: int, n_requests: int) -> Dict[str, Any]:
 
     def make_server(host: str, port: int) -> AsyncScheduleServer:
         return AsyncScheduleServer(
-            ScheduleService(batch_size=16, max_queue=4096, cache=None),
+            ScheduleService(batch_size=16, cache=None),
             host,
             port,
         )
@@ -455,10 +455,7 @@ def bench_service_observability_overhead(runs: int, n_requests: int) -> Dict[str
         )
         service = stack.enter_context(
             ScheduleService(
-                batch_size=16,
-                max_queue=1024,
-                cache=cache,
-                observability=observability,
+                batch_size=16, cache=cache, observability=observability
             )
         )
 

@@ -11,10 +11,10 @@ up over sustained wall-clock time under **combined** stress?  One run:
    on restart (:mod:`repro.service.persistence`);
 2. drives open-loop load for ``--duration`` seconds: a deterministic
    loadgen request pool is cycled through a resilient
-   :class:`~repro.service.sharding.ShardedClient`, with the client's
-   in-flight window deliberately wider than the servers' admission queue
-   so load-shedding pressure (typed ``service-overloaded`` rejections)
-   is part of the steady state, not an anomaly;
+   :class:`~repro.service.sharding.ShardedClient`, alongside a pressure
+   stream of requests heavier than the servers' ``--max-cost`` budget, so
+   load-shedding (typed ``service-overloaded`` rejections) is part of the
+   steady state, not an anomaly;
 3. fires an **iterated-Poisson fault burst schedule**
    (:meth:`~repro.service.faults.FaultSchedule.correlated_bursts`,
    arXiv:2501.11322) keyed on elapsed wall-clock centiseconds, clamped to
@@ -63,6 +63,7 @@ from chaos import (  # noqa: E402  (tools/ path bootstrap)
     DEGRADED_TYPES,
     SupervisorTree,
     _free_base_port,
+    await_recovery,
     format_telemetry_table,
     serial_baseline,
     summarize_telemetry,
@@ -241,26 +242,9 @@ async def drive(
             await pressure_task if pressure_task is not None else []
         )
 
-        # Recovery: every killed shard must be serving again.  The stats
+        # Recovery: every killed shard must be serving again.  The metrics
         # probe doubles as the breaker's half-open probe.
-        recovery: Dict[int, Dict[str, Any]] = {}
-        deadline = time.monotonic() + args.recovery_timeout
-        pending_shards = set(killed_shards)
-        while pending_shards and time.monotonic() < deadline:
-            payloads = await client.stats()
-            for shard in sorted(pending_shards):
-                payload = payloads[shard]
-                stats = payload.get("stats", {})
-                if payload.get("status") == "ok" and (
-                    stats.get("shard", {}).get("restarts", 0) >= 1
-                ):
-                    recovery[shard] = {
-                        "restarts": stats["shard"]["restarts"],
-                        "uptime_s": stats["uptime_s"],
-                    }
-                    pending_shards.discard(shard)
-            if pending_shards:
-                await asyncio.sleep(0.2)
+        recovery = await await_recovery(client, killed_shards, args.recovery_timeout)
 
         # Warm-restart evidence: replay the pool once more (its keys were
         # cached and journaled before the kills), then read each killed
@@ -268,15 +252,16 @@ async def drive(
         replay_futures = [await client.submit(line) for line in lines]
         await asyncio.gather(*replay_futures)
         warm: Dict[int, Dict[str, Any]] = {}
-        payloads = await client.stats()
+        payloads = await client.metrics()
         for shard in sorted(killed_shards):
-            payload = payloads[shard]
-            cache = payload.get("stats", {}).get("cache", {}) or {}
+            metrics = payloads[shard].get("metrics")
+            if not isinstance(metrics, dict):
+                warm[shard] = {"warm_hits": 0, "size": 0, "journal_entries": None}
+                continue
             warm[shard] = {
-                "warm_hits": cache.get("warm_hits", 0),
-                "size": cache.get("size", 0),
-                "journal_entries": cache.get("journal_entries"),
-                "snapshot_age_s": cache.get("snapshot_age_s"),
+                "warm_hits": metrics["counters"]["cache.warm_hits"],
+                "size": metrics["gauges"]["cache.size"],
+                "journal_entries": metrics["gauges"]["cache.journal_entries"],
             }
 
         # Final server-side telemetry scrape: the audit summarizes each
@@ -303,7 +288,7 @@ async def drive(
         "elapsed_s": time.perf_counter() - started,
         "fired": fired,
         "killed_shards": sorted(killed_shards),
-        "unrecovered_shards": sorted(pending_shards),
+        "unrecovered_shards": sorted(killed_shards - set(recovery)),
         "recovery": {str(k): v for k, v in sorted(recovery.items())},
         "warm": {str(k): v for k, v in sorted(warm.items())},
         "telemetry": telemetry,
@@ -481,11 +466,6 @@ def main(argv=None) -> int:
         help="server-side journal compaction threshold (small = snapshots exercised)",
     )
     parser.add_argument(
-        "--server-max-queue", type=int, default=16,
-        help="server admission bound; kept below the client window so "
-        "shedding pressure is part of the steady state",
-    )
-    parser.add_argument(
         "--server-batch-size", type=int, default=8, help="server dispatch batch"
     )
     parser.add_argument(
@@ -585,7 +565,6 @@ def main(argv=None) -> int:
         extra_flags=[
             "--state-dir", state_dir,
             "--journal-max-entries", str(args.journal_max_entries),
-            "--max-queue", str(args.server_max_queue),
             "--batch-size", str(args.server_batch_size),
             "--max-cost", str(args.server_max_cost),
         ],
