@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_right
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 __all__ = ["DEFAULT_GROWTH", "StreamingHistogram", "MetricsRegistry"]
@@ -51,18 +52,25 @@ class _Boundaries:
     (``i > 0``) or division (``i < 0``) from ``1.0``.  IEEE 754 specifies
     both operations exactly, so the table is identical on every platform
     — unlike ``pow``/``exp``/``log``, which are only *faithfully* rounded
-    and may differ between libm builds.  Instances are shared per growth
-    value and append-only, so concurrent readers are safe.
+    and may differ between libm builds.  The whole table is built at
+    construction and never changes, so concurrent readers are safe.
     """
 
     _shared: Dict[float, "_Boundaries"] = {}
     _shared_lock = threading.Lock()
 
     def __init__(self, growth: float) -> None:
-        self.growth = growth
-        self._pos: List[float] = [1.0]  # _pos[i] == growth ** i
-        self._neg: List[float] = [1.0]  # _neg[i] == growth ** -i
-        self._log_growth = math.log(growth)  # hint only, corrected below
+        # _pos[i] == growth ** i and _neg[i] == growth ** -i, for
+        # 0 <= i <= _MAX_INDEX + 1 (quantiles read the upper bound of the
+        # top bucket).
+        self._pos: List[float] = [1.0]
+        self._neg: List[float] = [1.0]
+        for _ in range(_MAX_INDEX + 1):
+            self._pos.append(self._pos[-1] * growth)
+            self._neg.append(self._neg[-1] / growth)
+        #: ``bound(-_MAX_INDEX + 1) .. bound(_MAX_INDEX)``, ascending: the
+        #: lower boundaries of every bucket above the bottom one.
+        self._edges: List[float] = self._neg[_MAX_INDEX - 1:0:-1] + self._pos[: _MAX_INDEX + 1]
 
     @classmethod
     def shared(cls, growth: float) -> "_Boundaries":
@@ -74,30 +82,18 @@ class _Boundaries:
         return table
 
     def bound(self, index: int) -> float:
-        """``growth ** index`` from the deterministic table."""
-        if index >= 0:
-            while len(self._pos) <= index:
-                self._pos.append(self._pos[-1] * self.growth)
-            return self._pos[index]
-        index = -index
-        while len(self._neg) <= index:
-            self._neg.append(self._neg[-1] / self.growth)
-        return self._neg[index]
+        """``growth ** index`` from the table (``|index| <= _MAX_INDEX + 1``)."""
+        return self._pos[index] if index >= 0 else self._neg[-index]
 
     def index_of(self, value: float) -> int:
         """The bucket index whose ``[bound(i), bound(i+1))`` holds ``value``.
 
-        ``math.log`` provides a starting guess; the exact answer is
-        settled by comparing against the deterministic table, so a
-        last-ulp log discrepancy between platforms cannot flip a bucket.
+        One binary search over the deterministic table, clamped to
+        ``[-_MAX_INDEX, _MAX_INDEX]``: values below ``bound(-_MAX_INDEX + 1)``
+        land in the bottom bucket and values from ``bound(_MAX_INDEX)`` up
+        (``inf`` and NaN included) in the top one.
         """
-        guess = int(math.floor(math.log(value) / self._log_growth))
-        guess = max(-_MAX_INDEX, min(_MAX_INDEX, guess))
-        while guess > -_MAX_INDEX and self.bound(guess) > value:
-            guess -= 1
-        while guess < _MAX_INDEX and self.bound(guess + 1) <= value:
-            guess += 1
-        return guess
+        return bisect_right(self._edges, value) - _MAX_INDEX
 
 
 class StreamingHistogram:

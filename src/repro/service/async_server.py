@@ -1,42 +1,32 @@
 """Persistent asyncio JSONL-over-TCP server — the long-lived transport.
 
 The stdin/stdout loop of :mod:`repro.service.server` serves exactly one
-client and dies with the pipe.  This module promotes the same dispatcher to
-a **persistent socket server**: :class:`AsyncScheduleServer` wraps
-``asyncio.start_server`` around one shared
-:class:`~repro.service.dispatcher.ScheduleService` and speaks the identical
-JSONL protocol — one request per line in, one canonical-JSON response per
-line out, **per-connection submission order**.
+client and dies with the pipe.  :class:`AsyncScheduleServer` serves the
+same dispatcher over TCP: one shared
+:class:`~repro.service.dispatcher.ScheduleService`, the identical JSONL
+protocol (one request per line in, one canonical-JSON response per line
+out) and **per-connection submission order**.
 
-Concurrency model (per connection)::
+Each connection is one :class:`asyncio.Protocol`, and all of its work runs
+in its callbacks on the event-loop thread:
 
-    socket ──► read loop ──► inbound queue ──► dispatch loop ──► outbound queue ──► write loop ──► socket
-               (parses each    (bounded)       (resolves chunks     (bounded)
-                line once)                     on the loop thread)
-
-* the **read loop** turns socket lines into inbound-queue items, running
-  ``json.loads`` on each line exactly once to tell control requests from
-  schedule requests; the queue is bounded, so a dispatch stage that falls
-  behind stops the reader, which stops reading the socket — TCP flow
-  control pushes the backpressure all the way to the client;
-* the **dispatch loop** greedily gathers whatever accumulated (up to the
-  service batch size) and resolves it *on the event-loop thread* through
-  :meth:`~repro.service.dispatcher.ScheduleService.serve_chunk`, handing
-  over the parsed object of every JSON-object line and the raw text of
-  every other line (so malformed lines get the dispatcher's usual error
-  response).  The compute is pure Python under the GIL and chunks
-  serialize on the dispatcher's chunk lock anyway, so a worker thread
-  would add a queue hand-off and a wake-up per chunk and no parallelism;
-  process parallelism lives one tier up, in ``repro serve --shards``.
-  The trade-off: a metrics request on *another* connection waits
-  for the chunk being resolved — at most one batch of requests.  Since a
-  connection's inbound queue holds at most two chunks and refills only
-  when the loop runs, one dispatch loop resolves at most two chunks
-  before it yields;
-* the **write loop** flushes responses from the bounded outbound queue; a
-  slow-reading client fills its socket buffers, then the outbound queue,
-  then pauses its own dispatch/read stages — never anyone else's, and never
-  an unbounded buffer.
+* ``data_received`` splits out the complete lines and parses each one
+  once (``json.loads``) to tell control requests from schedule requests;
+* a *step* resolves at most one chunk (the service batch size) of queued
+  lines through :meth:`~repro.service.dispatcher.ScheduleService.serve_chunk`
+  — a JSON object goes on parsed, any other line as its text, so a
+  malformed line gets the dispatcher's usual error response — and writes
+  the chunk's response lines with one ``transport.write``.  Further lines
+  wait for the next step (``loop.call_soon``), so connections take turns
+  chunk by chunk: a request on another connection waits for at most one
+  chunk.  The compute is pure Python under the GIL, so a worker thread
+  would add hand-offs and no parallelism; processes parallelise one tier
+  up, in ``repro serve --shards``;
+* backpressure is the transport's own flow control: ``pause_writing``
+  (write buffer above its high-water mark) stops resolving and reading
+  until ``resume_writing``, and reading also pauses while more than one
+  chunk of lines is queued.  TCP then pushes back on that client — never
+  on another connection, and never into an unbounded buffer.
 
 ``{"type": "metrics"}`` control requests (see
 :func:`repro.service.schema.is_control_request`) are answered by the
@@ -49,23 +39,24 @@ what :func:`repro.service.server.serve_lines` writes for the same request
 lines, whatever the shard count, batch size or number of concurrent
 connections (``tests/test_async_server.py`` asserts the bytes).
 
-A SIGTERM/SIGINT (see :func:`run_server`) triggers a **graceful drain**:
-the listener closes, per-connection readers stop accepting further lines,
-already-read requests resolve and flush, then the process exits.
+A client's EOF (half-close) still gets every response before the server
+closes its side.  A SIGTERM/SIGINT (see :func:`run_server`) triggers a
+**graceful drain**: the listener closes, connections stop reading, the
+complete lines already received resolve and flush, then the process exits.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import itertools
 import json
 import signal
 import socket
 import sys
 import time
+from collections import deque
 from operator import itemgetter
-from typing import Any, Dict, List, Optional, TextIO, Tuple
+from typing import Any, Deque, Dict, List, Optional, TextIO, Tuple
 
 from .dispatcher import ScheduleService
 from .schema import SCHEMA_VERSION, control_request_id, is_control_request
@@ -78,17 +69,17 @@ __all__ = [
     "run_server",
 ]
 
-#: ``asyncio.StreamReader`` line limit — requests beyond 1 MiB are a
-#: protocol violation and close the connection.
+#: Request lines beyond 1 MiB are a protocol violation and close the
+#: connection (after the lines before them are answered).
 _LINE_LIMIT = 1 << 20
 
-#: One inbound-queue item: ``(request, is_control)``.  ``request`` is the
+#: One parsed request line: ``(request, is_control)``.  ``request`` is the
 #: parsed object of a JSON-object line, else the line's raw text.
 _Item = Tuple[Any, bool]
 
 
 def _parse_line(text: str) -> _Item:
-    """Parse one request line, once, into an inbound-queue item.
+    """Parse one request line, once, into a :data:`_Item`.
 
     A JSON object travels on parsed (``ScheduleService.submit`` accepts a
     mapping); any other line travels on as its text, so the dispatcher
@@ -121,18 +112,154 @@ def parse_address(text: str) -> Tuple[str, int]:
     return host, port
 
 
-class _Connection:
-    """Mutable per-connection state shared by the three pipeline stages."""
+class _Connection(asyncio.Protocol):
+    """One client connection: complete lines in, one resolved chunk per step out."""
 
-    __slots__ = ("alive", "inflight")
+    def __init__(self, server: "AsyncScheduleServer") -> None:
+        self.server = server
+        self.chunk_size = server.service.batch_size
+        self.transport: Any = None
+        self.loop = asyncio.get_running_loop()
+        #: Done once the connection is gone (what a graceful drain awaits).
+        self.closed: "asyncio.Future[None]" = self.loop.create_future()
+        #: The bytes after the last newline received: an incomplete line.
+        self.partial = bytearray()
+        #: Complete lines not yet resolved, each with its arrival time.
+        self.pending: Deque[Tuple[_Item, float]] = deque()
+        #: No further lines are read: client EOF, oversized line or drain.
+        self.input_done = False
+        #: Inside a line over :data:`_LINE_LIMIT`, reading on to its end.
+        self.oversized = False
+        self.writing_paused = False
+        self.step_due = False
 
-    def __init__(self) -> None:
-        #: Cleared by the write loop when the client vanishes; the dispatch
-        #: loop then stops paying for simulations nobody will read.
-        self.alive = True
-        #: This connection's share of the server's ``inflight``, taken back
-        #: out at teardown so a cancelled connection cannot leak into it.
-        self.inflight = 0
+    def connection_made(self, transport: Any) -> None:
+        """Register the connection and apply the per-connection buffer bound."""
+        self.transport = transport
+        server = self.server
+        server._connections.add(self)
+        server._registry.inc("server.connections_total")
+        server.connections_active += 1
+        if server.per_connection_sndbuf is not None:
+            sock = transport.get_extra_info("socket")
+            if sock is not None:
+                sock.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, server.per_connection_sndbuf
+                )
+            # Cap the user-space transport buffer too — otherwise asyncio
+            # absorbs ~64 KiB before pause_writing and the kernel bound
+            # alone is unobservable.
+            transport.set_write_buffer_limits(high=server.per_connection_sndbuf)
+        if server._draining:
+            self.end_input()
+
+    def data_received(self, data: bytes) -> None:
+        """Queue every complete line of ``data``, then resolve a chunk."""
+        if self.input_done:
+            return
+        if self.oversized:
+            # Read the over-long line to its end before closing, so the
+            # client sees a close rather than a reset.
+            if b"\n" in data:
+                self.end_input()
+            return
+        end = data.rfind(b"\n") + 1
+        if end:
+            block = bytes(self.partial) + data[:end] if self.partial else data[:end]
+            self.partial = bytearray(data[end:])
+            received_at = time.perf_counter()
+            for raw in block.split(b"\n")[:-1]:
+                if len(raw) > _LINE_LIMIT:
+                    self.end_input()
+                    return
+                self._queue(raw.decode("utf-8", errors="replace") + "\n", received_at)
+        else:
+            self.partial += data
+        if len(self.partial) > _LINE_LIMIT:
+            self.partial = bytearray()
+            self.oversized = True
+        if self.step_due:
+            self._flow()
+        else:
+            self._step()
+
+    def eof_received(self) -> bool:
+        """Client half-close: answer everything, the unterminated last line too.
+
+        Returns ``True`` so the transport stays open for the responses.
+        """
+        if self.partial:
+            self._queue(self.partial.decode("utf-8", errors="replace"), time.perf_counter())
+        self.partial = bytearray()
+        self.input_done = True
+        self._schedule()
+        return True
+
+    def pause_writing(self) -> None:
+        """Write buffer above its high-water mark: stop resolving and reading."""
+        self.writing_paused = True
+        self._flow()
+
+    def resume_writing(self) -> None:
+        """Write buffer below its low-water mark: resolve and read again."""
+        self.writing_paused = False
+        self._flow()
+        self._schedule()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        """Drop the unresolved lines and deregister the connection."""
+        server = self.server
+        if exc is not None:  # reset or failed write: the client vanished
+            server._registry.inc("server.disconnects")
+        server.inflight -= sum(not control for (_, control), _ in self.pending)
+        self.pending.clear()
+        server.connections_active -= 1
+        server._connections.discard(self)
+        self.closed.set_result(None)
+
+    def end_input(self) -> None:
+        """Read no more lines; answer the ones already received, then close."""
+        if not self.input_done:
+            self.input_done = True
+            self.partial = bytearray()
+            self.transport.pause_reading()
+            self._schedule()
+
+    def _queue(self, text: str, received_at: float) -> None:
+        if text.strip():
+            item = _parse_line(text)
+            if not item[1]:
+                self.server.inflight += 1
+            self.pending.append((item, received_at))
+
+    def _schedule(self) -> None:
+        if not self.step_due:
+            self.step_due = True
+            self.loop.call_soon(self._step)
+
+    def _step(self) -> None:
+        """Resolve and write at most one chunk of queued lines; schedule the rest."""
+        self.step_due = False
+        transport, pending = self.transport, self.pending
+        if self.writing_paused or transport.is_closing():
+            return
+        if pending:
+            count = min(len(pending), self.chunk_size)
+            self.server._serve(transport, [pending.popleft() for _ in range(count)])
+        if pending:
+            self._schedule()
+        elif self.input_done:
+            transport.close()  # after flushing the write buffer
+        self._flow()
+
+    def _flow(self) -> None:
+        """Read while writing flows and at most one chunk of lines is queued."""
+        if self.input_done:
+            return  # reading is over for good (resuming after EOF would re-read it)
+        if self.writing_paused or len(self.pending) > self.chunk_size:
+            self.transport.pause_reading()
+        else:
+            self.transport.resume_reading()
 
 
 class AsyncScheduleServer:
@@ -154,21 +281,15 @@ class AsyncScheduleServer:
         How many times the supervisor has restarted this shard slot
         (``REPRO_SHARD_RESTARTS``); echoed in metrics responses and the
         ``server.restarts`` gauge so recovery is observable end-to-end.
-    max_chunk:
-        Upper bound on request lines resolved per dispatcher round trip;
-        defaults to the service batch size.
-    write_queue_lines:
-        Bound of the per-connection outbound queue — the backpressure
-        budget between the dispatcher and a slow-reading client.
     drain_timeout:
         Seconds :meth:`close` waits for open connections to flush before
-        cancelling them.
+        aborting them.
     per_connection_sndbuf:
         Optional send-side buffer bound applied to every accepted socket:
         both the kernel ``SO_SNDBUF`` and the asyncio transport's
-        user-space write-buffer high-water mark.  Mainly for backpressure
-        tests, which need small buffers to observe the bounded-queue
-        behaviour without megabytes of traffic.
+        write-buffer high-water mark.  Mainly for backpressure tests, which
+        need small buffers to observe flow control without megabytes of
+        traffic.
     """
 
     def __init__(
@@ -180,8 +301,6 @@ class AsyncScheduleServer:
         shard_index: int = 0,
         shard_count: int = 1,
         shard_restarts: int = 0,
-        max_chunk: Optional[int] = None,
-        write_queue_lines: int = 256,
         drain_timeout: float = 10.0,
         per_connection_sndbuf: Optional[int] = None,
     ) -> None:
@@ -191,14 +310,12 @@ class AsyncScheduleServer:
         self.shard_index = shard_index
         self.shard_count = shard_count
         self.shard_restarts = shard_restarts
-        self.max_chunk = max_chunk if max_chunk is not None else service.batch_size
-        self.write_queue_lines = write_queue_lines
         self.drain_timeout = drain_timeout
         self.per_connection_sndbuf = per_connection_sndbuf
         #: Connections currently open.
         self.connections_active = 0
-        #: Schedule-request lines read but whose responses are not yet
-        #: queued for the writer (control requests are not counted).
+        #: Complete schedule-request lines received but not yet resolved
+        #: (control requests are not counted).
         self.inflight = 0
         # Server counters and spans land in the service's registry so one
         # metrics scrape covers transport, dispatcher and cache alike.
@@ -211,14 +328,13 @@ class AsyncScheduleServer:
         self._server: Optional[asyncio.base_events.Server] = None
         self._started_monotonic: Optional[float] = None
         self._draining = False
-        self._reader_tasks: "set[asyncio.Task]" = set()
-        self._connection_tasks: "set[asyncio.Task]" = set()
+        self._connections: "set[_Connection]" = set()
 
     # -- lifecycle ----------------------------------------------------------
     async def start(self) -> None:
         """Bind the listener and start accepting connections."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=_LINE_LIMIT
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_monotonic = time.monotonic()
@@ -238,24 +354,28 @@ class AsyncScheduleServer:
     async def close(self) -> None:
         """Graceful drain: stop accepting, flush open connections, shut down.
 
-        Readers are cancelled (no further request lines are accepted), but
-        requests already read continue to resolve and their responses are
-        flushed, bounded by ``drain_timeout``; stragglers are cancelled.
-        Idempotent.
+        Connections stop reading (no further request lines are accepted),
+        but the complete lines already received still resolve and their
+        responses are flushed, bounded by ``drain_timeout``; stragglers are
+        aborted.  Idempotent.
         """
         self._draining = True
         if self._server is not None:
             self._server.close()
+        connections = list(self._connections)
+        for conn in connections:
+            conn.end_input()
+        if connections:
+            await asyncio.wait(
+                [conn.closed for conn in connections], timeout=self.drain_timeout
+            )
+            for conn in connections:
+                if not conn.closed.done():
+                    conn.transport.abort()
+            await asyncio.gather(*(conn.closed for conn in connections))
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        for task in list(self._reader_tasks):
-            task.cancel()
-        if self._connection_tasks:
-            await asyncio.wait(self._connection_tasks, timeout=self.drain_timeout)
-        for task in list(self._connection_tasks):
-            task.cancel()
-        if self._connection_tasks:
-            await asyncio.gather(*self._connection_tasks, return_exceptions=True)
         self.service.close()
 
     async def __aenter__(self) -> "AsyncScheduleServer":
@@ -294,139 +414,27 @@ class AsyncScheduleServer:
             "metrics": self.metrics_payload(),
         }
 
-    # -- connection pipeline ------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Accepted-connection callback: wire up the three pipeline stages."""
-        task = asyncio.current_task()
-        assert task is not None
-        self._connection_tasks.add(task)
-        self._registry.inc("server.connections_total")
-        self.connections_active += 1
-        if self.per_connection_sndbuf is not None:
-            sock = writer.get_extra_info("socket")
-            if sock is not None:
-                sock.setsockopt(
-                    socket.SOL_SOCKET, socket.SO_SNDBUF, self.per_connection_sndbuf
-                )
-            # Cap the user-space transport buffer too — otherwise asyncio
-            # absorbs ~64 KiB before drain() ever blocks and the kernel
-            # bound alone is unobservable.
-            writer.transport.set_write_buffer_limits(high=self.per_connection_sndbuf)
-        conn = _Connection()
-        inbound: "asyncio.Queue[Optional[_Item]]" = asyncio.Queue(
-            maxsize=max(2 * self.max_chunk, 2)
-        )
-        outbound: "asyncio.Queue[Optional[str]]" = asyncio.Queue(
-            maxsize=self.write_queue_lines
-        )
-        read_task = asyncio.create_task(self._read_loop(reader, inbound, conn))
-        self._reader_tasks.add(read_task)
-        write_task = asyncio.create_task(self._write_loop(writer, outbound, conn))
-        try:
-            await self._dispatch_loop(inbound, outbound, conn)
-        finally:
-            read_task.cancel()
-            await asyncio.gather(read_task, return_exceptions=True)
-            self._reader_tasks.discard(read_task)
-            self._track(conn, -conn.inflight)
-            # Sentinel for the writer.  A slow-but-alive client gets up to
-            # drain_timeout to make room in the outbound queue; a stuck one
-            # gets its writer cancelled instead of deadlocking teardown.
-            try:
-                await asyncio.wait_for(outbound.put(None), timeout=self.drain_timeout)
-            except asyncio.TimeoutError:
-                write_task.cancel()
-            await asyncio.gather(write_task, return_exceptions=True)
-            if not conn.alive:
-                self._registry.inc("server.disconnects")
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-            self.connections_active -= 1
-            self._connection_tasks.discard(task)
-
-    def _track(self, conn: _Connection, delta: int) -> None:
-        """Move ``delta`` schedule-request lines into (or out of) inflight."""
-        conn.inflight += delta
-        self.inflight += delta
-
-    async def _read_loop(
-        self,
-        reader: asyncio.StreamReader,
-        inbound: "asyncio.Queue[Optional[_Item]]",
-        conn: _Connection,
-    ) -> None:
-        """Socket lines → parsed bounded inbound queue; ``None`` sentinel on EOF."""
-        try:
-            while not self._draining:
-                read_start = time.perf_counter()
-                line = await reader.readline()
-                if not line:
-                    break
-                # Includes the wait for the client's next line — the read
-                # span is "time to obtain one request", by design.
-                self._registry.observe(
-                    "server.read_ms", (time.perf_counter() - read_start) * 1000.0
-                )
-                text = line.decode("utf-8", errors="replace")
-                if not text.strip():
-                    continue
-                request, control = _parse_line(text)
-                if not control:
-                    self._track(conn, 1)
-                await inbound.put((request, control))
-        except (ConnectionError, ValueError, asyncio.IncompleteReadError):
-            # ConnectionError: client vanished; ValueError: line over the
-            # protocol limit.  Either way this stream is over.
-            pass
-        except asyncio.CancelledError:
-            pass  # graceful drain: stop reading, still deliver the sentinel
-        finally:
-            while True:
-                try:
-                    inbound.put_nowait(None)
-                    break
-                except asyncio.QueueFull:
-                    await asyncio.sleep(0.01)
-
-    async def _dispatch_loop(
-        self,
-        inbound: "asyncio.Queue[Optional[_Item]]",
-        outbound: "asyncio.Queue[Optional[str]]",
-        conn: _Connection,
-    ) -> None:
-        """Gather request chunks, resolve them on the loop, enqueue responses."""
-        eof = False
-        while not eof:
-            first = await inbound.get()
-            if first is None:
-                break
-            chunk = [first]
-            while len(chunk) < self.max_chunk:
-                try:
-                    item = inbound.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if item is None:
-                    eof = True
-                    break
-                chunk.append(item)
-            self._registry.inc("server.requests_received", len(chunk))
-            if not conn.alive:
-                # Client is gone: drop the chunk instead of simulating.
-                self._track(conn, -sum(not control for _, control in chunk))
-                continue
-            dispatch_start = time.perf_counter()
-            out_lines = self._resolve_chunk(chunk)
-            self._registry.observe(
-                "server.dispatch_ms", (time.perf_counter() - dispatch_start) * 1000.0
-            )
-            for (_, control), line in zip(chunk, out_lines):
-                await outbound.put(line)
-                if not control:
-                    self._track(conn, -1)
+    # -- chunk resolution ---------------------------------------------------
+    def _serve(self, transport: Any, received: List[Tuple[_Item, float]]) -> None:
+        """Resolve one chunk of a connection's lines and write its responses."""
+        registry = self._registry
+        chunk = [item for item, _ in received]
+        start = time.perf_counter()
+        registry.inc("server.requests_received", len(chunk))
+        schedule_lines = 0
+        for (_, control), received_at in received:
+            if not control:
+                schedule_lines += 1
+                registry.observe("server.read_ms", (start - received_at) * 1000.0)
+        out_lines = self._resolve_chunk(chunk)
+        self.inflight -= schedule_lines
+        write_start = time.perf_counter()
+        registry.observe("server.dispatch_ms", (write_start - start) * 1000.0)
+        transport.write(("\n".join(out_lines) + "\n").encode("utf-8"))
+        write_ms = (time.perf_counter() - write_start) * 1000.0
+        registry.inc("server.responses_sent", len(out_lines))
+        for _ in out_lines:
+            registry.observe("server.write_ms", write_ms)
 
     def _resolve_chunk(self, chunk: List[_Item]) -> List[str]:
         """One response line per chunk item, in order; control requests in position.
@@ -446,35 +454,6 @@ class AsyncScheduleServer:
                 responses = self.service.serve_chunk(requests)
             out_lines.extend(response_line(response) for response in responses)
         return out_lines
-
-    async def _write_loop(
-        self,
-        writer: asyncio.StreamWriter,
-        outbound: "asyncio.Queue[Optional[str]]",
-        conn: _Connection,
-    ) -> None:
-        """Bounded outbound queue → socket; survives the client vanishing.
-
-        After a write failure the loop keeps *consuming* (and discarding)
-        queued lines until the sentinel, so the dispatch stage can never
-        deadlock against a dead client.
-        """
-        while True:
-            line = await outbound.get()
-            if line is None:
-                break
-            if not conn.alive:
-                continue
-            write_start = time.perf_counter()
-            try:
-                writer.write(line.encode("utf-8") + b"\n")
-                await writer.drain()
-                self._registry.inc("server.responses_sent")
-                self._registry.observe(
-                    "server.write_ms", (time.perf_counter() - write_start) * 1000.0
-                )
-            except (ConnectionError, RuntimeError):
-                conn.alive = False
 
 
 async def run_server(

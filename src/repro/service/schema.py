@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .._hashing import canonical_json, content_hash
 from ..core.platform import Platform
 from ..core.task import TaskSet
 from ..exceptions import RequestValidationError
-from ..schedulers.base import available_schedulers
+from ..schedulers.base import _REGISTRY as _SCHEDULERS, available_schedulers
 from ..workloads import release
 
 __all__ = [
@@ -94,6 +94,16 @@ _KNOWN_FIELDS = frozenset(
     ("schema_version", "platform", "tasks", "scheduler", "seed") + _METADATA_FIELDS
 )
 
+_PLATFORM_FIELDS = frozenset(("comm", "comp"))
+
+#: ``{process: fields a tasks object may carry}``.
+_TASK_FIELDS = {
+    process: frozenset(spec) | {"process", "n"}
+    for process, spec in RELEASE_PROCESSES.items()
+}
+
+_INF = math.inf
+
 
 def _fail(message: str) -> "RequestValidationError":
     return RequestValidationError(message)
@@ -101,6 +111,8 @@ def _fail(message: str) -> "RequestValidationError":
 
 def _as_float(value: Any, where: str) -> float:
     """Coerce a JSON number into a finite float, rejecting bool/str/NaN."""
+    if type(value) is float and -_INF < value < _INF:
+        return value  # fast path: what json.loads yields for a finite number
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise _fail(f"{where} must be a number, got {type(value).__name__}")
     result = float(value)
@@ -111,6 +123,8 @@ def _as_float(value: Any, where: str) -> float:
 
 def _as_int(value: Any, where: str) -> int:
     """Coerce a JSON number into an int, accepting integral floats (``3.0``)."""
+    if type(value) is int:
+        return value  # fast path: bool is a subclass, never ``type(...) is int``
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise _fail(f"{where} must be an integer, got {type(value).__name__}")
     if isinstance(value, (float, np.floating)):
@@ -126,23 +140,35 @@ def _check(value: float, rule: str, where: str) -> None:
         raise _fail(f"{where} must be non-negative, got {value}")
 
 
+def _positive_times(values: Any, name: str) -> List[float]:
+    """Parse one platform time list; every entry a finite positive number."""
+    if not isinstance(values, (list, tuple)) or not values:
+        raise _fail(f"'platform.{name}' must be a non-empty list of numbers")
+    for value in values:
+        # NaN fails the comparison and -0.0 is not above 0.0, so both fall
+        # through to the checks below with their messages.
+        if type(value) is not float or not 0.0 < value < _INF:
+            break
+    else:
+        return list(values)
+    # Type and finiteness errors of any entry take precedence over a
+    # positivity error of an earlier one.
+    parsed = [_as_float(v, f"'platform.{name}[{i}]'") for i, v in enumerate(values)]
+    for index, value in enumerate(parsed):
+        _check(value, "positive", f"'platform.{name}[{index}]'")
+    return parsed
+
+
 def _canonical_platform(raw: Any) -> Dict[str, Any]:
-    if not isinstance(raw, Mapping):
+    if type(raw) is not dict and not isinstance(raw, Mapping):
         raise _fail(f"'platform' must be an object, got {type(raw).__name__}")
-    unknown = set(raw) - {"comm", "comp"}
-    if unknown:
-        raise _fail(f"'platform' has unknown field(s) {sorted(unknown)}")
+    if not _PLATFORM_FIELDS.issuperset(raw):
+        raise _fail(f"'platform' has unknown field(s) {sorted(set(raw) - _PLATFORM_FIELDS)}")
     times: Dict[str, Any] = {}
     for name in ("comm", "comp"):
         if name not in raw:
             raise _fail(f"'platform' is missing required field '{name}'")
-        values = raw[name]
-        if not isinstance(values, (list, tuple)) or not values:
-            raise _fail(f"'platform.{name}' must be a non-empty list of numbers")
-        parsed = [_as_float(v, f"'platform.{name}[{i}]'") for i, v in enumerate(values)]
-        for index, value in enumerate(parsed):
-            _check(value, "positive", f"'platform.{name}[{index}]'")
-        times[name] = parsed
+        times[name] = _positive_times(raw[name], name)
     if len(times["comm"]) != len(times["comp"]):
         raise _fail(
             "'platform.comm' and 'platform.comp' must have the same length, "
@@ -152,10 +178,13 @@ def _canonical_platform(raw: Any) -> Dict[str, Any]:
 
 
 def _canonical_tasks(raw: Any) -> Dict[str, Any]:
-    if isinstance(raw, (int, float, np.integer, np.floating)) and not isinstance(raw, bool):
-        raw = {"n": raw}  # shorthand: bare count = all-at-zero bag
-    if not isinstance(raw, Mapping):
-        raise _fail(f"'tasks' must be an object or a task count, got {type(raw).__name__}")
+    if type(raw) is not dict:
+        if isinstance(raw, (int, float, np.integer, np.floating)) and not isinstance(raw, bool):
+            raw = {"n": raw}  # shorthand: bare count = all-at-zero bag
+        elif not isinstance(raw, Mapping):
+            raise _fail(
+                f"'tasks' must be an object or a task count, got {type(raw).__name__}"
+            )
     process = raw.get("process", "all-at-zero")
     if process not in RELEASE_PROCESSES:
         raise _fail(
@@ -163,8 +192,8 @@ def _canonical_tasks(raw: Any) -> Dict[str, Any]:
             f"available: {sorted(RELEASE_PROCESSES)}"
         )
     spec = RELEASE_PROCESSES[process]
-    unknown = set(raw) - set(spec) - {"process", "n"}
-    if unknown:
+    if not _TASK_FIELDS[process].issuperset(raw):
+        unknown = set(raw) - _TASK_FIELDS[process]
         raise _fail(
             f"'tasks' has field(s) {sorted(unknown)} not accepted by "
             f"process {process!r}"
@@ -175,18 +204,15 @@ def _canonical_tasks(raw: Any) -> Dict[str, Any]:
     _check(n, "positive", "'tasks.n'")
     canonical: Dict[str, Any] = {"process": process, "n": n}
     for name, (kind, default, rule) in spec.items():
+        where = f"'tasks.{name}'"
         if name in raw:
             value = raw[name]
-            parsed = (
-                _as_int(value, f"'tasks.{name}'")
-                if kind == "int"
-                else _as_float(value, f"'tasks.{name}'")
-            )
+            parsed = _as_int(value, where) if kind == "int" else _as_float(value, where)
         elif default is not None:
             parsed = default
         else:
             raise _fail(f"'tasks' process {process!r} requires field {name!r}")
-        _check(parsed, rule, f"'tasks.{name}'")
+        _check(parsed, rule, where)
         canonical[name] = parsed
     return canonical
 
@@ -275,7 +301,7 @@ def canonicalize_request(raw: Any) -> ScheduleRequest:
     :class:`~repro.exceptions.RequestValidationError` on any malformed,
     missing or out-of-range field; never mutates ``raw``.
     """
-    if not isinstance(raw, Mapping):
+    if type(raw) is not dict and not isinstance(raw, Mapping):
         raise _fail(f"request must be a JSON object, got {type(raw).__name__}")
 
     # Version before field inventory: a future-schema request must be told
@@ -287,9 +313,8 @@ def canonicalize_request(raw: Any) -> ScheduleRequest:
             f"version {SCHEMA_VERSION}"
         )
 
-    unknown = set(raw) - _KNOWN_FIELDS
-    if unknown:
-        raise _fail(f"request has unknown field(s) {sorted(unknown)}")
+    if not _KNOWN_FIELDS.issuperset(raw):
+        raise _fail(f"request has unknown field(s) {sorted(set(raw) - _KNOWN_FIELDS)}")
 
     request_id = raw.get("id")
     if request_id is not None and not isinstance(request_id, str):
@@ -313,7 +338,7 @@ def canonicalize_request(raw: Any) -> ScheduleRequest:
     if not isinstance(scheduler, str):
         raise _fail(f"'scheduler' must be a string, got {type(scheduler).__name__}")
     scheduler = scheduler.upper()
-    if scheduler not in available_schedulers():
+    if scheduler not in _SCHEDULERS:
         raise _fail(
             f"unknown scheduler {raw['scheduler']!r}; "
             f"available: {available_schedulers()}"

@@ -230,6 +230,69 @@ class TestSingleConnection:
         assert asyncio.run(go())["id"] == "ok"
 
 
+class TestProtocolCallbacks:
+    """Half-close and the one-chunk turn each connection takes."""
+
+    def test_half_closed_client_still_gets_every_response(self):
+        lines = mixed_stream()
+        baseline = serial_baseline(lines)
+
+        async def go():
+            async with AsyncScheduleServer(make_service()) as server:
+                reader, writer = await asyncio.open_connection(*server.address)
+                writer.write("".join(line + "\n" for line in lines).encode("utf-8"))
+                writer.write_eof()
+                received = await reader.read()  # up to the server's close
+                writer.close()
+                await writer.wait_closed()
+                return received.decode("utf-8")
+
+        assert asyncio.run(go()) == baseline
+
+    def test_unterminated_last_line_is_answered_at_eof(self):
+        lines = [request_line(seed=s, id=f"r{s}") for s in range(3)]
+
+        async def go():
+            async with AsyncScheduleServer(make_service()) as server:
+                reader, writer = await asyncio.open_connection(*server.address)
+                writer.write("\n".join(lines).encode("utf-8"))
+                writer.write_eof()
+                received = await reader.read()
+                writer.close()
+                await writer.wait_closed()
+                return received.decode("utf-8")
+
+        assert asyncio.run(go()) == serial_baseline(lines)
+
+    def test_other_connection_waits_for_at_most_one_chunk(self):
+        # Connection A queues 64 lines (16 chunks at batch size 4); a
+        # metrics request sent on B right after them is answered while
+        # almost all of A's lines are still unresolved.
+        lines = [request_line(seed=s % 4, id=f"a{s}") for s in range(64)]
+
+        async def go():
+            async with AsyncScheduleServer(make_service()) as server:
+                reader_a, writer_a = await asyncio.open_connection(*server.address)
+                reader_b, writer_b = await asyncio.open_connection(*server.address)
+                while server.connections_active < 2:
+                    await asyncio.sleep(0.01)
+                writer_a.write("".join(line + "\n" for line in lines).encode("utf-8"))
+                writer_b.write(json.dumps(metrics_request("b")).encode("utf-8") + b"\n")
+                scrape = json.loads(await reader_b.readline())
+                responses = [json.loads(await reader_a.readline()) for _ in lines]
+                for writer in (writer_a, writer_b):
+                    writer.close()
+                    await writer.wait_closed()
+                return scrape, responses
+
+        scrape, responses = asyncio.run(go())
+        assert [r["id"] for r in responses] == [f"a{s}" for s in range(64)]
+        assert scrape["id"] == "b"
+        # A's lines and B's request arrive together: B waits for at most
+        # one of A's chunks (two, if A's first chunk was already written).
+        assert scrape["metrics"]["counters"]["server.responses_sent"] <= 2 * 4
+
+
 class TestOneThreadPerShard:
     """Chunks resolve on the event-loop thread; ``server.inflight`` counts lines."""
 

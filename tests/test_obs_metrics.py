@@ -30,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import DEFAULT_GROWTH, MetricsRegistry, StreamingHistogram
+from repro.obs.metrics import _MAX_INDEX, _Boundaries
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -112,6 +113,75 @@ class TestHistogramDeterminism:
     def test_merge_rejects_mismatched_growth(self):
         with pytest.raises(ValueError):
             StreamingHistogram(growth=1.1).merge(StreamingHistogram(growth=1.2))
+
+
+# -- bucket identity ---------------------------------------------------------
+class _ReferenceBuckets:
+    """The original guess-and-walk bucketing, kept here as the oracle.
+
+    A ``math.log`` guess, corrected by walking a lazily grown table of
+    repeated multiplications/divisions — the bucket map every committed
+    histogram snapshot was produced with.
+    """
+
+    def __init__(self, growth):
+        self.growth = growth
+        self.pos = [1.0]
+        self.neg = [1.0]
+        self.log_growth = math.log(growth)
+
+    def bound(self, index):
+        if index >= 0:
+            while len(self.pos) <= index:
+                self.pos.append(self.pos[-1] * self.growth)
+            return self.pos[index]
+        while len(self.neg) <= -index:
+            self.neg.append(self.neg[-1] / self.growth)
+        return self.neg[-index]
+
+    def index_of(self, value):
+        guess = int(math.floor(math.log(value) / self.log_growth))
+        guess = max(-_MAX_INDEX, min(_MAX_INDEX, guess))
+        while guess > -_MAX_INDEX and self.bound(guess) > value:
+            guess -= 1
+        while guess < _MAX_INDEX and self.bound(guess + 1) <= value:
+            guess += 1
+        return guess
+
+
+_REFERENCE = _ReferenceBuckets(DEFAULT_GROWTH)
+
+
+class TestBucketIdentity:
+    """``index_of`` (one bisect) maps every value to the reference's bucket."""
+
+    def test_boundaries_and_their_neighbours(self):
+        table = _Boundaries.shared(DEFAULT_GROWTH)
+        probes = [5e-324, 1e-300, 1e300]
+        for index in range(-700, 701):
+            bound = _REFERENCE.bound(index)
+            probes += [bound, math.nextafter(bound, 0.0)]
+        for value in probes:
+            assert table.index_of(value) == _REFERENCE.index_of(value), value
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_any_positive_float(self, value):
+        table = _Boundaries.shared(DEFAULT_GROWTH)
+        assert table.index_of(value) == _REFERENCE.index_of(value)
+
+    def test_table_is_complete_at_construction(self):
+        table = _Boundaries(DEFAULT_GROWTH)
+        sizes = (len(table._pos), len(table._neg))
+        assert sizes == (_MAX_INDEX + 2, _MAX_INDEX + 2)
+        for index in range(-_MAX_INDEX - 1, _MAX_INDEX + 2):
+            assert table.bound(index) == _REFERENCE.bound(index)
+        histogram = StreamingHistogram()
+        histogram._bounds = table
+        histogram.observe_many([5e-324, 1e-30, 0.5, 1.0, 7.0, 1e30, 1e300])
+        histogram.snapshot()
+        # Nothing is appended on use, so concurrent readers never race.
+        assert (len(table._pos), len(table._neg)) == sizes
 
 
 # -- merge associativity -----------------------------------------------------

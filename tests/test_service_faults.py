@@ -8,8 +8,8 @@ else's stream:
 * a shard process killed mid-batch (the router must synthesize typed
   ``shard-unavailable`` responses for that shard's requests while healthy
   shards keep serving);
-* a slow-reading client (the bounded outbound queue plus TCP flow control
-  must stall *that connection's* pipeline — bounded memory — and the
+* a slow-reading client (the transport's bounded write buffer plus TCP
+  flow control must stall *that connection's* pipeline — bounded memory — and the
   stream must still complete byte-identically once the client reads).
 """
 
@@ -68,7 +68,7 @@ class TestClientDisconnect:
             service = ScheduleService(
                 batch_size=4, cache=LRUResultCache(max_entries=64)
             )
-            async with AsyncScheduleServer(service, write_queue_lines=4) as server:
+            async with AsyncScheduleServer(service) as server:
                 host, port = server.address
                 # Client A: send everything, read two responses, then vanish
                 # abruptly (abort = RST, not a graceful FIN).
@@ -210,10 +210,11 @@ class TestSlowReaderBackpressure:
             service = ScheduleService(
                 batch_size=4, cache=LRUResultCache(max_entries=64)
             )
-            # Tiny kernel buffers + a tiny outbound queue: the ~100 KiB of
-            # responses cannot fit anywhere until the client reads.
+            # Tiny kernel buffers + a tiny transport write buffer (its
+            # high-water mark): the ~100 KiB of responses cannot fit
+            # anywhere until the client reads.
             async with AsyncScheduleServer(
-                service, write_queue_lines=8, per_connection_sndbuf=2048
+                service, per_connection_sndbuf=2048
             ) as server:
                 host, port = server.address
                 raw_socket = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -234,8 +235,8 @@ class TestSlowReaderBackpressure:
                 await writer.drain()
 
                 # Without anyone reading, the write pipeline must wedge at a
-                # stable level strictly below the full stream: queue bound +
-                # kernel buffers, not an unbounded backlog.
+                # stable level strictly below the full stream: write-buffer
+                # bound + kernel buffers, not an unbounded backlog.
                 def responses_sent():
                     return service.obs.registry.counter("server.responses_sent")
 

@@ -38,6 +38,12 @@ class TestCanonicalization:
         a = request(platform={"comm": [0.2, 0.5], "comp": [1, 2]})
         assert a.key == request().key  # 1 vs 1.0 for float-valued fields
 
+    def test_integer_platform_lists_collapse(self):
+        ints = request(platform={"comm": [1, 2], "comp": [3, 4]})
+        floats = request(platform={"comm": [1.0, 2.0], "comp": [3.0, 4.0]})
+        assert ints.key == floats.key
+        assert all(type(v) is float for v in ints.config["platform"]["comm"])
+
     def test_integral_float_task_count_collapses(self):
         assert request(tasks={"n": 20.0}).key == request().key
 
@@ -99,6 +105,31 @@ class TestValidation:
             ({**VALID, "platform": {"comm": [0.0], "comp": [1.0]}}, "must be positive"),
             ({**VALID, "platform": {"comm": [0.2, 0.5], "comp": [1.0]}}, "same length"),
             ({**VALID, "platform": {"comm": ["x"], "comp": [1.0]}}, "must be a number"),
+            (
+                {**VALID, "platform": {"comm": [0.2, float("nan")], "comp": [1.0, 2.0]}},
+                "'platform.comm[1]' must be finite",
+            ),
+            (
+                {**VALID, "platform": {"comm": [0.2], "comp": [float("inf")]}},
+                "'platform.comp[0]' must be finite",
+            ),
+            (
+                {**VALID, "platform": {"comm": [-0.0], "comp": [1.0]}},
+                "'platform.comm[0]' must be positive",
+            ),
+            (
+                {**VALID, "platform": {"comm": [-0.5], "comp": [1.0]}},
+                "'platform.comm[0]' must be positive",
+            ),
+            (
+                {**VALID, "platform": {"comm": [True], "comp": [1.0]}},
+                "'platform.comm[0]' must be a number, got bool",
+            ),
+            # A type error anywhere in the list beats an earlier sign error.
+            (
+                {**VALID, "platform": {"comm": [-0.5, "x"], "comp": [1.0, 2.0]}},
+                "'platform.comm[1]' must be a number, got str",
+            ),
             ({**VALID, "tasks": {"process": "nope", "n": 5}}, "unknown"),
             ({**VALID, "tasks": {"process": "poisson", "n": 5}}, "requires field 'rate'"),
             ({**VALID, "tasks": {"process": "poisson", "n": 5, "rate": 0}}, "positive"),
