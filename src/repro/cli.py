@@ -735,10 +735,11 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 def _build_persistence(args: argparse.Namespace):
     """The shard's durability layer per the serve flags (or ``None``).
 
-    Each shard journals under its own ``shard-<index>`` subdirectory of
-    ``--state-dir`` (the index rides in ``REPRO_SHARD_INDEX``, so
-    supervisor respawns land on the dead shard's journal), keeping the
-    replayed keyspace slice aligned with canonical-key routing.
+    Each shard journals under its own ``shard-NN`` subdirectory
+    (zero-padded index) of ``--state-dir`` (the index rides in
+    ``REPRO_SHARD_INDEX``, so supervisor respawns land on the dead
+    shard's journal), keeping the replayed keyspace slice aligned with
+    canonical-key routing.
     """
     if args.state_dir is None or args.no_persist or not args.cache_size:
         return None

@@ -21,8 +21,8 @@ cache **durable across restarts**: every :meth:`put` writes through to an
 append-only journal (compacted into an atomic snapshot when it grows past
 a threshold), and :meth:`warm_load` replays journal+snapshot into the
 cache before a restarted server accepts connections.  Hits on replayed
-entries are counted separately (``warm_hits``) so a soak/chaos audit can
-assert that a SIGKILLed shard really came back warm.
+entries are counted separately (``warm_hits``) so the fault harness's
+audit can assert that a SIGKILLed shard really came back warm.
 
 The clock is injectable (``clock=`` takes any zero-argument callable
 returning seconds) so TTL behaviour is testable without sleeping.

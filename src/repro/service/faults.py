@@ -11,9 +11,11 @@ processes, owned by ``tools/chaos.py``):
 * :class:`FaultEvent` — one fault: ``crash`` (SIGKILL a shard), ``stall``
   (SIGSTOP it for ``duration`` seconds, then SIGCONT — the shard is
   alive but silent, which is what exercises request timeouts), or
-  ``drop`` (sever the client's connection mid-stream).  Events fire at a
-  **request-count boundary** (``at_request``), not at a wall-clock time:
-  request counts are deterministic, wall clocks are not;
+  ``drop`` (sever the client's connection mid-stream).  An event fires
+  when a **monotone count** reaches its trigger (``at_request``); the
+  caller picks the count's unit — submitted requests (deterministic) or
+  elapsed centiseconds (a fixed wall-clock window) — and the schedule
+  itself never reads a clock;
 * :class:`FaultSchedule` — an ordered set of events, buildable from
   compact ``kind:shard@request[:duration]`` spec strings
   (:meth:`FaultSchedule.from_specs`) or sampled from a seeded burst
@@ -46,15 +48,16 @@ FAULT_KINDS = ("crash", "stall", "drop")
 
 @dataclass(frozen=True, order=True)
 class FaultEvent:
-    """One scheduled fault, ordered by its request-count trigger.
+    """One scheduled fault, ordered by its trigger count.
 
     Ordering is ``(at_request, shard, kind)`` via the dataclass field
     order, so a sorted schedule is deterministic even when several events
     share a trigger point.
     """
 
-    #: Submitted-request count at which the fault fires (0-based: the
-    #: event fires just before request ``at_request`` is submitted).
+    #: Trigger on the caller's monotone count — submitted requests or
+    #: elapsed centiseconds.  With submitted requests (0-based) the event
+    #: fires just before request ``at_request`` is submitted.
     at_request: int
     #: Target shard index.
     shard: int
@@ -119,11 +122,11 @@ class FaultEvent:
 class FaultSchedule:
     """An ordered, replayable set of :class:`FaultEvent`.
 
-    The driver walks the request stream and calls :meth:`due` with each
-    submitted-request count; events are handed out exactly once, in
-    order.  The schedule itself holds no process handles and never
-    touches a clock — it is pure data, so equality between two schedules
-    built from the same ``(spec, seed)`` is exact.
+    The harness calls :meth:`due` with its monotone trigger count (the
+    submitted-request count, or elapsed centiseconds); events are handed
+    out exactly once, in order.  The schedule itself holds no process
+    handles and never touches a clock — it is pure data, so equality
+    between two schedules built from the same ``(spec, seed)`` is exact.
     """
 
     events: List[FaultEvent] = field(default_factory=list)
@@ -183,7 +186,7 @@ class FaultSchedule:
         return cls(events)
 
     def due(self, submitted: int) -> List[FaultEvent]:
-        """Events whose trigger has been reached by ``submitted`` requests.
+        """Events whose trigger has been reached by the count ``submitted``.
 
         Monotone replay cursor: each event is returned exactly once, and
         calls must pass non-decreasing counts (the driver's natural order).

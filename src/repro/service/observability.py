@@ -11,8 +11,8 @@ scheduling service.  It owns three things:
   the two stay in sync;
 * the **bounded JSONL event log** (:class:`EventLog`) — structured
   events (slow requests, profile dumps) appended one JSON object per
-  line, size-bounded by single-file rotation so a long soak can never
-  fill the disk;
+  line, size-bounded by single-file rotation so a long-running shard can
+  never fill the disk;
 * the :class:`Observability` context — one per shard process, threaded
   through :class:`~repro.service.dispatcher.ScheduleService` and
   :class:`~repro.service.async_server.AsyncScheduleServer`.  It carries
@@ -63,10 +63,10 @@ T = TypeVar("T")
 
 #: Version of the metrics payload shape.  Bump when a field is renamed or
 #: removed; the round-trip tests pin the current shape so a payload change
-#: without a bump fails loudly instead of breaking ``repro top`` / soak
-#: parsers silently.  Version 2 removed the ``{"type": "stats"}`` payload
-#: and the queue-full shed counter, and added the ``cache.size`` and
-#: ``cache.journal_entries`` gauges.
+#: without a bump fails loudly instead of breaking ``repro top`` / fault
+#: harness parsers silently.  Version 2 removed the ``{"type": "stats"}``
+#: payload and the queue-full shed counter, and added the ``cache.size``
+#: and ``cache.journal_entries`` gauges.
 TELEMETRY_SCHEMA_VERSION = 2
 
 #: Every metric a shard exports, by section.  ``docs/OBSERVABILITY.md``

@@ -144,8 +144,9 @@ class ShardPersistence:
     state_dir:
         Directory owning this shard's journal and snapshot files; created
         on first use.  In a sharded topology each shard gets its own
-        subdirectory (``<state-dir>/shard-<index>``) so restarts replay
-        exactly the keyspace slice the dead shard owned.
+        subdirectory (``<state-dir>/shard-NN``, ``NN`` the zero-padded
+        shard index) so restarts replay exactly the keyspace slice the
+        dead shard owned.
     journal_max_entries:
         Journal records beyond which the next write-through compacts the
         journal into a snapshot.  Smaller values bound replay time and

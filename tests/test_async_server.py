@@ -65,12 +65,14 @@ def serial_baseline(lines):
     return out.getvalue()
 
 
-def serve_concurrently(lines, n_clients, n_shards):
+def serve_concurrently(lines, n_clients, n_shards, client_shards=None):
     """Boot ``n_shards`` in-process servers, stream from ``n_clients``.
 
     Every client streams the *same* request file through a
-    :class:`ShardedClient`; returns one joined response-stream string per
-    client, directly comparable to :func:`serial_baseline`.
+    :class:`ShardedClient` over the first ``client_shards`` server
+    addresses (all of them by default); returns one joined
+    response-stream string per client, directly comparable to
+    :func:`serial_baseline`.
     """
 
     async def one_client(addresses):
@@ -85,7 +87,7 @@ def serve_concurrently(lines, n_clients, n_shards):
             )
             await server.start()
             servers.append(server)
-        addresses = [server.address for server in servers]
+        addresses = [server.address for server in servers][:client_shards]
         try:
             return await asyncio.gather(
                 *(one_client(addresses) for _ in range(n_clients))
@@ -123,6 +125,22 @@ class TestConcurrentDeterminism:
         lines = mixed_stream()
         baseline = serial_baseline(lines)
         for stream in serve_concurrently(lines, n_clients=4, n_shards=3):
+            assert stream == baseline
+
+    @pytest.mark.parametrize("client_shards", [1, 2])
+    def test_client_over_fewer_shards_than_the_servers_matches_serial(
+        self, client_shards
+    ):
+        """A client over fewer shards than the servers still matches serial.
+
+        Its keys land on shards that do not own them; every shard computes
+        what it is sent, so the answers stay byte-identical.
+        """
+        lines = mixed_stream()
+        baseline = serial_baseline(lines)
+        for stream in serve_concurrently(
+            lines, n_clients=2, n_shards=3, client_shards=client_shards
+        ):
             assert stream == baseline
 
     def test_sharded_and_unsharded_streams_are_identical(self):

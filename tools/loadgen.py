@@ -7,7 +7,7 @@ Emits ``--requests`` JSONL schedule requests on stdout, ready to pipe into
 sharded) server and records steady-state RPS and p50/p99 latency.  Adding
 ``--duration SECONDS`` switches the connected mode from "stream the file
 once" to **wall-clock load**: each client cycles the generated file until
-the deadline passes (soak runs), then drains its in-flight window.  Two
+the deadline passes (open-loop load), then drains its in-flight window.  Two
 ingredients make the stream a realistic serving workload rather than a
 uniform batch:
 
@@ -146,8 +146,8 @@ async def _drive_one_client(
     ``max_inflight`` requests outstanding — a sustained closed-loop client,
     not a single giant burst.  Without ``duration`` the client streams the
     file exactly once; with it, the client **cycles** the file until the
-    wall-clock deadline passes (open-loop load over a fixed time window —
-    the soak-run mode), then drains its in-flight window, so every
+    wall-clock deadline passes (open-loop load over a fixed time
+    window), then drains its in-flight window, so every
     submitted request still resolves.
     """
     responses: List[str] = []
@@ -370,7 +370,7 @@ def main(argv=None) -> int:
         help=(
             "with --connect: cycle the generated request file for this many "
             "wall-clock seconds instead of streaming it exactly once "
-            "(open-loop soak load; --requests sets the cycled pool size)"
+            "(open-loop load; --requests sets the cycled pool size)"
         ),
     )
     parser.add_argument(
