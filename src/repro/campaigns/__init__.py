@@ -5,18 +5,12 @@ from "a campaign of simulations" (a grid executed by
 :func:`~repro.campaigns.runner.run_campaign`): the experiment modules under
 :mod:`repro.experiments` declare grids, and this package decides how the
 cells execute — serially, across worker processes, or straight from the
-on-disk result cache — with bit-identical output either way.
+on-disk result cache — with bit-identical output either way.  The names
+below resolve on first access (see :mod:`repro._lazy`): the service needs
+:func:`~repro.campaigns.grid.cell_rng` but not the process pool.
 """
 
-from .cache import CampaignCache
-from .cells import CELL_RUNNERS, run_cell
-from .grid import CampaignCell, cell_rng, stable_entropy
-from .runner import (
-    CampaignResult,
-    StreamingAggregator,
-    default_worker_count,
-    run_campaign,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "CampaignCache",
@@ -30,3 +24,16 @@ __all__ = [
     "run_cell",
     "stable_entropy",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "CampaignCache": ".cache",
+    "CELL_RUNNERS": ".cells",
+    "run_cell": ".cells",
+    "CampaignCell": ".grid",
+    "cell_rng": ".grid",
+    "stable_entropy": ".grid",
+    "CampaignResult": ".runner",
+    "StreamingAggregator": ".runner",
+    "default_worker_count": ".runner",
+    "run_campaign": ".runner",
+})

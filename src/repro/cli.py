@@ -38,35 +38,17 @@ import argparse
 import sys
 from typing import List, Optional
 
+# Only what ``build_parser`` and ``serve`` need is imported here: every
+# ``repro serve`` shard (and each restart of one) pays for these imports
+# before its first response.  The other handlers import their own modules.
 from . import __version__
-from ._hashing import canonical_json
-from .campaigns.cache import CampaignCache
-from .core.engine import simulate
 from .core.kernel import DEFAULT_BACKEND, available_backends
-from .exceptions import RequestValidationError, ScenarioError
-from .core.metrics import evaluate
-from .core.platform import Platform
-from .core.trace import render_ascii_gantt
-from .experiments.config import Figure1Config, Figure2Config
-from .experiments.figure1 import run_figure1
-from .experiments.figure2 import run_figure2
-from .experiments.reporting import (
-    format_figure1,
-    format_figure2,
-    format_sweep,
-    format_table1_result,
-)
-from .experiments.sweep import run_heterogeneity_sweep
-from .experiments.table1 import run_table1
-from .scenarios import available_scenarios, create_scenario
-from .schedulers.base import PAPER_HEURISTICS, available_schedulers, create_scheduler
+from .schedulers.base import available_schedulers
 from .service.async_server import main_serve_forever, parse_address
 from .service.cache import LRUResultCache
 from .service.dispatcher import ScheduleService
-from .service.schema import RELEASE_PROCESSES, canonicalize_request
-from .service.server import response_line, serve_stream, summary
-from .service.sharding import ShardedClient
-from .workloads.release import all_at_zero
+from .service.schema import RELEASE_PROCESSES
+from .service.server import serve_stream, summary
 
 __all__ = ["build_parser", "main"]
 
@@ -90,6 +72,22 @@ def _positive_float(text: str) -> float:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
     return value
+
+
+def _scenario_name(text: str) -> str:
+    """A registered scenario name (``--scenario``).
+
+    Checked here rather than through ``choices=`` so that building the
+    parser does not import the scenario library.
+    """
+    from .scenarios import available_scenarios
+
+    names = available_scenarios()
+    if text not in names:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(map(repr, names))})"
+        )
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure1.add_argument(
         "--scenario",
         default="static",
-        choices=available_scenarios(),
+        type=_scenario_name,
         help="dynamic-platform scenario applied to every run",
     )
 
@@ -184,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="figure1 only: drive the cells through the simulated MPI cluster",
     )
     campaign.add_argument(
-        "--scenario", default="static", choices=available_scenarios(),
+        "--scenario", default="static", type=_scenario_name,
         help="figure1 only: dynamic-platform scenario grid axis",
     )
     campaign.add_argument(
@@ -577,12 +575,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from .experiments.reporting import format_table1_result
+    from .experiments.table1 import run_table1
+
     result = run_table1(include_heuristics=args.heuristics)
     print(format_table1_result(result))
     return 0
 
 
 def _cmd_figure1(args: argparse.Namespace) -> int:
+    from .experiments.config import Figure1Config
+    from .experiments.figure1 import run_figure1
+    from .experiments.reporting import format_figure1
+
     config = Figure1Config(
         n_platforms=args.platforms,
         n_tasks=args.tasks,
@@ -596,6 +601,10 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure2(args: argparse.Namespace) -> int:
+    from .experiments.config import Figure2Config
+    from .experiments.figure2 import run_figure2
+    from .experiments.reporting import format_figure2
+
     config = Figure2Config(
         n_platforms=args.platforms,
         n_tasks=args.tasks,
@@ -608,6 +617,19 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    from .campaigns.cache import CampaignCache
+    from .experiments.config import Figure1Config, Figure2Config
+    from .experiments.figure1 import run_figure1
+    from .experiments.figure2 import run_figure2
+    from .experiments.reporting import (
+        format_figure1,
+        format_figure2,
+        format_sweep,
+        format_table1_result,
+    )
+    from .experiments.sweep import run_heterogeneity_sweep
+    from .experiments.table1 import run_table1
+
     cache = CampaignCache(args.cache_dir) if args.cache_dir else None
     if args.experiment == "figure1":
         config = Figure1Config(
@@ -677,6 +699,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
+    from .core.engine import simulate
+    from .core.metrics import evaluate
+    from .core.platform import Platform
+    from .exceptions import ScenarioError
+    from .scenarios import available_scenarios, create_scenario
+    from .schedulers.base import PAPER_HEURISTICS, create_scheduler
+
     if args.list or args.name is None:
         print(f"{'scenario':<18} description")
         print("-" * 78)
@@ -995,6 +1024,9 @@ def _cmd_request_connected(args: argparse.Namespace) -> int:
     import asyncio
     import json
 
+    from ._hashing import canonical_json
+    from .service.sharding import ShardedClient
+
     try:
         host, port = parse_address(args.connect)
     except ValueError as exc:
@@ -1028,6 +1060,12 @@ def _cmd_request_connected(args: argparse.Namespace) -> int:
 
 
 def _cmd_request(args: argparse.Namespace) -> int:
+    from ._hashing import canonical_json
+    from .exceptions import RequestValidationError
+    from .service.observability import Observability
+    from .service.schema import canonicalize_request
+    from .service.server import response_line
+
     if args.metrics and args.connect is None:
         print("error: --metrics requires --connect", file=sys.stderr)
         return 2
@@ -1047,8 +1085,6 @@ def _cmd_request(args: argparse.Namespace) -> int:
             return 2
         print(canonical_json(payload))
         return 0
-    from .service.observability import Observability
-
     with ScheduleService(
         batch_size=1, observability=Observability(trace=args.trace)
     ) as service:
@@ -1120,6 +1156,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
     import asyncio
     import time
 
+    from .service.sharding import ShardedClient
+
     try:
         host, port = parse_address(args.connect)
     except ValueError as exc:
@@ -1160,6 +1198,13 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
+    from .core.engine import simulate
+    from .core.metrics import evaluate
+    from .core.platform import Platform
+    from .core.trace import render_ascii_gantt
+    from .schedulers.base import create_scheduler
+    from .workloads.release import all_at_zero
+
     if len(args.comm) != len(args.comp):
         print("error: --comm and --comp must have the same length", file=sys.stderr)
         return 2

@@ -1,56 +1,10 @@
 """Core substrate: task & platform model, one-port engine, schedules, metrics.
 
 Everything else in :mod:`repro` (heuristics, lower-bound games, the simulated
-MPI cluster and the experiment harness) is built on the primitives exported
-here.
+MPI cluster and the experiment harness) is built on these primitives.  Import
+them from their defining modules (:mod:`~repro.core.engine`,
+:mod:`~repro.core.events`, :mod:`~repro.core.metrics`,
+:mod:`~repro.core.platform`, :mod:`~repro.core.schedule`,
+:mod:`~repro.core.task`, :mod:`~repro.core.trace`); the most used ones are
+also re-exported by :mod:`repro` itself.
 """
-
-from .engine import Decision, OnePortEngine, SchedulerView, WorkerView, simulate
-from .events import Event, EventKind, EventQueue
-from .metrics import (
-    Objective,
-    ScheduleMetrics,
-    evaluate,
-    makespan,
-    max_flow,
-    mean_flow,
-    objective_value,
-    sum_completion,
-    sum_flow,
-)
-from .platform import Platform, PlatformKind, Worker
-from .schedule import Schedule, TaskRecord
-from .task import Task, TaskSet, identical_tasks
-from .trace import GanttChart, GanttInterval, build_gantt, render_ascii_gantt
-
-__all__ = [
-    "Decision",
-    "Event",
-    "EventKind",
-    "EventQueue",
-    "GanttChart",
-    "GanttInterval",
-    "Objective",
-    "OnePortEngine",
-    "Platform",
-    "PlatformKind",
-    "Schedule",
-    "ScheduleMetrics",
-    "SchedulerView",
-    "Task",
-    "TaskRecord",
-    "TaskSet",
-    "Worker",
-    "WorkerView",
-    "build_gantt",
-    "evaluate",
-    "identical_tasks",
-    "makespan",
-    "max_flow",
-    "mean_flow",
-    "objective_value",
-    "render_ascii_gantt",
-    "simulate",
-    "sum_completion",
-    "sum_flow",
-]

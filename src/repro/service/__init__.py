@@ -43,36 +43,14 @@ ROADMAP's "serve heavy traffic" north star.  Five pieces compose:
   connections.
 
 See ``docs/SERVICE.md`` for the request schema and the determinism/caching
-contract.
+contract.  The names below resolve on first access (see :mod:`repro._lazy`),
+so a shard that imports the server loads neither the sharding client nor
+the supervisor nor the fault model.
 """
 
 from __future__ import annotations
 
-from .async_server import AsyncScheduleServer, parse_address, run_server
-from .cache import LRUResultCache
-from .dispatcher import ScheduleService
-from .executor import execute_request, request_rng
-from .schema import (
-    RELEASE_PROCESSES,
-    SCHEMA_VERSION,
-    ScheduleRequest,
-    build_tasks,
-    canonicalize_request,
-)
-from .faults import FAULT_KINDS, FaultEvent, FaultSchedule
-from .persistence import ShardPersistence, decode_journal, encode_record
-from .server import response_line, serve_lines, serve_stream, summary
-from .sharding import (
-    ClientCounters,
-    ShardedClient,
-    shard_addresses,
-    shard_for_line,
-    shard_for_payload,
-    shard_index,
-    shard_timeout_response,
-    shard_unavailable_response,
-)
-from .supervisor import RestartPolicy, ShardState, ShardSupervisor
+from .._lazy import lazy_exports
 
 __all__ = [
     "AsyncScheduleServer",
@@ -109,3 +87,39 @@ __all__ = [
     "shard_unavailable_response",
     "summary",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "AsyncScheduleServer": ".async_server",
+    "parse_address": ".async_server",
+    "run_server": ".async_server",
+    "LRUResultCache": ".cache",
+    "ScheduleService": ".dispatcher",
+    "execute_request": ".executor",
+    "request_rng": ".executor",
+    "RELEASE_PROCESSES": ".schema",
+    "SCHEMA_VERSION": ".schema",
+    "ScheduleRequest": ".schema",
+    "build_tasks": ".schema",
+    "canonicalize_request": ".schema",
+    "FAULT_KINDS": ".faults",
+    "FaultEvent": ".faults",
+    "FaultSchedule": ".faults",
+    "ShardPersistence": ".persistence",
+    "decode_journal": ".persistence",
+    "encode_record": ".persistence",
+    "response_line": ".server",
+    "serve_lines": ".server",
+    "serve_stream": ".server",
+    "summary": ".server",
+    "ClientCounters": ".sharding",
+    "ShardedClient": ".sharding",
+    "shard_addresses": ".sharding",
+    "shard_for_line": ".sharding",
+    "shard_for_payload": ".sharding",
+    "shard_index": ".sharding",
+    "shard_timeout_response": ".sharding",
+    "shard_unavailable_response": ".sharding",
+    "RestartPolicy": ".supervisor",
+    "ShardState": ".supervisor",
+    "ShardSupervisor": ".supervisor",
+})

@@ -43,9 +43,9 @@ service's.  Metric sections and who writes them:
 
 from __future__ import annotations
 
-import cProfile
 import json
 import os
+import resource
 import threading
 import time
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple, TypeVar
@@ -106,6 +106,7 @@ METRIC_CATALOG: Dict[str, Tuple[str, ...]] = {
         "server.inflight",
         "server.restarts",
         "service.pending",
+        "process.max_rss_mib",
     ),
     "histograms": (
         # per-request span durations (ms), non-overlapping by construction
@@ -123,6 +124,15 @@ METRIC_CATALOG: Dict[str, Tuple[str, ...]] = {
         "server.write_ms",
     ),
 }
+
+
+def max_rss_mib() -> float:
+    """This process's peak resident set size in MiB.
+
+    Linux reports ``ru_maxrss`` in KiB.  Bound as the ``process.max_rss_mib``
+    gauge, so the system call runs only when a scrape reads it.
+    """
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 class EventLog:
@@ -199,6 +209,7 @@ class Observability:
             gauges=METRIC_CATALOG["gauges"],
             histograms=METRIC_CATALOG["histograms"],
         )
+        self.registry.bind_gauge("process.max_rss_mib", max_rss_mib)
 
     # -- event log ----------------------------------------------------------
     def record_event(self, kind: str, **fields: Any) -> None:
@@ -235,6 +246,8 @@ class Observability:
         """
         if not self.profile_every or batch_index % self.profile_every != 0:
             return fn(*args)
+        import cProfile  # only shards started with --profile-every load it
+
         profiler = cProfile.Profile()
         try:
             return profiler.runcall(fn, *args)

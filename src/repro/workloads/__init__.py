@@ -1,38 +1,5 @@
-"""Workload generation: release processes, random platforms, perturbations."""
+"""Workload generation: release processes, random platforms, perturbations.
 
-from .perturbation import PAPER_PERTURBATION_AMPLITUDE, perturb_task_sizes
-from .platforms import (
-    PAPER_COMM_RANGE,
-    PAPER_COMP_RANGE,
-    PAPER_N_PLATFORMS,
-    PAPER_N_WORKERS,
-    PlatformSpec,
-    platform_campaign,
-    random_platform,
-)
-from .release import (
-    all_at_zero,
-    as_rng,
-    bursty_releases,
-    poisson_releases,
-    saturating_releases,
-    uniform_releases,
-)
-
-__all__ = [
-    "PAPER_COMM_RANGE",
-    "PAPER_COMP_RANGE",
-    "PAPER_N_PLATFORMS",
-    "PAPER_N_WORKERS",
-    "PAPER_PERTURBATION_AMPLITUDE",
-    "PlatformSpec",
-    "all_at_zero",
-    "as_rng",
-    "bursty_releases",
-    "perturb_task_sizes",
-    "platform_campaign",
-    "poisson_releases",
-    "random_platform",
-    "saturating_releases",
-    "uniform_releases",
-]
+Import from the defining modules: :mod:`~repro.workloads.release`,
+:mod:`~repro.workloads.platforms` and :mod:`~repro.workloads.perturbation`.
+"""

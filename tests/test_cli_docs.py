@@ -93,3 +93,16 @@ def test_documented_flags_match_parser(command):
         f"{sorted(documented['positionals'])} vs parser "
         f"{sorted(actual['positionals'])})"
     )
+
+
+def test_scenario_rows_name_every_registered_scenario():
+    # ``--scenario`` is checked on use, not through ``choices=`` (building
+    # the parser must not import the scenario library), so its usage line
+    # lists no names and the reference must.
+    from repro.scenarios import available_scenarios
+
+    rows = re.findall(r"^\| `--scenario` \|.*$", DOC_PATH.read_text(encoding="utf-8"), re.M)
+    assert len(rows) == 2, rows
+    for row in rows:
+        missing = [name for name in available_scenarios() if f"`{name}`" not in row]
+        assert not missing, (row, missing)

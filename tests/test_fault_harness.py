@@ -46,7 +46,7 @@ LINES = [request_line(index) for index in range(4)]
 BASELINE = {f"req-{index}": ok_response(index) for index in range(4)}
 
 
-def metrics_payload(warm_hits=0, journal_entries=3):
+def metrics_payload(warm_hits=0, journal_entries=3, max_rss_mib=40.0):
     """One shard's metrics response with the fields the audit reads."""
     return {
         "metrics": {
@@ -62,6 +62,7 @@ def metrics_payload(warm_hits=0, journal_entries=3):
                 "server.restarts": 0,
                 "cache.size": 4,
                 "cache.journal_entries": journal_entries,
+                "process.max_rss_mib": max_rss_mib,
             },
             "histograms": {
                 "service.request_ms": {"p50": 0.2, "p99": 3.0},
@@ -168,6 +169,10 @@ def break_journal_bound(outcome):
     )
 
 
+def break_rss_bound(outcome):
+    outcome["telemetry"][0] = metrics_payload(max_rss_mib=chaos.RSS_BOUND_MIB + 0.5)
+
+
 @pytest.mark.parametrize(
     "strict, breaker",
     [
@@ -183,6 +188,7 @@ def break_journal_bound(outcome):
         (False, break_backoff),
         (False, break_trace_tiling),
         (False, break_journal_bound),
+        (False, break_rss_bound),
     ],
     ids=[
         "lost",
@@ -197,6 +203,7 @@ def break_journal_bound(outcome):
         "backoff-floor",
         "trace-tiling",
         "journal-bound",
+        "rss-bound",
     ],
 )
 def test_each_broken_invariant_is_one_failure(strict, breaker):

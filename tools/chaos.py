@@ -36,10 +36,12 @@ metrics and fires a few traced requests.  :func:`audit` then checks:
    reports ``cache.warm_hits > 0``;
 7. **bounded journal** — ``cache.journal_entries`` stays within the
    compaction threshold;
-8. **no hot-loop** — every restart delay respects the backoff floor;
-9. **trace coverage** — traced spans tile their ``total_ms`` and cover
-   at least 90% of the client-observed latency (runs without
-   ``--pressure`` only: its budget would shed the traced requests).
+8. **bounded memory** — every shard's ``process.max_rss_mib`` (peak RSS)
+   stays within :data:`RSS_BOUND_MIB`;
+9. **no hot-loop** — every restart delay respects the backoff floor;
+10. **trace coverage** — traced spans tile their ``total_ms`` and cover
+    at least 90% of the client-observed latency (runs without
+    ``--pressure`` only: its budget would shed the traced requests).
 
 Everything derives from ``--seed``, so a failing run is re-driven
 unchanged.  The JSON report (``--report FILE``) is written on every run
@@ -116,6 +118,13 @@ RECOVERY_TIMEOUT = 30.0
 #: exercise snapshots).
 SERVER_BATCH_SIZE = 8
 JOURNAL_MAX_ENTRIES = 64
+
+#: Peak RSS (MiB) no shard may exceed by the end of a run.  Five runs of
+#: ``--shards 3 --duration 30 --pressure 64`` (Python 3.11, numpy 2, x86-64
+#: Linux) peaked at 44.1-44.3 MiB per shard; the bound adds 50% for other
+#: interpreter and numpy builds.  A leak of 1 KiB per request would add
+#: about 45 MiB over such a run.
+RSS_BOUND_MIB = 66.5
 
 #: Admission budget on tasks x workers, set on ``--pressure`` runs: the
 #: pressure pool's heavy tail sheds while every pool request is admitted.
@@ -296,9 +305,9 @@ def summarize_telemetry(
 
     Returns ``(summary, problems)``: one row per answering shard with the
     server-side latency quantiles, batch-assembly wait, cache hit rate,
-    shed/slow counts, restart gauge and cache state the audits assert on,
-    plus one problem string per shard whose metrics endpoint did not
-    answer.
+    shed/slow counts, restart gauge, cache state and peak RSS the audits
+    assert on, plus one problem string per shard whose metrics endpoint
+    did not answer.
     """
     summary: Dict[str, Any] = {}
     problems: List[str] = []
@@ -325,6 +334,7 @@ def summarize_telemetry(
             "warm_hits": counters["cache.warm_hits"],
             "cache_size": gauges["cache.size"],
             "journal_entries": gauges["cache.journal_entries"],
+            "max_rss_mib": gauges["process.max_rss_mib"],
         }
     return summary, problems
 
@@ -334,7 +344,7 @@ def format_telemetry_table(summary: Dict[str, Any]) -> List[str]:
     header = (
         f"{'shard':>5} {'responded':>9} {'p50ms':>8} {'p99ms':>8} "
         f"{'bwait95':>8} {'hit%':>6} {'shed':>6} {'slow':>6} {'restarts':>8} "
-        f"{'warm':>6} {'journal':>7}"
+        f"{'warm':>6} {'journal':>7} {'rss_mib':>7}"
     )
     lines = [header, "-" * len(header)]
     for shard, row in sorted(summary.items(), key=lambda item: int(item[0])):
@@ -345,7 +355,7 @@ def format_telemetry_table(summary: Dict[str, Any]) -> List[str]:
             f"{row['p99_ms']:>8.2f} {row['batch_wait_p95_ms']:>8.2f} "
             f"{hit_text:>6} {row['shed']:>6} {row['slow']:>6} "
             f"{row['restarts']:>8.0f} {row['warm_hits']:>6} "
-            f"{row['journal_entries']:>7}"
+            f"{row['journal_entries']:>7} {row['max_rss_mib']:>7.1f}"
         )
     return lines
 
@@ -858,6 +868,16 @@ def audit(
         failures.append(
             f"journal_entries {overgrown} above the compaction bound "
             f"{JOURNAL_MAX_ENTRIES}"
+        )
+
+    bloated = {
+        shard: row["max_rss_mib"]
+        for shard, row in telemetry.items()
+        if row["max_rss_mib"] > RSS_BOUND_MIB
+    }
+    if bloated:
+        failures.append(
+            f"peak RSS (MiB) {bloated} above the bound {RSS_BOUND_MIB}"
         )
 
     # No-hot-loop audit: every announced restart delay must respect the
