@@ -16,23 +16,22 @@ where and when the cell runs.
 
 Experiments may additionally register a *batch* runner — a function
 ``fn(cells, engine_backend) -> list[dict]`` that executes many cells through
-one :meth:`~repro.core.kernel.SimulationKernel.run_batch` call.  Batch
-runners are only consulted when the campaign selects a non-reference
-``engine_backend``; per the backend parity contract they must return exactly
-the metrics the per-cell runner would, so results and caches are
-interchangeable between the two paths.
+one :meth:`~repro.core.kernel.SimulationKernel.run_batch` call.
+:func:`~repro.campaigns.runner.run_cell_batch` consults it only on a
+non-reference ``engine_backend``; per the backend parity contract it must
+return exactly the metrics the per-cell runner would, so results and caches
+are interchangeable between the two paths.
 """
 
 from __future__ import annotations
 
 from importlib import import_module
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
-from ..core.kernel import DEFAULT_BACKEND
 from ..exceptions import CampaignError
 from .grid import CampaignCell
 
-__all__ = ["run_cell", "run_cell_batch", "CELL_RUNNERS", "BATCH_RUNNERS"]
+__all__ = ["run_cell", "batch_runner", "CELL_RUNNERS", "BATCH_RUNNERS"]
 
 #: experiment name -> "module:function" implementing the cell.
 CELL_RUNNERS: Dict[str, str] = {
@@ -82,32 +81,11 @@ def run_cell(cell: CampaignCell) -> Dict[str, Any]:
     return metrics
 
 
-def run_cell_batch(
-    cells: Sequence[CampaignCell], engine_backend: str = DEFAULT_BACKEND
-) -> List[Dict[str, Any]]:
-    """Execute a same-experiment run of cells, batched when possible.
-
-    With the reference backend — or for experiments without a registered
-    batch runner — this is exactly ``[run_cell(c) for c in cells]``; a
-    registered batch runner turns the run into one kernel batch instead.
-    Results are aligned with ``cells`` and identical either way (backend
-    parity contract).
-    """
-    cells = list(cells)
-    if not cells:
-        return []
-    experiment = cells[0].experiment
-    if any(cell.experiment != experiment for cell in cells):
-        raise CampaignError("run_cell_batch requires cells of one experiment")
-    if engine_backend == "reference" or experiment not in BATCH_RUNNERS:
-        return [run_cell(cell) for cell in cells]
+def batch_runner(experiment: str) -> Optional[Callable[..., List[Dict[str, Any]]]]:
+    """The experiment's registered batch runner, or ``None`` if it has none."""
+    if experiment not in BATCH_RUNNERS:
+        return None
     if experiment not in _RESOLVED_BATCH:
         module_name, _, attribute = BATCH_RUNNERS[experiment].partition(":")
         _RESOLVED_BATCH[experiment] = getattr(import_module(module_name), attribute)
-    metrics_list = _RESOLVED_BATCH[experiment](cells, engine_backend)
-    if len(metrics_list) != len(cells):
-        raise CampaignError(
-            f"batch runner for {experiment!r} returned {len(metrics_list)} "
-            f"result(s) for {len(cells)} cell(s)"
-        )
-    return metrics_list
+    return _RESOLVED_BATCH[experiment]

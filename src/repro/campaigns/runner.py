@@ -4,8 +4,12 @@
 
 1. cells whose configuration hash is present in the (optional)
    :class:`~repro.campaigns.cache.CampaignCache` are served from disk;
-2. the remaining cells run either inline (``workers <= 1``) or on a
-   :class:`concurrent.futures.ProcessPoolExecutor`;
+2. the remaining cells are cut into same-experiment chunks of at most
+   :data:`_BATCH_CHUNK` (fewer when the pool's workers would otherwise sit
+   idle), and every chunk runs through :func:`run_cell_batch` — inline
+   (``workers <= 1`` or a single chunk) or on a
+   :class:`concurrent.futures.ProcessPoolExecutor` — whatever the engine
+   backend;
 3. results stream into a :class:`StreamingAggregator` *in grid order* — a
    small reorder buffer holds out-of-order completions until their turn —
    so the aggregated statistics are bit-identical no matter how many
@@ -20,6 +24,7 @@ and cached results are byte-for-byte what the computation produced, so
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -29,18 +34,19 @@ from ..analysis.stats import RunningStat
 from ..core.kernel import DEFAULT_BACKEND, available_backends
 from ..exceptions import CampaignError
 from .cache import CampaignCache
-from .cells import run_cell, run_cell_batch
+from .cells import batch_runner, run_cell
 from .grid import CampaignCell
 
-__all__ = ["CampaignResult", "StreamingAggregator", "run_campaign"]
+__all__ = ["CampaignResult", "StreamingAggregator", "run_campaign", "run_cell_batch"]
 
 #: Keep a small bound on in-flight futures so huge grids do not serialise
-#: all their pending cells into executor queues at once.
+#: all their pending chunks into executor queues at once.
 _MAX_INFLIGHT_PER_WORKER = 4
 
-#: Cells per kernel batch on a non-reference backend: large enough to
-#: amortise the lockstep setup, small enough to keep memory flat on huge
-#: grids (per-batch state is O(batch x workers x tasks)).
+#: Largest chunk: big enough to amortise a pool task's pickling and the
+#: lockstep kernel's setup, small enough to keep memory flat on huge grids
+#: (per-batch state is O(batch x workers x tasks)).  On the pool, chunks
+#: shrink so that every worker gets one (see :func:`_chunk_size`).
 _BATCH_CHUNK = 32
 
 
@@ -132,6 +138,11 @@ def _validated_grid(cells: Sequence[CampaignCell]) -> Tuple[CampaignCell, ...]:
     return grid
 
 
+def _chunk_size(n_cells: int, workers: int) -> int:
+    """Cells per chunk: :data:`_BATCH_CHUNK`, or fewer so ``workers`` share the grid."""
+    return min(_BATCH_CHUNK, max(1, math.ceil(n_cells / max(workers, 1))))
+
+
 def _experiment_chunks(
     cells: Sequence[CampaignCell], size: int
 ) -> List[List[CampaignCell]]:
@@ -147,6 +158,36 @@ def _experiment_chunks(
         else:
             chunks.append([cell])
     return chunks
+
+
+def run_cell_batch(
+    cells: Sequence[CampaignCell], engine_backend: str = DEFAULT_BACKEND
+) -> List[Dict[str, Any]]:
+    """Execute a same-experiment chunk of cells; metrics aligned with ``cells``.
+
+    This is the campaign's one compute step, inline or in a worker process.
+    On the reference backend, and for experiments without a registered
+    batch runner, it loops :func:`~repro.campaigns.cells.run_cell` (through
+    this module's binding, which perfbench's traced run wraps); otherwise
+    the chunk is one kernel batch.  Results are identical either way
+    (backend parity contract).
+    """
+    cells = list(cells)
+    if not cells:
+        return []
+    experiment = cells[0].experiment
+    if any(cell.experiment != experiment for cell in cells):
+        raise CampaignError("run_cell_batch requires cells of one experiment")
+    batch = None if engine_backend == "reference" else batch_runner(experiment)
+    if batch is None:
+        return [run_cell(cell) for cell in cells]
+    metrics_list = batch(cells, engine_backend)
+    if len(metrics_list) != len(cells):
+        raise CampaignError(
+            f"batch runner for {experiment!r} returned {len(metrics_list)} "
+            f"result(s) for {len(cells)} cell(s)"
+        )
+    return metrics_list
 
 
 def default_worker_count() -> int:
@@ -183,12 +224,11 @@ def run_campaign(
         completion order.
     engine_backend:
         Which simulation kernel executes uncached cells (see
-        :mod:`repro.core.kernel`).  ``"reference"`` keeps the per-cell path
-        — inline or process pool.  Any other backend runs the cells in
-        kernel batches of :data:`_BATCH_CHUNK` inline, bypassing the pool
-        (the batch *is* the parallelism); experiments without a batch
-        runner transparently fall back per cell.  Results and caches are
-        identical either way (backend parity contract).
+        :mod:`repro.core.kernel`); the CLI always runs ``"reference"``.
+        Every backend takes the same path: chunks of at most
+        :data:`_BATCH_CHUNK` through :func:`run_cell_batch`, inline or on
+        the pool.  Results and
+        caches are identical either way (backend parity contract).
     """
     if workers < 0:
         raise CampaignError(f"workers must be >= 0, got {workers}")
@@ -222,35 +262,31 @@ def run_campaign(
         else:
             to_compute.append(cell)
 
-    # 2. compute the rest
-    if engine_backend != "reference":
-        for chunk in _experiment_chunks(to_compute, _BATCH_CHUNK):
-            for cell, metrics in zip(chunk, run_cell_batch(chunk, engine_backend)):
-                if cache is not None:
-                    cache.store(cell, metrics)
-                _record(cell, metrics, False)
-    elif workers <= 1 or len(to_compute) <= 1:
-        for cell in to_compute:
-            metrics = run_cell(cell)
+    # 2. compute the rest, one same-experiment chunk at a time
+    chunks = _experiment_chunks(to_compute, _chunk_size(len(to_compute), workers))
+
+    def _computed(chunk: List[CampaignCell], metrics_list: List[Dict[str, Any]]) -> None:
+        for cell, metrics in zip(chunk, metrics_list):
             if cache is not None:
                 cache.store(cell, metrics)
             _record(cell, metrics, False)
+
+    if workers <= 1 or len(chunks) <= 1:
+        for chunk in chunks:
+            _computed(chunk, run_cell_batch(chunk, engine_backend))
     else:
-        max_workers = min(workers, len(to_compute))
+        max_workers = min(workers, len(chunks))
         with ProcessPoolExecutor(max_workers=max_workers) as executor:
-            queue = list(reversed(to_compute))  # pop() from the front of the grid
+            queue = list(reversed(chunks))  # pop() from the front of the grid
             in_flight = {}
             while queue or in_flight:
                 while queue and len(in_flight) < max_workers * _MAX_INFLIGHT_PER_WORKER:
-                    cell = queue.pop()
-                    in_flight[executor.submit(run_cell, cell)] = cell
+                    chunk = queue.pop()
+                    in_flight[executor.submit(run_cell_batch, chunk, engine_backend)] = chunk
                 done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
                 for future in done:
-                    cell = in_flight.pop(future)
-                    metrics = future.result()  # re-raises worker exceptions
-                    if cache is not None:
-                        cache.store(cell, metrics)
-                    _record(cell, metrics, False)
+                    # result() re-raises worker exceptions
+                    _computed(in_flight.pop(future), future.result())
 
     if not aggregator.complete:  # pragma: no cover - internal invariant
         raise CampaignError("campaign finished with unaggregated cells")

@@ -3,21 +3,21 @@
 ``python -m repro <command>`` (or the ``repro-scheduling`` console script)
 regenerates the paper's tables and figures from a terminal:
 
-* ``table1`` — the nine certified lower bounds;
-* ``figure1`` — the heuristic comparison on the four platform classes;
-* ``figure2`` — the robustness experiment;
-* ``campaign`` — any of the above (plus the heterogeneity sweep) through
-  the process-parallel campaign runner: ``--workers N`` fans the grid out
-  over N processes, ``--cache-dir`` caches per-cell results on disk so a
-  re-run only simulates what changed.  The report on stdout is
-  byte-identical for any worker count; execution statistics go to stderr.
+* ``campaign`` — run one experiment through the process-parallel
+  campaign runner: ``table1`` (the nine certified lower bounds),
+  ``figure1`` (the heuristic comparison on the four platform classes),
+  ``figure2`` (the robustness experiment) or ``sweep`` (the heterogeneity
+  sweep).  ``--workers N`` fans the grid out over N processes,
+  ``--cache-dir`` caches per-cell results on disk so a re-run only
+  simulates what changed.  The report on stdout is byte-identical for any
+  worker count; execution statistics go to stderr.
 * ``scenario`` — list the registered dynamic-platform scenarios, or run
   one on a small platform and compare the seven heuristics under it (every
   schedule is re-checked by ``Schedule.validate``).
 * ``serve`` — the scheduling service: a JSONL request/response loop over
   stdin/stdout with request canonicalization, an LRU result cache,
   duplicate coalescing and admission control, whose response stream is
-  byte-identical for any batch size, engine backend or ``--shards`` count.
+  byte-identical for any batch size or ``--shards`` count.
 * ``request`` — build one schedule request from flags and either execute
   it through the service pipeline (one response line on stdout) or
   ``--emit`` it as a JSONL line to feed into ``repro serve``.
@@ -42,7 +42,6 @@ from typing import List, Optional
 # ``repro serve`` shard (and each restart of one) pays for these imports
 # before its first response.  The other handlers import their own modules.
 from . import __version__
-from .core.kernel import DEFAULT_BACKEND, available_backends
 from .schedulers.base import available_schedulers
 from .service.async_server import main_serve_forever, parse_address
 from .service.cache import LRUResultCache
@@ -107,42 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    table1 = subparsers.add_parser("table1", help="regenerate Table 1")
-    table1.add_argument(
-        "--heuristics",
-        action="store_true",
-        help="also play every heuristic against every adversary (slower)",
-    )
-
-    figure1 = subparsers.add_parser("figure1", help="regenerate Figure 1")
-    figure1.add_argument("--platforms", type=int, default=10, help="platforms per panel")
-    figure1.add_argument("--tasks", type=int, default=1000, help="tasks per run")
-    figure1.add_argument("--seed", type=int, default=2006)
-    figure1.add_argument(
-        "--cluster",
-        action="store_true",
-        help="drive the campaign through the simulated MPI cluster substrate",
-    )
-    figure1.add_argument(
-        "--panels",
-        nargs="+",
-        default=None,
-        metavar="PANEL",
-        help="subset of panels to run (1a 1b 1c 1d)",
-    )
-    figure1.add_argument(
-        "--scenario",
-        default="static",
-        type=_scenario_name,
-        help="dynamic-platform scenario applied to every run",
-    )
-
-    figure2 = subparsers.add_parser("figure2", help="regenerate Figure 2")
-    figure2.add_argument("--platforms", type=int, default=10)
-    figure2.add_argument("--tasks", type=int, default=1000)
-    figure2.add_argument("--seed", type=int, default=2006)
-    figure2.add_argument("--amplitude", type=float, default=0.10)
-
     campaign = subparsers.add_parser(
         "campaign",
         help="run an experiment campaign through the parallel runner",
@@ -206,12 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--heuristics", action="store_true",
         help="table1 only: also play every heuristic against every adversary",
     )
-    campaign.add_argument(
-        "--engine-backend",
-        default=DEFAULT_BACKEND,
-        choices=available_backends(),
-        help="simulation kernel executing uncached cells (results are identical)",
-    )
 
     scenario = subparsers.add_parser(
         "scenario",
@@ -258,8 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
             "key), served from a bounded LRU result cache when possible, "
             "coalesced when identical requests are in flight, and simulated "
             "inline.  The response stream is byte-identical for any "
-            "--batch-size, --engine-backend or --shards value; statistics "
-            "go to stderr.  With "
+            "--batch-size or --shards value; statistics go to stderr.  With "
             "--listen HOST:PORT the same protocol is served as a persistent "
             "JSONL-over-TCP socket (concurrent connections, bounded "
             "per-connection backpressure, graceful drain on SIGTERM); "
@@ -310,12 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="COST",
         help="admission budget on tasks x workers per request (default: unbounded)",
-    )
-    serve.add_argument(
-        "--engine-backend",
-        default=DEFAULT_BACKEND,
-        choices=available_backends(),
-        help="simulation kernel executing a batch's unique requests (responses are identical)",
     )
     serve.add_argument(
         "--state-dir",
@@ -574,48 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    from .experiments.reporting import format_table1_result
-    from .experiments.table1 import run_table1
-
-    result = run_table1(include_heuristics=args.heuristics)
-    print(format_table1_result(result))
-    return 0
-
-
-def _cmd_figure1(args: argparse.Namespace) -> int:
-    from .experiments.config import Figure1Config
-    from .experiments.figure1 import run_figure1
-    from .experiments.reporting import format_figure1
-
-    config = Figure1Config(
-        n_platforms=args.platforms,
-        n_tasks=args.tasks,
-        seed=args.seed,
-        use_cluster=args.cluster,
-        scenario=args.scenario,
-    )
-    result = run_figure1(config, panels=args.panels)
-    print(format_figure1(result))
-    return 0
-
-
-def _cmd_figure2(args: argparse.Namespace) -> int:
-    from .experiments.config import Figure2Config
-    from .experiments.figure2 import run_figure2
-    from .experiments.reporting import format_figure2
-
-    config = Figure2Config(
-        n_platforms=args.platforms,
-        n_tasks=args.tasks,
-        seed=args.seed,
-        perturbation_amplitude=args.amplitude,
-    )
-    result = run_figure2(config)
-    print(format_figure2(result))
-    return 0
-
-
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from .campaigns.cache import CampaignCache
     from .experiments.config import Figure1Config, Figure2Config
@@ -639,13 +547,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             use_cluster=args.cluster,
             scenario=args.scenario,
         )
-        result = run_figure1(
-            config,
-            panels=args.panels,
-            workers=args.workers,
-            cache=cache,
-            engine_backend=args.engine_backend,
-        )
+        result = run_figure1(config, panels=args.panels, workers=args.workers, cache=cache)
         report = format_figure1(result)
     elif args.experiment == "figure2":
         config = Figure2Config(
@@ -655,14 +557,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             perturbation_amplitude=args.amplitude,
             n_perturbations=args.perturbations,
         )
-        report = format_figure2(
-            run_figure2(
-                config,
-                workers=args.workers,
-                cache=cache,
-                engine_backend=args.engine_backend,
-            )
-        )
+        report = format_figure2(run_figure2(config, workers=args.workers, cache=cache))
     elif args.experiment == "sweep":
         sweep = run_heterogeneity_sweep(
             dimension=args.dimension,
@@ -672,15 +567,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             rng=args.seed,
             workers=args.workers,
             cache=cache,
-            engine_backend=args.engine_backend,
         )
         report = format_sweep(sweep)
     else:  # table1
         result = run_table1(
-            include_heuristics=args.heuristics,
-            workers=args.workers,
-            cache=cache,
-            engine_backend=args.engine_backend,
+            include_heuristics=args.heuristics, workers=args.workers, cache=cache
         )
         report = format_table1_result(result)
 
@@ -849,7 +740,6 @@ def _build_service(args: argparse.Namespace) -> ScheduleService:
         batch_size=args.batch_size,
         cache=cache,
         max_cost=args.max_cost,
-        engine_backend=args.engine_backend,
         observability=obs,
     )
 
@@ -859,7 +749,6 @@ def _serve_flag_argv(args: argparse.Namespace) -> List[str]:
     argv = [
         "--batch-size", str(args.batch_size),
         "--cache-size", str(args.cache_size),
-        "--engine-backend", args.engine_backend,
     ]
     if args.ttl is not None:
         argv += ["--ttl", str(args.ttl)]
@@ -1228,9 +1117,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {
-        "table1": _cmd_table1,
-        "figure1": _cmd_figure1,
-        "figure2": _cmd_figure2,
         "campaign": _cmd_campaign,
         "scenario": _cmd_scenario,
         "serve": _cmd_serve,

@@ -5,14 +5,17 @@ reference, but it executes one run at a time through a pure-Python event
 loop.  This module extracts the *narrow waist* every caller actually needs —
 submit a bag of tasks + a platform + an optional scenario timeline, get back
 the completed schedule, its canonical trace and its metrics — so that
-alternative execution strategies can be swapped in behind one knob:
+alternative execution strategies can be swapped in behind one interface:
 
 * :class:`ReferenceKernel` (``"reference"``) — one
   :class:`~repro.core.engine.OnePortEngine` run per job.  Always available,
-  always authoritative.
+  always authoritative, and the only engine the CLI and the service run.
 * ``ArrayKernel`` (``"array"``, :mod:`repro.core.kernel_array`) — a numpy
   struct-of-arrays backend that simulates a whole *batch* of jobs in one
-  vectorized lockstep pass.
+  vectorized lockstep pass.  It is reached only through
+  :func:`create_kernel` and
+  ``repro.campaigns.runner.run_campaign(engine_backend=...)``; no
+  command-line flag selects it.
 
 Backend parity contract
 -----------------------
@@ -54,7 +57,7 @@ __all__ = [
     "trace_rows",
 ]
 
-#: The backend every knob defaults to: the event-driven reference engine.
+#: The default backend: the event-driven reference engine.
 DEFAULT_BACKEND = "reference"
 
 

@@ -259,7 +259,6 @@ def run_figure1_panel(
     config: Figure1Config,
     workers: int = 1,
     cache: Optional[CampaignCache] = None,
-    engine_backend: str = "reference",
 ) -> PanelResult:
     """Run one Figure 1 diagram (one platform class)."""
     root_seed = resolve_root_seed(config.seed)
@@ -269,7 +268,6 @@ def run_figure1_panel(
         workers=workers,
         cache=cache,
         group_key=lambda cell: cell.param("scheduler"),
-        engine_backend=engine_backend,
     )
     n_heuristics = len(config.heuristics)
     per_platform: List[Dict[str, Dict[str, float]]] = []
@@ -300,7 +298,6 @@ def run_figure1(
     panels: Optional[Sequence[str]] = None,
     workers: int = 1,
     cache: Optional[CampaignCache] = None,
-    engine_backend: str = "reference",
 ) -> Figure1Result:
     """Run all (or a subset of) the four Figure 1 diagrams."""
     from dataclasses import replace
@@ -314,7 +311,5 @@ def run_figure1(
                 f"unknown Figure 1 panel {name!r}; available: {sorted(FIGURE1_PANELS)}"
             )
         panel_config = replace(config, kind=FIGURE1_PANELS[name])
-        results[name] = run_figure1_panel(
-            panel_config, workers=workers, cache=cache, engine_backend=engine_backend
-        )
+        results[name] = run_figure1_panel(panel_config, workers=workers, cache=cache)
     return Figure1Result(panels=results)

@@ -143,7 +143,6 @@ def run_figure2(
     config: Optional[Figure2Config] = None,
     workers: int = 1,
     cache: Optional[CampaignCache] = None,
-    engine_backend: str = "reference",
 ) -> Figure2Result:
     """Run the Figure 2 robustness campaign."""
     cfg = config if config is not None else Figure2Config()
@@ -154,7 +153,6 @@ def run_figure2(
         workers=workers,
         cache=cache,
         group_key=lambda cell: cell.param("scheduler"),
-        engine_backend=engine_backend,
     )
 
     n_heuristics = len(cfg.heuristics)

@@ -164,7 +164,6 @@ def run_heterogeneity_sweep(
     rng: RngLike = None,
     workers: int = 1,
     cache: Optional[CampaignCache] = None,
-    engine_backend: str = "reference",
 ) -> HeterogeneitySweepResult:
     """Measure the heuristic spread as the platform heterogeneity grows.
 
@@ -191,7 +190,6 @@ def run_heterogeneity_sweep(
         workers=workers,
         cache=cache,
         group_key=lambda cell: cell.param("scheduler"),
-        engine_backend=engine_backend,
     )
 
     n_heuristics = len(heuristics)

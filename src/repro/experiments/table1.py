@@ -137,7 +137,6 @@ def run_table1(
     heuristics: Sequence[str] = DEFAULT_VERIFICATION_HEURISTICS,
     workers: int = 1,
     cache: Optional[CampaignCache] = None,
-    engine_backend: str = "reference",
 ) -> Table1Result:
     """Regenerate Table 1.
 
@@ -148,9 +147,7 @@ def run_table1(
     campaign.
     """
     cells = table1_grid(include_heuristics, heuristics)
-    campaign = run_campaign(
-        cells, workers=workers, cache=cache, engine_backend=engine_backend
-    )
+    campaign = run_campaign(cells, workers=workers, cache=cache)
 
     rows: List[Table1Row] = []
     for cell, metrics in zip(campaign.cells, campaign.metrics):

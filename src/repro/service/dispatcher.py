@@ -16,16 +16,16 @@ service:
    serves what the :class:`~repro.service.cache.LRUResultCache` already
    knows, **coalesces** duplicate in-flight requests (several queued
    requests with one canonical key run one simulation), and runs the
-   remaining unique configurations inline: one batched kernel call on a
-   non-reference backend, otherwise one simulation per key.  Parallelism
-   lives one tier up, in the shard processes of ``repro serve --shards``.
+   remaining unique configurations inline, one simulation per key on the
+   reference engine.  Parallelism lives one tier up, in the shard
+   processes of ``repro serve --shards``.
 3. Responses come back **strictly in submission order**, one per request.
 
 Determinism contract (mirrors the campaign runner): every response is a
 pure function of its canonical request, so the response *stream* is a pure
 function of the request stream and the pump schedule.  Batch size, shard
-count, engine backend, cache state, coalescing and TTL expiry change only
-latency and the metric counters, never a response byte.
+count, cache state, coalescing and TTL expiry change only latency and the
+metric counters, never a response byte.
 
 Telemetry: every counter lives in the shard's
 :class:`~repro.obs.MetricsRegistry` (``service.obs.registry``), which is
@@ -58,10 +58,9 @@ from ..exceptions import (
     ServiceError,
     ServiceOverloadedError,
 )
-from ..core.kernel import DEFAULT_BACKEND, available_backends
 from ..obs import Trace, mint_trace_id
 from .cache import LRUResultCache
-from .executor import execute_batch, execute_request
+from .executor import execute_request
 from .observability import Observability
 from .schema import SCHEMA_VERSION, ScheduleRequest, canonicalize_request
 
@@ -107,14 +106,6 @@ class ScheduleService:
     max_cost:
         Optional per-request budget on ``n_tasks * n_workers``; costlier
         requests are shed at submission.
-    engine_backend:
-        Which simulation kernel executes a batch's unique configurations
-        (see :mod:`repro.core.kernel`).  ``"reference"`` (the default) runs
-        one :func:`~repro.service.executor.execute_request` call per key.
-        Any other backend (e.g. ``"array"``) first tries each pump's unique
-        configurations as one batched
-        :func:`~repro.service.executor.execute_batch` call.  Responses are
-        identical either way (backend parity contract).
     observability:
         Optional :class:`~repro.service.observability.Observability`
         context.  The dispatcher always records its counters and stage
@@ -134,7 +125,6 @@ class ScheduleService:
         batch_size: int = 16,
         cache: Optional[LRUResultCache] = None,
         max_cost: Optional[int] = None,
-        engine_backend: str = DEFAULT_BACKEND,
         observability: Optional[Observability] = None,
     ) -> None:
         if workers != 1:
@@ -146,12 +136,6 @@ class ScheduleService:
             raise ServiceError(f"batch_size must be >= 1, got {batch_size}")
         if max_cost is not None and max_cost <= 0:
             raise ServiceError(f"max_cost must be positive (or None), got {max_cost}")
-        if engine_backend.lower() not in available_backends():
-            raise ServiceError(
-                f"unknown engine backend {engine_backend!r}; "
-                f"available: {available_backends()}"
-            )
-        self.engine_backend = engine_backend.lower()
         if observability is None:
             observability = Observability(
                 registry=cache.registry if cache is not None else None
@@ -427,30 +411,15 @@ class ScheduleService:
     ) -> Dict[str, Any]:
         """Execute one simulation per key; values are metrics or the error.
 
-        A non-reference backend first tries every key in one batched
-        :func:`~repro.service.executor.execute_batch` call.  ``run_batch``
-        is all-or-nothing, so when it raises — one bad request must not
-        poison its batch-mates — and on the reference backend, each key
-        resolves through its own :func:`execute_request` call (backends are
-        metric-identical, so the fall-back changes nothing but latency).
-
-        The per-key loop catches *any* exception — not just
-        :class:`~repro.exceptions.ReproError` — because the
-        one-response-per-request invariant must survive even an engine bug:
-        the failure becomes that key's ``execution-error`` response instead
-        of tearing down the serve loop and dropping every queued request.
+        Each key resolves through its own
+        :func:`~repro.service.executor.execute_request` call, so one bad
+        request never poisons its batch-mates.  The loop catches *any*
+        exception — not just :class:`~repro.exceptions.ReproError` —
+        because the one-response-per-request invariant must survive even an
+        engine bug: the failure becomes that key's ``execution-error``
+        response instead of tearing down the serve loop and dropping every
+        queued request.
         """
-        if not primaries:
-            return {}
-        if self.engine_backend != "reference":
-            try:
-                payloads = execute_batch(
-                    list(primaries.values()), backend=self.engine_backend
-                )
-            except Exception:  # noqa: BLE001 - resolved request by request below
-                pass
-            else:
-                return dict(zip(primaries, payloads))
         results: Dict[str, Any] = {}
         for key, request in primaries.items():
             try:

@@ -11,6 +11,7 @@ The two contracts the ISSUE pins down are covered explicitly:
 from __future__ import annotations
 
 import json
+from concurrent.futures import Future
 
 import pytest
 
@@ -23,11 +24,12 @@ from repro.campaigns import (
     run_campaign,
     run_cell,
 )
+from repro.campaigns import runner
 from repro.campaigns.grid import resolve_root_seed, stable_entropy
 from repro.exceptions import CampaignError
 from repro.experiments.config import Figure1Config, Figure2Config
 from repro.experiments.figure1 import figure1_panel_grid, run_figure1, run_figure1_panel
-from repro.experiments.figure2 import run_figure2
+from repro.experiments.figure2 import figure2_grid, run_figure2
 from repro.experiments.sweep import run_heterogeneity_sweep
 from repro.experiments.table1 import run_table1
 
@@ -305,6 +307,127 @@ class TestRunCampaign:
         cells = [CampaignCell.make("no-such-experiment", 0)]
         with pytest.raises(CampaignError):
             run_campaign(cells, workers=1)
+
+
+# ---------------------------------------------------------------------------
+# One compute path: every backend runs chunks through run_cell_batch
+# ---------------------------------------------------------------------------
+#: Tiny grids of more than one chunk: 35 Figure 1 cells (it has a batch
+#: runner) and 42 Figure 2 cells (it has none).
+TINY_GRIDS = {
+    "figure1": lambda: figure1_panel_grid(Figure1Config(n_platforms=5, n_tasks=20, seed=11), 11),
+    "figure2": lambda: figure2_grid(
+        Figure2Config(n_platforms=2, n_tasks=20, n_perturbations=2, seed=3), 3
+    ),
+}
+
+
+def _by_scheduler(cell):
+    return cell.param("scheduler")
+
+
+@pytest.fixture(scope="module")
+def serial_reference():
+    """Each tiny grid as a serial reference campaign, checked cell by cell."""
+    campaigns = {}
+    for experiment, grid in TINY_GRIDS.items():
+        cells = grid()
+        campaigns[experiment] = run_campaign(cells, workers=1, group_key=_by_scheduler)
+        assert list(campaigns[experiment].metrics) == [run_cell(cell) for cell in cells]
+    return campaigns
+
+
+class RecordingPool:
+    """In-process stand-in for the process pool; records every submission."""
+
+    submitted: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return None
+
+    def submit(self, fn, *args):
+        RecordingPool.submitted.append((fn, args))
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    RecordingPool.submitted = []
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool.submitted
+
+
+class TestOneComputePath:
+    def test_array_backend_submits_run_cell_batch_chunks_to_the_pool(
+        self, recording_pool, serial_reference
+    ):
+        cells = TINY_GRIDS["figure1"]()
+        result = run_campaign(cells, workers=2, engine_backend="array")
+        assert [fn for fn, _ in recording_pool] == [runner.run_cell_batch] * 2
+        assert [backend for _, (_, backend) in recording_pool] == ["array"] * 2
+        assert [[cell.index for cell in chunk] for _, (chunk, _) in recording_pool] == [
+            list(range(18)),
+            list(range(18, 35)),
+        ]
+        assert result.metrics == serial_reference["figure1"].metrics
+
+    @pytest.mark.parametrize(
+        "workers, sizes",
+        [(2, [18, 17]), (4, [9, 9, 9, 8]), (8, [5, 5, 5, 5, 5, 5, 5]), (64, [1] * 35)],
+    )
+    def test_pool_chunks_give_every_worker_a_share(
+        self, recording_pool, serial_reference, workers, sizes
+    ):
+        result = run_campaign(TINY_GRIDS["figure1"](), workers=workers)
+        assert [len(chunk) for _, (chunk, _) in recording_pool] == sizes
+        assert result.metrics == serial_reference["figure1"].metrics
+
+    def test_a_single_chunk_never_builds_the_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single chunk must run inline")
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+        cells = TINY_GRIDS["figure1"]()[:1]
+        result = run_campaign(cells, workers=2)
+        assert list(result.metrics) == [run_cell(cells[0])]
+
+    def test_inline_chunks_stay_at_the_batch_size(self, monkeypatch):
+        chunks = []
+        real = runner.run_cell_batch
+
+        def recording_batch(cells, engine_backend):
+            chunks.append(len(cells))
+            return real(cells, engine_backend)
+
+        monkeypatch.setattr(runner, "run_cell_batch", recording_batch)
+        run_campaign(TINY_GRIDS["figure1"](), workers=1, engine_backend="array")
+        assert chunks == [runner._BATCH_CHUNK, 35 - runner._BATCH_CHUNK]
+
+    @pytest.mark.parametrize("experiment", sorted(TINY_GRIDS))
+    @pytest.mark.parametrize(
+        "backend, workers",
+        [("reference", 1), ("reference", 2), ("array", 1), ("array", 2)],
+    )
+    def test_every_backend_and_worker_count_agree(
+        self, experiment, backend, workers, serial_reference
+    ):
+        expected = serial_reference[experiment]
+        result = run_campaign(
+            TINY_GRIDS[experiment](),
+            workers=workers,
+            group_key=_by_scheduler,
+            engine_backend=backend,
+        )
+        assert result.metrics == expected.metrics
+        assert result.summaries == expected.summaries
 
 
 # ---------------------------------------------------------------------------

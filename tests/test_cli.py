@@ -17,13 +17,33 @@ class TestParser:
 
     def test_known_commands(self):
         parser = build_parser()
-        for command in ("table1", "figure1", "figure2", "demo"):
-            args = parser.parse_args([command])
-            assert args.command == command
+        for experiment in ("table1", "figure1", "figure2", "sweep"):
+            args = parser.parse_args(["campaign", experiment])
+            assert args.command == "campaign"
+            assert args.experiment == experiment
+        assert parser.parse_args(["demo"]).command == "demo"
+
+    @pytest.mark.parametrize("alias", ["table1", "figure1", "figure2"])
+    def test_removed_experiment_aliases_exit_2(self, alias, capsys):
+        # `repro campaign <experiment>` is the one way to run an experiment
+        with pytest.raises(SystemExit) as excinfo:
+            main([alias])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["serve"], ["campaign", "figure1"]], ids=["serve", "campaign"]
+    )
+    def test_parser_rejects_the_removed_engine_backend_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv + ["--engine-backend", "array"])
+        assert excinfo.value.code == 2
+        assert "--engine-backend" in capsys.readouterr().err
 
     def test_figure1_options(self):
         args = build_parser().parse_args(
-            ["figure1", "--platforms", "3", "--tasks", "50", "--panels", "1a", "1d", "--cluster"]
+            ["campaign", "figure1", "--platforms", "3", "--tasks", "50",
+             "--panels", "1a", "1d", "--cluster"]
         )
         assert args.platforms == 3
         assert args.tasks == 50
@@ -51,20 +71,22 @@ class TestParser:
 
 class TestMain:
     def test_table1_command(self, capsys):
-        assert main(["table1"]) == 0
+        assert main(["campaign", "table1"]) == 0
         out = capsys.readouterr().out
         assert "communication-homogeneous" in out
         assert "1.2500" in out
 
     def test_figure1_command_small(self, capsys):
-        code = main(["figure1", "--platforms", "1", "--tasks", "30", "--panels", "1a"])
+        code = main(
+            ["campaign", "figure1", "--platforms", "1", "--tasks", "30", "--panels", "1a"]
+        )
         assert code == 0
         out = capsys.readouterr().out
         assert "Figure 1 panel" in out
         assert "SLJFWC" in out
 
     def test_figure2_command_small(self, capsys):
-        code = main(["figure2", "--platforms", "1", "--tasks", "30"])
+        code = main(["campaign", "figure2", "--platforms", "1", "--tasks", "30"])
         assert code == 0
         assert "Figure 2" in capsys.readouterr().out
 
@@ -286,12 +308,12 @@ class TestScenarioCommand:
 
     def test_figure1_scenario_flag(self, capsys):
         code = main(
-            ["figure1", "--platforms", "1", "--tasks", "30", "--panels", "1a",
-             "--scenario", "degrading-worker"]
+            ["campaign", "figure1", "--platforms", "1", "--tasks", "30",
+             "--panels", "1a", "--scenario", "degrading-worker"]
         )
         assert code == 0
         assert "scenario degrading-worker" in capsys.readouterr().out
 
     def test_figure1_rejects_unknown_scenario(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["figure1", "--scenario", "nope"])
+            build_parser().parse_args(["campaign", "figure1", "--scenario", "nope"])

@@ -198,53 +198,24 @@ class TestTTLExpiry:
         assert cache.expirations == 1
 
 
-class TestEngineBackend:
-    def test_unknown_backend_is_rejected_at_construction(self):
-        with pytest.raises(ServiceError):
-            ScheduleService(engine_backend="nope")
-
+class TestBatchMates:
     @pytest.mark.parametrize("batch_size", [8, 1])
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_array_backend_responses_match_reference_exactly(self, batch_size):
-        # One request overflows its event times to inf: the engine rejects
-        # it, so the array backend's batch raises and falls back to the
-        # per-request loop.  Its batch-mates must still come back "ok", and
-        # the stream must match the reference backend byte for byte.
+    def test_an_overflowing_request_does_not_poison_its_batch_mates(self, batch_size):
+        # One request overflows its event times to inf and the engine
+        # rejects it: it alone becomes an execution-error, and its
+        # batch-mates (one of them a coalesced duplicate) come back "ok".
         overflow = {"comm": [1e308, 1e308], "comp": [1.0, 2.0]}
-
-        def run(backend):
-            service = ScheduleService(batch_size=batch_size, engine_backend=backend)
-            for seed in range(4):
-                service.submit(make_request(seed=seed, tasks=12, id=f"r{seed}"))
-                if seed == 1:
-                    service.submit(
-                        make_request(seed=seed, tasks=12, id="bad", platform=overflow)
-                    )
-            service.submit(make_request(seed=0, tasks=12, id="dup"))  # coalesces
-            return service.drain()
-
-        array = run("array")
-        assert array == run("reference")
-        by_id = {response["id"]: response for response in array}
+        service = ScheduleService(batch_size=batch_size)
+        for seed in range(4):
+            service.submit(make_request(seed=seed, tasks=12, id=f"r{seed}"))
+            if seed == 1:
+                service.submit(make_request(seed=seed, tasks=12, id="bad", platform=overflow))
+        service.submit(make_request(seed=0, tasks=12, id="dup"))  # coalesces
+        by_id = {response["id"]: response for response in service.drain()}
         assert by_id.pop("bad")["error"]["type"] == "execution-error"
         assert [response["status"] for response in by_id.values()] == ["ok"] * 5
-
-    def test_array_backend_falls_back_per_request_on_batch_failure(self, monkeypatch):
-        # run_batch is all-or-nothing; a poisoned batch must degrade to the
-        # serial path so healthy requests still succeed and only the broken
-        # one maps to an execution-error.
-        import repro.service.dispatcher as dispatcher_module
-
-        def explode(requests, backend="array"):
-            raise RuntimeError("batched kernel failure")
-
-        monkeypatch.setattr(dispatcher_module, "execute_batch", explode)
-        service = ScheduleService(batch_size=4, engine_backend="array")
-        service.submit(make_request(seed=1, id="a"))
-        service.submit(make_request(seed=2, id="b"))
-        responses = service.drain()
-        assert [r["status"] for r in responses] == ["ok", "ok"]
-        assert counter(service, "simulations") == 2
+        assert counter(service, "failed") == 1
 
 
 class TestCoalescing:
@@ -456,17 +427,15 @@ class TestDeterminism:
         requests.insert(7, make_request(scheduler="NOPE", id="invalid"))
         return requests
 
-    def run(self, engine_backend):
+    def run(self, batch_size):
         with ScheduleService(
-            batch_size=4,
-            cache=LRUResultCache(max_entries=16),
-            engine_backend=engine_backend,
+            batch_size=batch_size, cache=LRUResultCache(max_entries=16)
         ) as service:
             for raw in self.stream():
                 service.submit(raw)
             return service.drain()
 
-    def test_array_backend_matches_reference_on_a_mixed_stream(self):
-        reference = self.run("reference")
-        assert self.run("array") == reference
-        assert [r["status"] for r in reference].count("error") == 2
+    def test_mixed_stream_is_identical_at_batch_1_and_batch_4(self):
+        batched = self.run(4)
+        assert self.run(1) == batched
+        assert [r["status"] for r in batched].count("error") == 2

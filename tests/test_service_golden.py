@@ -55,20 +55,40 @@ def test_corpus_covers_every_heuristic_release_process_and_width():
 
 
 @pytest.mark.parametrize("batch_size", [8, 1])
-@pytest.mark.parametrize("engine_backend", ["reference", "array"])
-def test_serve_lines_reproduces_the_golden_responses(engine_backend, batch_size):
-    # Both backends, batched and one request per pump: the array kernel's
-    # batched path and the reference per-request path must write the same
-    # bytes (backend parity contract).
+def test_serve_lines_reproduces_the_golden_responses(batch_size):
+    # Batched and one request per pump must write the same bytes.
     expected = RESPONSES.read_text(encoding="utf-8")
-    actual = _serve(
-        _request_lines(), batch_size=batch_size, engine_backend=engine_backend
-    )
+    actual = _serve(_request_lines(), batch_size=batch_size)
     if actual == expected:
         return
     for got, want in zip(actual.splitlines(), expected.splitlines()):
         assert got == want, f"response for {json.loads(want)['id']} drifted"
     assert actual == expected
+
+
+def test_array_kernel_reproduces_the_golden_metrics():
+    # The service runs the reference engine only; the corpus still pins the
+    # array kernel to the same floats on service-shaped jobs, built exactly
+    # as ``execute_request`` builds them (backend parity contract).
+    from repro.core.kernel import KernelJob, create_kernel
+    from repro.service.executor import request_rng
+    from repro.service.schema import build_tasks, canonicalize_request
+
+    requests = [canonicalize_request(json.loads(line)) for line in _request_lines()]
+    jobs = [
+        KernelJob(
+            request.scheduler,
+            request.platform(),
+            build_tasks(request, request_rng(request)),
+            expose_task_count=True,
+        )
+        for request in requests
+    ]
+    results = create_kernel("array").run_batch(jobs)
+    expected = RESPONSES.read_text(encoding="utf-8").splitlines()
+    for result, line in zip(results, expected, strict=True):
+        response = json.loads(line)
+        assert dict(result.metrics) == response["metrics"], response["id"]
 
 
 def test_every_golden_response_is_ok():

@@ -26,9 +26,9 @@ from repro.scenarios import available_scenarios
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Modules a shard never runs: the adversary games, the experiment and
-#: campaign harnesses, the scenario library, the array kernel, the Gantt
-#: renderer, the sharding client, the supervisor, the fault model, the
-#: process pool and the profiler.
+#: campaign harnesses, the scenario library, the kernel interface and its
+#: array backend, the Gantt renderer, the sharding client, the supervisor,
+#: the fault model, the process pool and the profiler.
 NOT_ON_SERVE_PATH = (
     "repro.theory",
     "repro.experiments",
@@ -38,6 +38,7 @@ NOT_ON_SERVE_PATH = (
     "repro.campaigns.runner",
     "repro.campaigns.cells",
     "repro.campaigns.cache",
+    "repro.core.kernel",
     "repro.core.kernel_array",
     "repro.core.trace",
     "repro.service.sharding",
@@ -47,7 +48,7 @@ NOT_ON_SERVE_PATH = (
     "cProfile",
 )
 
-#: Upper bound on the ``repro`` modules a shard loads: 37 do, where the
+#: Upper bound on the ``repro`` modules a shard loads: 36 do, where the
 #: eager package ``__init__``s loaded 68.
 MAX_SERVE_MODULES = 40
 

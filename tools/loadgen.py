@@ -25,8 +25,8 @@ uniform batch:
 
 The stream is a pure function of ``--seed`` and the shape flags, so two
 invocations with the same flags are byte-identical — which is what lets CI
-compare ``repro serve`` against ``repro serve --engine-backend array`` and
-``--batch-size 1`` with a literal ``cmp``.  ``--workers`` here is the
+compare ``repro serve`` against ``repro serve --batch-size 1`` with a
+literal ``cmp``.  ``--workers`` here is the
 simulated platform width of the generated requests, not serve-side
 parallelism; that is ``repro serve --listen HOST:PORT --shards N``.
 
