@@ -47,7 +47,7 @@ from .service.async_server import main_serve_forever, parse_address
 from .service.cache import LRUResultCache
 from .service.dispatcher import ScheduleService
 from .service.schema import RELEASE_PROCESSES
-from .service.server import serve_stream, summary
+from .service.server import serve_lines, summary
 
 __all__ = ["build_parser", "main"]
 
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size",
         type=_positive_int,
         default=16,
-        help="queued requests resolved per dispatch round",
+        help="requests resolved per dispatch round",
     )
     serve.add_argument(
         "--cache-size",
@@ -288,11 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--no-persist",
-        action="store_true",
-        help="with --state-dir: disable durability without dropping the flag",
-    )
-    serve.add_argument(
         "--restart-limit",
         type=_nonnegative_int,
         default=5,
@@ -325,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help=(
-            "append structured JSONL telemetry events (slow requests, "
-            "profile dumps) to per-shard files under this directory"
+            "append structured JSONL telemetry events (slow requests) "
+            "to per-shard files under this directory"
         ),
     )
     serve.add_argument(
@@ -337,16 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "requests slower than this land in the slow-request log "
             "(counter service.slow_requests; event needs --metrics-log)"
-        ),
-    )
-    serve.add_argument(
-        "--profile-every",
-        type=_nonnegative_int,
-        default=0,
-        metavar="N",
-        help=(
-            "cProfile every Nth dispatch batch and dump the .prof under "
-            "--metrics-log or --state-dir (0 disables profiling)"
         ),
     )
     serve.add_argument(
@@ -661,7 +646,7 @@ def _build_persistence(args: argparse.Namespace):
     shard's journal), keeping the replayed keyspace slice aligned with
     canonical-key routing.
     """
-    if args.state_dir is None or args.no_persist or not args.cache_size:
+    if args.state_dir is None or not args.cache_size:
         return None
     import os
     from pathlib import Path
@@ -679,32 +664,19 @@ def _build_observability(args: argparse.Namespace) -> "Observability":
     """The shard's telemetry config per the serve flags.
 
     The event log (``--metrics-log``) gets one ``events-shard<NN>.jsonl``
-    file per shard so concurrent shards never interleave writes; sampled
-    profiles (``--profile-every``) dump under a ``profiles/`` subdirectory
-    of ``--metrics-log`` (or ``--state-dir`` as a fallback).
+    file per shard so concurrent shards never interleave writes.
     """
     import os
 
     from .service.observability import EventLog, Observability
 
-    shard_index = int(os.environ.get("REPRO_SHARD_INDEX", "0"))
     event_log = None
     if args.metrics_log is not None:
+        shard_index = int(os.environ.get("REPRO_SHARD_INDEX", "0"))
         event_log = EventLog(
             os.path.join(args.metrics_log, f"events-shard{shard_index:02d}.jsonl")
         )
-    profile_dir = None
-    if args.profile_every:
-        base = args.metrics_log if args.metrics_log is not None else args.state_dir
-        profile_dir = os.path.join(base, "profiles")
-    return Observability(
-        trace=args.trace,
-        slow_ms=args.slow_ms,
-        event_log=event_log,
-        profile_every=args.profile_every,
-        profile_dir=profile_dir,
-        shard_index=shard_index,
-    )
+    return Observability(trace=args.trace, slow_ms=args.slow_ms, event_log=event_log)
 
 
 def _build_service(args: argparse.Namespace) -> ScheduleService:
@@ -760,16 +732,12 @@ def _serve_flag_argv(args: argparse.Namespace) -> List[str]:
             "--state-dir", str(args.state_dir),
             "--journal-max-entries", str(args.journal_max_entries),
         ]
-    if args.no_persist:
-        argv.append("--no-persist")
     if args.trace:
         argv.append("--trace")
     if args.metrics_log is not None:
         argv += ["--metrics-log", str(args.metrics_log)]
     if args.slow_ms is not None:
         argv += ["--slow-ms", str(args.slow_ms)]
-    if args.profile_every:
-        argv += ["--profile-every", str(args.profile_every)]
     if args.quiet:
         argv.append("--quiet")
     return argv
@@ -833,24 +801,15 @@ def _run_shard_supervisor(args: argparse.Namespace, host: str, port: int) -> int
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.profile_every and args.metrics_log is None and args.state_dir is None:
-        print(
-            "error: --profile-every needs --metrics-log or --state-dir "
-            "(somewhere to dump the .prof files)",
-            file=sys.stderr,
-        )
-        return 2
     if args.listen is None:
         if args.shards != 1:
             print("error: --shards requires --listen", file=sys.stderr)
             return 2
         with _build_service(args) as service:
-            serve_stream(
-                sys.stdin,
-                service,
-                sys.stdout,
-                err=None if args.quiet else sys.stderr,
-            )
+            serve_lines(sys.stdin, service, sys.stdout)
+            if not args.quiet:
+                snapshot = service.obs.registry.snapshot()
+                print(summary(snapshot, cache=service.cache is not None), file=sys.stderr)
         return 0
 
     try:
@@ -977,8 +936,7 @@ def _cmd_request(args: argparse.Namespace) -> int:
     with ScheduleService(
         batch_size=1, observability=Observability(trace=args.trace)
     ) as service:
-        service.submit(payload)
-        (response,) = service.drain()
+        (response,) = service.serve_chunk([payload])
     print(response_line(response))
     if response["status"] != "ok":
         print(f"error: {response['error']['message']}", file=sys.stderr)

@@ -54,7 +54,6 @@ from .._lazy import lazy_exports
 
 __all__ = [
     "AsyncScheduleServer",
-    "ClientCounters",
     "FAULT_KINDS",
     "FaultEvent",
     "FaultSchedule",
@@ -78,7 +77,6 @@ __all__ = [
     "response_line",
     "run_server",
     "serve_lines",
-    "serve_stream",
     "shard_addresses",
     "shard_for_line",
     "shard_for_payload",
@@ -109,9 +107,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "encode_record": ".persistence",
     "response_line": ".server",
     "serve_lines": ".server",
-    "serve_stream": ".server",
     "summary": ".server",
-    "ClientCounters": ".sharding",
     "ShardedClient": ".sharding",
     "shard_addresses": ".sharding",
     "shard_for_line": ".sharding",

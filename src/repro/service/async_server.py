@@ -81,9 +81,9 @@ _Item = Tuple[Any, bool]
 def _parse_line(text: str) -> _Item:
     """Parse one request line, once, into a :data:`_Item`.
 
-    A JSON object travels on parsed (``ScheduleService.submit`` accepts a
-    mapping); any other line travels on as its text, so the dispatcher
-    builds the same error response it builds for the raw line.
+    A JSON object travels on parsed (``ScheduleService.serve_chunk``
+    accepts mappings); any other line travels on as its text, so the
+    dispatcher builds the same error response it builds for the raw line.
     """
     try:
         payload = json.loads(text)

@@ -2,56 +2,47 @@
 
 :class:`ScheduleService` turns the one-shot simulation pipeline
 (platform + scheduler + task bag → metrics) into a request/response
-service:
+service.  :meth:`~ScheduleService.serve_chunk` is its one entry point: it
+takes a chunk of raw requests and returns one response per request, in
+the chunk's order, keeping no request between calls.
 
-1. :meth:`~ScheduleService.submit` validates and canonicalizes one raw
-   request and appends it to a FIFO queue.  **Admission control** happens
-   here: a request whose estimated cost (``n_tasks * n_workers``) exceeds
-   the configured budget is *shed* — it still gets exactly one response, a
+1. **Admission.**  Each raw request is validated and canonicalized.  A
+   request whose estimated cost (``n_tasks * n_workers``) exceeds the
+   configured budget is *shed* — it still gets exactly one response, a
    typed ``service-overloaded`` rejection, so clients never hang on a
-   dropped request.  Malformed requests likewise resolve immediately to
-   ``request-invalid`` responses.  The queue needs no length bound of its
-   own: every transport submits at most one batch before it drains.
-2. :meth:`~ScheduleService.pump` takes the oldest batch off the queue,
-   serves what the :class:`~repro.service.cache.LRUResultCache` already
-   knows, **coalesces** duplicate in-flight requests (several queued
-   requests with one canonical key run one simulation), and runs the
-   remaining unique configurations inline, one simulation per key on the
-   reference engine.  Parallelism lives one tier up, in the shard
-   processes of ``repro serve --shards``.
-3. Responses come back **strictly in submission order**, one per request.
+   dropped request.  Malformed requests likewise resolve at once to
+   ``request-invalid`` responses.
+2. **Batches.**  The admitted chunk is resolved in ``batch_size`` slices,
+   one :meth:`~ScheduleService.pump` each.  A pump serves what the
+   :class:`~repro.service.cache.LRUResultCache` already knows,
+   **coalesces** duplicates (several requests of one batch with one
+   canonical key run one simulation), and runs the remaining unique
+   configurations inline, one simulation per key on the reference
+   engine.  Parallelism lives one tier up, in the shard processes of
+   ``repro serve --shards``.
+3. Responses come back **strictly in chunk order**, one per request.
 
 Determinism contract (mirrors the campaign runner): every response is a
 pure function of its canonical request, so the response *stream* is a pure
-function of the request stream and the pump schedule.  Batch size, shard
-count, cache state, coalescing and TTL expiry change only latency and the
-metric counters, never a response byte.
+function of the request stream.  Batch size, chunking, shard count, cache
+state, coalescing and TTL expiry change only latency and the metric
+counters, never a response byte.
 
 Telemetry: every counter lives in the shard's
 :class:`~repro.obs.MetricsRegistry` (``service.obs.registry``), which is
 also the cache's registry; see :mod:`repro.service.observability`.
 
-Thread safety: all queue and cache state is guarded by an internal lock,
-and counters by the registry's own, so :meth:`~ScheduleService.submit`,
-:meth:`~ScheduleService.pump` and :meth:`~ScheduleService.drain` may be
-driven concurrently from several threads.  The persistent asyncio server
-does not: it resolves every chunk on its event-loop thread.  The sharded
-client's local fall-back does, calling ``serve_chunk`` from the loop's
-default executor.  Simulations themselves run *outside* the lock.  Note
-that raw ``submit``/``drain`` calls from several threads interleave their
-*attribution* — a drain returns whatever is queued, whoever queued it; a
-caller that needs "exactly my responses, in my order" must use
-:meth:`~ScheduleService.serve_chunk`, which makes the submit-then-drain
-sequence atomic.
+A service is driven from one thread at a time: the persistent asyncio
+server resolves every chunk on its event-loop thread, and the sharded
+client's local fall-back serializes its calls with a lock of its own.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..exceptions import (
     RequestValidationError,
@@ -69,16 +60,16 @@ __all__ = ["ScheduleService"]
 
 @dataclass
 class _Entry:
-    """One queue slot: an unresolved request or an already-resolved response.
+    """One admitted request: unresolved, or already resolved to its response.
 
-    The queue list itself is kept in submission order, which is all the
+    A chunk's entries stay in a list in chunk order, which is all the
     ordering bookkeeping responses need.
     """
 
     request: Optional[ScheduleRequest] = None
     response: Optional[Dict[str, Any]] = None
-    #: ``perf_counter`` at submission — the queue-wait span's start.
-    submitted_at: float = 0.0
+    #: ``perf_counter`` at admission — the queue-wait span's start.
+    admitted_at: float = 0.0
     #: ``(start, end)`` of this entry's cache lookup, set by the pump.
     cache_window: Optional[Tuple[float, float]] = None
 
@@ -99,13 +90,13 @@ class ScheduleService:
         (``repro serve --shards``).  The keyword stays only for the
         benchmark's baseline helper, which still passes ``workers=1``.
     batch_size:
-        How many queued requests one :meth:`pump` resolves.
+        How many requests of a chunk one :meth:`pump` resolves.
     cache:
         Optional :class:`~repro.service.cache.LRUResultCache` consulted
         before, and fed after, every simulation.
     max_cost:
         Optional per-request budget on ``n_tasks * n_workers``; costlier
-        requests are shed at submission.
+        requests are shed at admission.
     observability:
         Optional :class:`~repro.service.observability.Observability`
         context.  The dispatcher always records its counters and stage
@@ -150,21 +141,29 @@ class ScheduleService:
         self.max_cost = max_cost
         self.obs = observability
         self._registry = observability.registry
-        self._batch_index = 0
-        self._entries: List[_Entry] = []
-        # Guards queue and cache state.
-        self._lock = threading.Lock()
-        # Serializes whole submit-then-drain sequences (serve_chunk), so
-        # concurrent chunks never steal each other's responses.
-        self._chunk_lock = threading.Lock()
-        self._registry.bind_gauge("service.pending", lambda: self.pending)
 
-    # -- submission / admission ---------------------------------------------
-    def submit(self, raw: Union[str, bytes, Mapping[str, Any]]) -> None:
-        """Accept one raw request (JSONL line or already-parsed mapping).
+    def serve_chunk(
+        self, raws: Iterable[Union[str, bytes, Mapping[str, Any]]]
+    ) -> List[Dict[str, Any]]:
+        """Resolve a chunk of raw requests; one response each, in order.
 
-        Never raises on bad input: malformed or shed requests are queued as
-        pre-resolved error/rejection responses so the output stream stays
+        Every raw request (JSONL line or already-parsed mapping) is
+        admitted first; the entries then resolve in ``batch_size`` slices,
+        one :meth:`pump` per slice.  Nothing is kept between calls.
+        """
+        entries = [self._admit(raw) for raw in raws]
+        size = self.batch_size
+        responses: List[Dict[str, Any]] = []
+        for start in range(0, len(entries), size):
+            responses.extend(self.pump(entries[start:start + size]))
+        return responses
+
+    # -- admission ----------------------------------------------------------
+    def _admit(self, raw: Union[str, bytes, Mapping[str, Any]]) -> _Entry:
+        """Parse, canonicalize and admit one raw request.
+
+        Never raises on bad input: malformed or shed requests become
+        pre-resolved error/rejection entries, so the response stream stays
         one response per request, in order.
         """
         registry = self._registry
@@ -184,24 +183,21 @@ class ScheduleService:
             self._check_admission(request)
         except RequestValidationError as exc:
             registry.inc("service.invalid")
-            entry = _Entry(
+            return _Entry(
                 response=self._response(
                     "error", request_id, error=_error_body("request-invalid", str(exc))
                 )
             )
         except ServiceOverloadedError as exc:
             registry.inc("service.rejected")
-            entry = _Entry(
+            return _Entry(
                 response=self._response(
                     "rejected",
                     request_id,
                     error=_error_body("service-overloaded", str(exc)),
                 )
             )
-        else:
-            entry = _Entry(request=request, submitted_at=perf_counter())
-        with self._lock:
-            self._entries.append(entry)
+        return _Entry(request=request, admitted_at=perf_counter())
 
     def _check_admission(self, request: ScheduleRequest) -> None:
         """Raise :class:`~repro.exceptions.ServiceOverloadedError` on shed."""
@@ -212,112 +208,77 @@ class ScheduleService:
                 f"admission budget {self.max_cost}"
             )
 
-    @property
-    def pending(self) -> int:
-        """Unresolved queued requests (the ``service.pending`` gauge)."""
-        with self._lock:
-            return sum(1 for entry in self._entries if entry.response is None)
-
-    @property
-    def buffered(self) -> int:
-        """Queued entries of any kind, including pre-resolved responses."""
-        with self._lock:
-            return len(self._entries)
-
-    def ready(self) -> bool:
-        """True when a full batch is queued and :meth:`pump` should run."""
-        return len(self._entries) >= self.batch_size
-
     # -- execution ----------------------------------------------------------
-    def pump(self) -> List[Dict[str, Any]]:
-        """Resolve the oldest batch; responses in submission order.
-
-        The batch is extracted from the queue and the cache pass runs under
-        the internal lock (a concurrent ``submit`` can therefore never be
-        lost between the two queue slices — the drain race the asyncio
-        server would otherwise hit); the simulations themselves run outside
-        it, so concurrent pumps overlap their compute.
-        """
-        with self._lock:
-            batch, self._entries = (
-                self._entries[: self.batch_size],
-                self._entries[self.batch_size:],
-            )
-            if not batch:
-                return []
-
-            # 1. cache pass + coalescing groups (first occurrence is primary)
-            groups: "Dict[str, List[_Entry]]" = {}
-            hit_count = 0
-            for entry in batch:
-                if entry.response is not None:
-                    continue
-                request = entry.request
-                assert request is not None
-                lookup_start = perf_counter()
-                cached = self.cache.get(request.key) if self.cache is not None else None
-                entry.cache_window = (lookup_start, perf_counter())
-                if cached is not None:
-                    # Fresh copy per response: a caller mutating its response
-                    # must never rewrite the cached value or a sibling's view.
-                    entry.response = self._response(
-                        "ok", request.request_id, key=request.key, metrics=dict(cached)
-                    )
-                    # The ``ok`` credit is deferred to the fan-out section so
-                    # it lands in the same registry update as ``responded``
-                    # — snapshots must never see the outcome sum torn.
-                    hit_count += 1
-                    self._finalize_entry(entry, sim_window=None)
-                else:
-                    groups.setdefault(request.key, []).append(entry)
-            primaries = {k: v[0].request for k, v in groups.items()}
-            batch_index = self._batch_index
-            self._batch_index += 1
+    def pump(self, batch: Sequence[_Entry]) -> List[Dict[str, Any]]:
+        """Resolve one batch of admitted entries; responses in batch order."""
+        # 1. cache pass + coalescing groups (first occurrence is primary)
+        groups: "Dict[str, List[_Entry]]" = {}
+        hit_count = 0
+        for entry in batch:
+            if entry.response is not None:
+                continue
+            request = entry.request
+            assert request is not None
+            lookup_start = perf_counter()
+            cached = self.cache.get(request.key) if self.cache is not None else None
+            entry.cache_window = (lookup_start, perf_counter())
+            if cached is not None:
+                # Fresh copy per response: a caller mutating its response
+                # must never rewrite the cached value or a sibling's view.
+                entry.response = self._response(
+                    "ok", request.request_id, key=request.key, metrics=dict(cached)
+                )
+                # The ``ok`` credit is deferred to the fan-out section so
+                # it lands in the same registry update as ``responded``
+                # — snapshots must never see the outcome sum torn.
+                hit_count += 1
+                self._finalize_entry(entry, sim_window=None)
+            else:
+                groups.setdefault(request.key, []).append(entry)
+        primaries = {k: v[0].request for k, v in groups.items()}
 
         registry = self._registry
         registry.inc("service.batches")
         registry.observe("service.batch_size", len(batch))
 
-        # 2. one simulation per unique canonical key (lock released: the
-        #    compute stage is the slow part and is safe to overlap)
+        # 2. one simulation per unique canonical key
         sim_start = perf_counter()
-        results = self.obs.profiled_call(batch_index, self._run_unique, primaries)
+        results = self._run_unique(primaries)
         sim_end = perf_counter()
         if primaries:
             registry.observe("service.simulate_ms", (sim_end - sim_start) * 1000.0)
 
         # 3. fan results back out to every coalesced duplicate
         ok, failed, coalesced = hit_count, 0, 0
-        with self._lock:
-            for key, entries in groups.items():
-                result = results[key]
-                coalesced += len(entries) - 1
-                if isinstance(result, Exception):
-                    for entry in entries:
-                        assert entry.request is not None
-                        entry.response = self._response(
-                            "error",
-                            entry.request.request_id,
-                            key=key,
-                            error=_error_body("execution-error", str(result)),
-                        )
-                        failed += 1
-                        self._finalize_entry(entry, sim_window=(sim_start, sim_end))
-                else:
-                    if self.cache is not None:
-                        self.cache.put(key, dict(result))
-                    for entry in entries:
-                        assert entry.request is not None
-                        entry.response = self._response(
-                            "ok", entry.request.request_id, key=key, metrics=dict(result)
-                        )
-                        ok += 1
-                        self._finalize_entry(entry, sim_window=(sim_start, sim_end))
+        for key, entries in groups.items():
+            result = results[key]
+            coalesced += len(entries) - 1
+            if isinstance(result, Exception):
+                for entry in entries:
+                    assert entry.request is not None
+                    entry.response = self._response(
+                        "error",
+                        entry.request.request_id,
+                        key=key,
+                        error=_error_body("execution-error", str(result)),
+                    )
+                    failed += 1
+                    self._finalize_entry(entry, sim_window=(sim_start, sim_end))
+            else:
+                if self.cache is not None:
+                    self.cache.put(key, dict(result))
+                for entry in entries:
+                    assert entry.request is not None
+                    entry.response = self._response(
+                        "ok", entry.request.request_id, key=key, metrics=dict(result)
+                    )
+                    ok += 1
+                    self._finalize_entry(entry, sim_window=(sim_start, sim_end))
 
-            responses = []
-            for entry in batch:
-                assert entry.response is not None
-                responses.append(entry.response)
+        responses = []
+        for entry in batch:
+            assert entry.response is not None
+            responses.append(entry.response)
         registry.add(
             {
                 "service.simulations": len(primaries),
@@ -335,7 +296,7 @@ class ScheduleService:
         """Record one resolved entry's stage timings; attach its trace.
 
         Spans are cut from consecutive clock readings of this entry's path
-        through the pump — submission, cache lookup start/end, the batch's
+        through the pump — admission, cache lookup start/end, the batch's
         simulate window, now — so they never overlap and sum to the
         request's full service-side residence time.  Histograms are always
         recorded; the response-attached trace additionally requires both
@@ -349,10 +310,10 @@ class ScheduleService:
         assert request is not None and response is not None
         assert entry.cache_window is not None
         done = perf_counter()
-        submitted = entry.submitted_at or entry.cache_window[0]
+        admitted = entry.admitted_at
         lookup_start, lookup_end = entry.cache_window
         registry = self._registry
-        registry.observe("service.queue_wait_ms", (lookup_start - submitted) * 1000.0)
+        registry.observe("service.queue_wait_ms", (lookup_start - admitted) * 1000.0)
         registry.observe("service.cache_lookup_ms", (lookup_end - lookup_start) * 1000.0)
         if sim_window is not None:
             registry.observe(
@@ -361,13 +322,13 @@ class ScheduleService:
             registry.observe("service.serialize_ms", (done - sim_window[1]) * 1000.0)
         else:
             registry.observe("service.serialize_ms", (done - lookup_end) * 1000.0)
-        duration_ms = (done - submitted) * 1000.0
+        duration_ms = (done - admitted) * 1000.0
         registry.observe("service.request_ms", duration_ms)
 
         trace_dict: Optional[Dict[str, Any]] = None
         if self.obs.trace_enabled and request.trace:
             trace = Trace(request.request_id or mint_trace_id())
-            trace.add("queue_wait", submitted, lookup_start)
+            trace.add("queue_wait", admitted, lookup_start)
             trace.add("cache_lookup", lookup_start, lookup_end)
             if sim_window is not None:
                 trace.add("batch_assembly", lookup_end, sim_window[0])
@@ -381,31 +342,6 @@ class ScheduleService:
         if self.obs.slow_ms is not None and duration_ms > self.obs.slow_ms:
             self.obs.note_slow_request(request.request_id, duration_ms, trace_dict)
 
-    def drain(self) -> List[Dict[str, Any]]:
-        """Pump until the queue is empty; all responses in order."""
-        responses: List[Dict[str, Any]] = []
-        while self.buffered:
-            responses.extend(self.pump())
-        return responses
-
-    def serve_chunk(
-        self, raws: Iterable[Union[str, bytes, Mapping[str, Any]]]
-    ) -> List[Dict[str, Any]]:
-        """Atomically submit a chunk of raw requests and drain their responses.
-
-        This is the entry point for concurrent transports (one chunk per
-        connection read): the submit-then-drain sequence runs under a chunk
-        lock, so the returned list is exactly one response per submitted
-        request, in submission order, even when many threads serve chunks
-        at once.  Mixing ``serve_chunk`` with raw :meth:`submit` calls from
-        other threads forfeits that attribution (their entries would drain
-        into whichever chunk is active).
-        """
-        with self._chunk_lock:
-            for raw in raws:
-                self.submit(raw)
-            return self.drain()
-
     def _run_unique(
         self, primaries: Mapping[str, ScheduleRequest]
     ) -> Dict[str, Any]:
@@ -418,7 +354,7 @@ class ScheduleService:
         because the one-response-per-request invariant must survive even an
         engine bug: the failure becomes that key's ``execution-error``
         response instead of tearing down the serve loop and dropping every
-        queued request.
+        request of its chunk.
         """
         results: Dict[str, Any] = {}
         for key, request in primaries.items():

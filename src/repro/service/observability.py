@@ -10,14 +10,13 @@ scheduling service.  It owns three things:
   ``docs/OBSERVABILITY.md`` documents exactly these names and CI asserts
   the two stay in sync;
 * the **bounded JSONL event log** (:class:`EventLog`) — structured
-  events (slow requests, profile dumps) appended one JSON object per
-  line, size-bounded by single-file rotation so a long-running shard can
+  events (slow requests) appended one JSON object per line, size-bounded by single-file rotation so a long-running shard can
   never fill the disk;
 * the :class:`Observability` context — one per shard process, threaded
   through :class:`~repro.service.dispatcher.ScheduleService` and
   :class:`~repro.service.async_server.AsyncScheduleServer`.  It carries
-  the registry, the ``--trace`` switch (per-request span collection),
-  the slow-request threshold, and the sampled cProfile hook.
+  the registry, the ``--trace`` switch (per-request span collection)
+  and the slow-request threshold.
 
 The registry is the only store of service telemetry.  One registry per
 shard: the :class:`~repro.service.cache.LRUResultCache` counts into it,
@@ -34,8 +33,8 @@ service's.  Metric sections and who writes them:
   ``server.*`` by the connection pipeline;
 * **gauges** mirror live state and are *bound* to their owners
   (:meth:`~repro.obs.MetricsRegistry.bind_gauge`), read at scrape time:
-  the cache's size and journal length, the dispatcher's backlog, the
-  server's open connections and inflight lines.  ``server.restarts`` is
+  the cache's size and journal length, the server's open connections
+  and inflight lines.  ``server.restarts`` is
   set once, when the server is built;
 * **histograms** are observed on the hot path (per-request stage spans,
   batch shape, per-connection server-loop spans).
@@ -48,7 +47,7 @@ import os
 import resource
 import threading
 import time
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple, TypeVar
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..obs import MetricsRegistry
 
@@ -59,15 +58,14 @@ __all__ = [
     "Observability",
 ]
 
-T = TypeVar("T")
-
 #: Version of the metrics payload shape.  Bump when a field is renamed or
 #: removed; the round-trip tests pin the current shape so a payload change
 #: without a bump fails loudly instead of breaking ``repro top`` / fault
 #: harness parsers silently.  Version 2 removed the ``{"type": "stats"}``
 #: payload and the queue-full shed counter, and added the ``cache.size``
-#: and ``cache.journal_entries`` gauges.
-TELEMETRY_SCHEMA_VERSION = 2
+#: and ``cache.journal_entries`` gauges.  Version 3 removed the
+#: ``service.pending`` gauge and the ``service.profile_dumps`` counter.
+TELEMETRY_SCHEMA_VERSION = 3
 
 #: Every metric a shard exports, by section.  ``docs/OBSERVABILITY.md``
 #: lists exactly these names and the CI metrics-scrape step asserts the
@@ -84,7 +82,6 @@ METRIC_CATALOG: Dict[str, Tuple[str, ...]] = {
         "service.shed_cost",
         "service.slow_requests",
         "service.batches",
-        "service.profile_dumps",
         "service.received",
         "service.responded",
         "service.ok",
@@ -105,7 +102,6 @@ METRIC_CATALOG: Dict[str, Tuple[str, ...]] = {
         "server.connections_active",
         "server.inflight",
         "server.restarts",
-        "service.pending",
         "process.max_rss_mib",
     ),
     "histograms": (
@@ -175,9 +171,9 @@ class Observability:
     """Per-shard observability context threaded through the service.
 
     Owns the :class:`~repro.obs.MetricsRegistry` (with the full
-    :data:`METRIC_CATALOG` pre-declared), the per-request tracing switch,
-    the slow-request event log, and the sampled cProfile hook.  A default
-    instance (everything off except the registry) is created by
+    :data:`METRIC_CATALOG` pre-declared), the per-request tracing switch
+    and the slow-request event log.  A default instance (everything off
+    except the registry) is created by
     :class:`~repro.service.dispatcher.ScheduleService` when none is
     supplied, so instrumentation call sites never branch on ``None``.
     """
@@ -188,22 +184,12 @@ class Observability:
         trace: bool = False,
         slow_ms: Optional[float] = None,
         event_log: Optional[EventLog] = None,
-        profile_every: int = 0,
-        profile_dir: Optional[str] = None,
-        shard_index: int = 0,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        if profile_every < 0:
-            raise ValueError(f"profile_every must be >= 0, got {profile_every}")
-        if profile_every and not profile_dir:
-            raise ValueError("profile_every requires a profile_dir")
         self.registry = registry if registry is not None else MetricsRegistry()
         self.trace_enabled = trace
         self.slow_ms = slow_ms
         self.event_log = event_log
-        self.profile_every = profile_every
-        self.profile_dir = profile_dir
-        self.shard_index = shard_index
         self.registry.declare(
             counters=METRIC_CATALOG["counters"],
             gauges=METRIC_CATALOG["gauges"],
@@ -234,32 +220,6 @@ class Observability:
         if trace is not None:
             event["trace"] = trace
         self.record_event("slow_request", **event)
-
-    # -- sampled profiling --------------------------------------------------
-    def profiled_call(self, batch_index: int, fn: Callable[..., T], *args: Any) -> T:
-        """Run ``fn(*args)``, profiling every ``profile_every``-th batch.
-
-        Sampled batches run under :class:`cProfile.Profile` and the stats
-        are dumped to ``profile_dir`` as
-        ``shard{NN}-batch{NNNNNN}.prof``; all other batches call ``fn``
-        directly with zero overhead.
-        """
-        if not self.profile_every or batch_index % self.profile_every != 0:
-            return fn(*args)
-        import cProfile  # only shards started with --profile-every load it
-
-        profiler = cProfile.Profile()
-        try:
-            return profiler.runcall(fn, *args)
-        finally:
-            os.makedirs(self.profile_dir, exist_ok=True)
-            dump = os.path.join(
-                self.profile_dir,
-                f"shard{self.shard_index:02d}-batch{batch_index:06d}.prof",
-            )
-            profiler.dump_stats(dump)
-            self.registry.inc("service.profile_dumps")
-            self.record_event("profile_dump", path=dump, batch=batch_index)
 
     # -- payload ------------------------------------------------------------
     def metrics_payload(

@@ -14,12 +14,13 @@ determinism contract is checked in CI with a literal ``cmp``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, IO, Iterable, Mapping, Optional
+from itertools import islice
+from typing import Any, Dict, IO, Iterable, Mapping
 
 from .._hashing import canonical_json
 from .dispatcher import ScheduleService
 
-__all__ = ["response_line", "serve_lines", "serve_stream", "summary"]
+__all__ = ["response_line", "serve_lines", "summary"]
 
 
 def response_line(response: Dict[str, Any]) -> str:
@@ -55,54 +56,24 @@ def summary(snapshot: Mapping[str, Any], *, cache: bool = False) -> str:
     return text
 
 
-def serve_lines(
-    lines: Iterable[str],
-    service: ScheduleService,
-    out: IO[str],
-    flush_every_batch: bool = True,
-) -> int:
+def serve_lines(lines: Iterable[str], service: ScheduleService, out: IO[str]) -> int:
     """Run the request loop: read JSONL requests, write JSONL responses.
 
     Blank lines are ignored (so hand-written request files can be spaced
-    for readability); everything else — including malformed JSON — is
-    submitted and resolves to exactly one response line.  Batches are
-    pumped as soon as they fill, and the queue is drained when the input
-    ends, so the stream never loses a response.  Returns the number of
+    for readability); everything else — including malformed JSON —
+    resolves to exactly one response line.  The non-blank lines are cut
+    into chunks of the service's batch size; each chunk's responses are
+    written and flushed before the next chunk is read, so a slow
+    simulation stalls reading, not a queue.  Returns the number of
     responses written.
     """
     written = 0
-    for line in lines:
-        if not line.strip():
-            continue
-        service.submit(line)
-        while service.ready():
-            for response in service.pump():
-                out.write(response_line(response) + "\n")
-                written += 1
-            if flush_every_batch:
-                out.flush()
-    for response in service.drain():
-        out.write(response_line(response) + "\n")
-        written += 1
-    out.flush()
-    return written
-
-
-def serve_stream(
-    stream: IO[str],
-    service: ScheduleService,
-    out: IO[str],
-    err: Optional[IO[str]] = None,
-) -> int:
-    """Serve an open text stream and, optionally, summarise on ``err``.
-
-    Thin convenience over :func:`serve_lines` for the CLI: binds the loop
-    to file objects and prints the :func:`summary` of the service's
-    metrics (with the cache line when the service has a cache) when an
-    error stream is given.
-    """
-    written = serve_lines(stream, service, out)
-    if err is not None:
-        snapshot = service.obs.registry.snapshot()
-        print(summary(snapshot, cache=service.cache is not None), file=err)
-    return written
+    requests = (line for line in lines if line.strip())
+    while True:
+        chunk = list(islice(requests, service.batch_size))
+        if not chunk:
+            return written
+        for response in service.serve_chunk(chunk):
+            out.write(response_line(response) + "\n")
+        out.flush()
+        written += len(chunk)

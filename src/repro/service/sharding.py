@@ -64,9 +64,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..exceptions import RequestValidationError, ServiceError
@@ -86,7 +86,6 @@ __all__ = [
     "shard_addresses",
     "shard_unavailable_response",
     "shard_timeout_response",
-    "ClientCounters",
     "ShardedClient",
 ]
 
@@ -203,31 +202,27 @@ def _request_id_of(line: str) -> Optional[str]:
     return None
 
 
-@dataclass
-class ClientCounters:
-    """Resilience counters of one :class:`ShardedClient` lifetime.
+#: The resilience counters of one :class:`ShardedClient`, counted as
+#: ``client.<name>`` in its registry: resubmissions after a connection
+#: failure, typed ``shard-timeout`` responses, re-opens of a previously
+#: connected shard, requests answered from the local execute path, and
+#: breaker transitions closed → open and (half-)open → closed.  These are
+#: the client-side half of the recovery story; the server-side half
+#: (``restarts``) rides in the shard's own metrics payload.
+_CLIENT_COUNTERS = (
+    "retries",
+    "timeouts",
+    "reconnects",
+    "degraded_responses",
+    "breaker_opens",
+    "breaker_closes",
+)
 
-    These are the client-side half of the recovery observability story —
-    the server-side half (``restarts``) rides in the shard's own metrics
-    payload.  :meth:`ShardedClient.metrics` merges both.
-    """
 
-    #: Resubmissions after a connection failure (bounded retry).
-    retries: int = 0
-    #: Requests resolved with a typed ``shard-timeout`` response.
-    timeouts: int = 0
-    #: Successful re-opens of a previously-connected shard.
-    reconnects: int = 0
-    #: Requests answered from the local execute path (breaker open).
-    degraded_responses: int = 0
-    #: Times any shard's breaker transitioned closed → open.
-    breaker_opens: int = 0
-    #: Times any shard's breaker transitioned (half-)open → closed.
-    breaker_closes: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """The counters as a plain dict (metrics payloads, tests)."""
-        return dict(vars(self))
+def _client_counters(snapshot: Dict[str, Any]) -> Dict[str, int]:
+    """The :data:`_CLIENT_COUNTERS` of a client registry snapshot, unprefixed."""
+    counters = snapshot["counters"]
+    return {name: counters[f"client.{name}"] for name in _CLIENT_COUNTERS}
 
 
 class _Breaker:
@@ -425,18 +420,22 @@ class ShardedClient:
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
         self.retry_backoff_max = retry_backoff_max
-        self.counters = ClientCounters()
-        #: Client-side latency registry: ``client.request_ms`` plus one
+        #: Client-side registry: the ``client.*`` resilience counters
+        #: (:data:`_CLIENT_COUNTERS`), ``client.request_ms`` and one
         #: ``client.shard{i}.request_ms`` histogram per shard, fed by the
         #: read loop from each request's send→response round trip.
         self.registry = MetricsRegistry()
         self.registry.declare(
+            counters=[f"client.{name}" for name in _CLIENT_COUNTERS],
             histograms=["client.request_ms"]
             + [f"client.shard{index}.request_ms" for index in range(len(addresses))]
         )
         self._closed = False
         self._retry_tasks: "set[asyncio.Task]" = set()
         self._local_service = None
+        # The degraded path runs in executor threads; this serializes them
+        # (and close) on the one local service.
+        self._local_lock = threading.Lock()
 
     @classmethod
     def from_base(
@@ -462,7 +461,7 @@ class ShardedClient:
     def client_stats(self) -> Dict[str, Any]:
         """The client-side recovery counters plus per-shard breaker states."""
         return {
-            **self.counters.as_dict(),
+            **_client_counters(self.registry.snapshot()),
             "breaker_state": self.breaker_states(),
         }
 
@@ -511,9 +510,10 @@ class ShardedClient:
                 shard.read_task = None
             self._fail_pending(shard)
             shard.alive = False
-        if self._local_service is not None:
-            self._local_service.close()
-            self._local_service = None
+        with self._local_lock:
+            if self._local_service is not None:
+                self._local_service.close()
+                self._local_service = None
 
     async def __aenter__(self) -> "ShardedClient":
         """Async-context entry: connect to every shard."""
@@ -609,7 +609,7 @@ class ShardedClient:
         snapshot = self.registry.snapshot()
         for shard, payload in zip(self._shards, payloads):
             client_section = {
-                **self.counters.as_dict(),
+                **_client_counters(snapshot),
                 "breaker_state": shard.breaker.state,
                 "request_ms": snapshot["histograms"].get(
                     f"client.shard{shard.index}.request_ms"
@@ -672,15 +672,15 @@ class ShardedClient:
                 )
             except (OSError, asyncio.TimeoutError):
                 if shard.breaker.record_failure():
-                    self.counters.breaker_opens += 1
+                    self.registry.inc("client.breaker_opens")
                 return False
             shard.reader, shard.writer = reader, writer
             shard.alive = True
             if shard.ever_connected:
-                self.counters.reconnects += 1
+                self.registry.inc("client.reconnects")
             shard.ever_connected = True
             if shard.breaker.record_success():
-                self.counters.breaker_closes += 1
+                self.registry.inc("client.breaker_closes")
             shard.read_task = asyncio.create_task(self._read_loop(shard))
             return True
 
@@ -689,7 +689,7 @@ class ShardedClient:
         if entry.future.done():
             return
         if entry.timed_out:
-            self.counters.timeouts += 1
+            self.registry.inc("client.timeouts")
             entry.future.set_result(
                 response_line(
                     shard_timeout_response(
@@ -711,7 +711,7 @@ class ShardedClient:
                 self._resolve_unavailable(shard, entry)
             return
         entry.attempts += 1
-        self.counters.retries += 1
+        self.registry.inc("client.retries")
         delay = min(
             self.retry_backoff_max,
             self.retry_backoff * (2.0 ** (entry.attempts - 1)),
@@ -742,20 +742,26 @@ class ShardedClient:
         """
         loop = asyncio.get_running_loop()
         text = await loop.run_in_executor(None, self._execute_locally, entry.line)
-        self.counters.degraded_responses += 1
+        self.registry.inc("client.degraded_responses")
         if not entry.future.done():
             entry.future.set_result(text)
 
     def _execute_locally(self, line: str) -> str:
-        """Thread body of the degraded path: one request through a local service."""
-        if self._local_service is None:
-            from .cache import LRUResultCache
-            from .dispatcher import ScheduleService
+        """Thread body of the degraded path: one request through a local service.
 
-            self._local_service = ScheduleService(
-                batch_size=1, cache=LRUResultCache(max_entries=256)
-            )
-        (response,) = self._local_service.serve_chunk([line])
+        Several degraded requests can run at once, each in its own
+        executor thread; the lock makes them build one service and take
+        turns on it.
+        """
+        with self._local_lock:
+            if self._local_service is None:
+                from .cache import LRUResultCache
+                from .dispatcher import ScheduleService
+
+                self._local_service = ScheduleService(
+                    batch_size=1, cache=LRUResultCache(max_entries=256)
+                )
+            (response,) = self._local_service.serve_chunk([line])
         return response_line(response)
 
     def _on_timeout(self, shard: _ShardConnection, entry: _Pending) -> None:
@@ -791,7 +797,7 @@ class ShardedClient:
                 entry = shard.pending.popleft()
                 entry.cancel_timer()
                 if shard.breaker.record_success():
-                    self.counters.breaker_closes += 1
+                    self.registry.inc("client.breaker_closes")
                 if not entry.is_control and entry.sent_at:
                     latency_ms = (time.perf_counter() - entry.sent_at) * 1000.0
                     self.registry.observe("client.request_ms", latency_ms)
@@ -817,7 +823,7 @@ class ShardedClient:
             shard.writer = None
         # A connection severed by our own close() is not a shard failure.
         if not self._closed and shard.breaker.record_failure():
-            self.counters.breaker_opens += 1
+            self.registry.inc("client.breaker_opens")
         entries = list(shard.pending)
         shard.pending.clear()
         for entry in entries:
@@ -851,7 +857,7 @@ class ShardedClient:
         if entry.future.done():
             return
         if entry.timed_out:
-            self.counters.timeouts += 1
+            self.registry.inc("client.timeouts")
             entry.future.set_result(
                 response_line(
                     shard_timeout_response(

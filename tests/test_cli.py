@@ -201,6 +201,16 @@ class TestServeCommand:
             "4 simulation(s), 0 coalesced, 0 cache hit(s), 4 miss(es)",
         ]
 
+    def test_serve_summary_goes_to_stderr_not_stdout(self, capsys, monkeypatch):
+        line = self._request_line(id="a")
+        monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n" + line + "\n"))
+        assert main(["serve", "--batch-size", "2"]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 2
+        assert "service:" not in captured.out
+        assert "service: 2 request(s)" in captured.err
+        assert "cache:" in captured.err
+
     def test_serve_quiet_suppresses_stderr(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(self._request_line() + "\n"))
         assert main(["serve", "--quiet"]) == 0

@@ -205,7 +205,7 @@ class TestTelemetrySchema:
 
     def test_metrics_pin_schema_version(self):
         metrics = self._scrape()
-        assert TELEMETRY_SCHEMA_VERSION == 2  # the stats payload was removed
+        assert TELEMETRY_SCHEMA_VERSION == 3  # service.pending and service.profile_dumps went
         assert metrics[0]["metrics"]["schema_version"] == TELEMETRY_SCHEMA_VERSION
         assert metrics[0]["id"] == "m-1"
 

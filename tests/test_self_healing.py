@@ -391,7 +391,7 @@ class TestClientTimeout:
                         await client.submit(request_line(id="t0")), timeout=5.0
                     )
                     elapsed = time.monotonic() - started
-                    return response, elapsed, client.counters.timeouts
+                    return response, elapsed, client.client_stats()["timeouts"]
             finally:
                 server.close()
                 await server.wait_closed()
@@ -444,15 +444,15 @@ class TestClientRetryAndReconnect:
                     response = await asyncio.wait_for(
                         await client.submit(request_line(id="r0")), timeout=5.0
                     )
-                    return response, client.counters
+                    return response, client.client_stats()
             finally:
                 server.close()
                 await server.wait_closed()
 
         response_text, counters = asyncio.run(go())
         assert json.loads(response_text) == {"echo": "r0"}
-        assert counters.retries >= 1
-        assert counters.reconnects >= 1
+        assert counters["retries"] >= 1
+        assert counters["reconnects"] >= 1
 
     def test_client_reconnects_to_a_restarted_shard_on_the_same_port(self):
         async def go():
@@ -472,12 +472,12 @@ class TestClientRetryAndReconnect:
                 )
                 server.close()
                 await server.wait_closed()
-                return first, second, client.counters
+                return first, second, client.client_stats()
 
         first, second, counters = asyncio.run(go())
         assert json.loads(first) == {"echo": "a"}
         assert json.loads(second) == {"echo": "b"}
-        assert counters.reconnects >= 1
+        assert counters["reconnects"] >= 1
 
 
 class TestCircuitBreaker:
@@ -530,8 +530,47 @@ class TestCircuitBreaker:
         assert while_open == ["open"]
         assert json.loads(recovered) == {"echo": "after"}
         assert closed == ["closed"]
-        assert client.counters.degraded_responses == 1
-        assert client.counters.breaker_opens >= 1
+        assert client.client_stats()["degraded_responses"] == 1
+        assert client.client_stats()["breaker_opens"] >= 1
+
+    def test_concurrent_degraded_requests_share_one_local_service(self, monkeypatch):
+        # Degraded requests resolve in executor threads; several at once
+        # must build one local service between them (a slow constructor
+        # widens the window in which unsynchronized threads would each
+        # build their own) and still answer byte-identically.
+        import repro.service.dispatcher as dispatcher_module
+
+        lines = [request_line(seed=seed % 3, id=f"deg-{seed}") for seed in range(6)]
+        with ScheduleService(batch_size=1) as reference:
+            expected = [response_line(r) for r in reference.serve_chunk(lines)]
+        built = []
+
+        class SlowToBuild(ScheduleService):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                time.sleep(0.05)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(dispatcher_module, "ScheduleService", SlowToBuild)
+
+        async def go():
+            server, address, writers = await start_echo_server()
+            client = ShardedClient([address], breaker_threshold=1, breaker_cooldown=60.0)
+            await client.connect()
+            try:
+                await crash_server(server, writers)
+                assert client.breaker_states() == ["open"]
+                futures = await asyncio.wait_for(
+                    asyncio.gather(*(client.submit(line) for line in lines)), timeout=20.0
+                )
+                return [await future for future in futures], client.client_stats()
+            finally:
+                await client.close()
+
+        responses, stats = asyncio.run(go())
+        assert responses == expected
+        assert len(built) == 1
+        assert stats["degraded_responses"] == len(lines)
 
 
 class TestMetricsSchemaRoundTrip:

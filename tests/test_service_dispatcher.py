@@ -46,8 +46,7 @@ class TestConstruction:
 
     def test_workers_keyword_accepts_only_one_and_points_at_shards(self):
         service = ScheduleService(workers=1, batch_size=2)
-        service.submit(make_request(seed=1))
-        assert service.drain()[0]["status"] == "ok"
+        assert service.serve_chunk([make_request(seed=1)])[0]["status"] == "ok"
         assert not hasattr(service, "workers")
         with pytest.raises(ServiceError, match="--shards"):
             ScheduleService(workers=4)
@@ -56,9 +55,7 @@ class TestConstruction:
         cache = LRUResultCache(max_entries=4)
         service = ScheduleService(batch_size=1, cache=cache)
         assert service.obs.registry is cache.registry
-        service.submit(make_request(seed=1))
-        service.submit(make_request(seed=1))
-        service.drain()
+        service.serve_chunk([make_request(seed=1), make_request(seed=1)])
         snapshot = cache.registry.snapshot()
         assert snapshot["counters"]["service.responded"] == 2
         assert snapshot["counters"]["cache.hits"] == 1
@@ -75,34 +72,36 @@ class TestConstruction:
 class TestLifecycle:
     def test_close_is_idempotent_and_safe_without_a_cache(self):
         with ScheduleService(batch_size=2) as service:
-            service.submit(make_request(seed=1))
-            assert service.drain()[0]["status"] == "ok"
+            assert service.serve_chunk([make_request(seed=1)])[0]["status"] == "ok"
         service.close()
 
         cache = LRUResultCache(max_entries=4)
         service = ScheduleService(batch_size=2, cache=cache)
         service.close()
         cache.close()  # closing the service first must not break this
-        service.submit(make_request(seed=2))
-        assert service.drain()[0]["status"] == "ok"  # still serves after close
+        (response,) = service.serve_chunk([make_request(seed=2)])
+        assert response["status"] == "ok"  # still serves after close
 
 
 class TestResponses:
     def test_one_response_per_request_in_submission_order(self):
         service = ScheduleService(batch_size=4)
-        for seed in range(5):
-            service.submit(make_request(seed=seed, id=f"r{seed}"))
-        responses = service.drain()
+        responses = service.serve_chunk(
+            [make_request(seed=seed, id=f"r{seed}") for seed in range(5)]
+        )
         assert [r["id"] for r in responses] == [f"r{seed}" for seed in range(5)]
         assert all(r["status"] == "ok" for r in responses)
         assert counter(service, "responded") == 5
 
     def test_malformed_requests_resolve_to_error_responses(self):
         service = ScheduleService(batch_size=2)
-        service.submit("this is not json")
-        service.submit(make_request(scheduler="NOPE", id="bad"))
-        service.submit(make_request(id="good"))
-        invalid_json, bad, good = service.drain()
+        invalid_json, bad, good = service.serve_chunk(
+            [
+                "this is not json",
+                make_request(scheduler="NOPE", id="bad"),
+                make_request(id="good"),
+            ]
+        )
         assert invalid_json["status"] == "error"
         assert invalid_json["error"]["type"] == "request-invalid"
         assert bad["status"] == "error"
@@ -113,8 +112,7 @@ class TestResponses:
     def test_response_metrics_match_direct_execution(self):
         raw = make_request(seed=5, tasks=15)
         service = ScheduleService(batch_size=1)
-        service.submit(raw)
-        (response,) = service.drain()
+        (response,) = service.serve_chunk([raw])
         assert response["metrics"] == execute_request(canonicalize_request(raw))
 
 
@@ -129,9 +127,9 @@ class TestExecutionErrors:
 
         monkeypatch.setattr(dispatcher_module, "execute_request", explode)
         service = ScheduleService(batch_size=2)
-        service.submit(make_request(seed=1, id="a"))
-        service.submit(make_request(seed=1, id="b"))  # coalesced duplicate
-        responses = service.drain()
+        responses = service.serve_chunk(
+            [make_request(seed=1, id="a"), make_request(seed=1, id="b")]  # b coalesces
+        )
         assert [r["status"] for r in responses] == ["error", "error"]
         assert all(r["error"]["type"] == "execution-error" for r in responses)
         assert "engine bug" in responses[0]["error"]["message"]
@@ -142,13 +140,14 @@ class TestExecutionErrors:
         # ends at inf: the event queue rejects that time, and the request
         # must resolve to a typed error instead of hanging or crashing.
         service = ScheduleService(batch_size=2)
-        service.submit(
-            make_request(
-                tasks=5, id="huge", platform={"comm": [1e308, 1e308], "comp": [1.0, 1.0]}
-            )
+        huge, after = service.serve_chunk(
+            [
+                make_request(
+                    tasks=5, id="huge", platform={"comm": [1e308, 1e308], "comp": [1.0, 1.0]}
+                ),
+                make_request(seed=1, id="after"),
+            ]
         )
-        service.submit(make_request(seed=1, id="after"))
-        huge, after = service.drain()
         assert huge["id"] == "huge"
         assert huge["status"] == "error"
         assert huge["error"]["type"] == "execution-error"
@@ -170,10 +169,9 @@ class TestExecutionErrors:
 
         monkeypatch.setattr(dispatcher_module, "execute_request", flaky)
         service = ScheduleService(batch_size=1, cache=LRUResultCache())
-        service.submit(make_request(seed=1))
-        assert service.drain()[0]["status"] == "error"
-        service.submit(make_request(seed=1))
-        assert service.drain()[0]["status"] == "ok"  # retried, not served stale
+        assert service.serve_chunk([make_request(seed=1)])[0]["status"] == "error"
+        # retried, not served stale
+        assert service.serve_chunk([make_request(seed=1)])[0]["status"] == "ok"
 
 
 class TestTTLExpiry:
@@ -186,11 +184,13 @@ class TestTTLExpiry:
         ticks = iter([0.0, 5.0, 15.0, 20.0])
         cache = LRUResultCache(max_entries=8, ttl=10.0, clock=lambda: next(ticks))
         service = ScheduleService(batch_size=4, cache=cache)
-        service.submit(make_request(seed=9, id="warm"))  # put at t=0
-        service.drain()
-        service.submit(make_request(seed=9, id="hit"))  # get at t=5: fresh
-        service.submit(make_request(seed=9, id="expired"))  # get at t=15: expired
-        hit, expired = service.drain()
+        service.serve_chunk([make_request(seed=9, id="warm")])  # put at t=0
+        hit, expired = service.serve_chunk(
+            [
+                make_request(seed=9, id="hit"),  # get at t=5: fresh
+                make_request(seed=9, id="expired"),  # get at t=15: expired
+            ]
+        )
         assert hit["status"] == "ok" and expired["status"] == "ok"
         assert hit["metrics"] == expired["metrics"]
         assert service.cache.hits == 1
@@ -207,12 +207,13 @@ class TestBatchMates:
         # batch-mates (one of them a coalesced duplicate) come back "ok".
         overflow = {"comm": [1e308, 1e308], "comp": [1.0, 2.0]}
         service = ScheduleService(batch_size=batch_size)
+        chunk = []
         for seed in range(4):
-            service.submit(make_request(seed=seed, tasks=12, id=f"r{seed}"))
+            chunk.append(make_request(seed=seed, tasks=12, id=f"r{seed}"))
             if seed == 1:
-                service.submit(make_request(seed=seed, tasks=12, id="bad", platform=overflow))
-        service.submit(make_request(seed=0, tasks=12, id="dup"))  # coalesces
-        by_id = {response["id"]: response for response in service.drain()}
+                chunk.append(make_request(seed=seed, tasks=12, id="bad", platform=overflow))
+        chunk.append(make_request(seed=0, tasks=12, id="dup"))  # coalesces
+        by_id = {response["id"]: response for response in service.serve_chunk(chunk)}
         assert by_id.pop("bad")["error"]["type"] == "execution-error"
         assert [response["status"] for response in by_id.values()] == ["ok"] * 5
         assert counter(service, "failed") == 1
@@ -221,9 +222,9 @@ class TestBatchMates:
 class TestCoalescing:
     def test_duplicate_in_flight_requests_run_one_simulation(self):
         service = ScheduleService(batch_size=8)
-        for index in range(6):
-            service.submit(make_request(seed=1, id=f"dup{index}"))
-        responses = service.drain()
+        responses = service.serve_chunk(
+            [make_request(seed=1, id=f"dup{index}") for index in range(6)]
+        )
         assert counter(service, "simulations") == 1
         assert counter(service, "coalesced") == 5
         payloads = [r["metrics"] for r in responses]
@@ -232,10 +233,13 @@ class TestCoalescing:
 
     def test_coalescing_respects_the_canonical_key(self):
         service = ScheduleService(batch_size=4)
-        service.submit(make_request(seed=1))
-        service.submit({**make_request(seed=1), "tasks": {"n": 10.0}})  # same key
-        service.submit(make_request(seed=2))  # different key
-        service.drain()
+        service.serve_chunk(
+            [
+                make_request(seed=1),
+                {**make_request(seed=1), "tasks": {"n": 10.0}},  # same key
+                make_request(seed=2),  # different key
+            ]
+        )
         assert counter(service, "simulations") == 2
         assert counter(service, "coalesced") == 1
 
@@ -243,150 +247,64 @@ class TestCoalescing:
 class TestCaching:
     def test_cache_serves_repeats_across_batches(self):
         service = ScheduleService(batch_size=1, cache=LRUResultCache(max_entries=8))
-        service.submit(make_request(seed=3))
-        first = service.drain()
-        service.submit(make_request(seed=3))
-        second = service.drain()
+        first = service.serve_chunk([make_request(seed=3)])
+        second = service.serve_chunk([make_request(seed=3)])
         assert counter(service, "simulations") == 1
         assert service.cache.hits == 1
         assert first[0]["metrics"] == second[0]["metrics"]
 
     def test_responses_never_alias_the_cached_metrics(self):
         service = ScheduleService(batch_size=4, cache=LRUResultCache())
-        service.submit(make_request(seed=3, id="a"))
-        service.submit(make_request(seed=3, id="b"))  # coalesced duplicate
-        first, second = service.drain()
+        first, second = service.serve_chunk(
+            [make_request(seed=3, id="a"), make_request(seed=3, id="b")]  # b coalesces
+        )
         first["metrics"]["makespan"] = -1.0  # a misbehaving consumer
         assert second["metrics"]["makespan"] != -1.0
-        service.submit(make_request(seed=3, id="c"))  # served from cache
-        (third,) = service.drain()
+        (third,) = service.serve_chunk([make_request(seed=3, id="c")])  # a cache hit
         assert third["metrics"]["makespan"] != -1.0
 
     def test_cacheless_service_recomputes(self):
         service = ScheduleService(batch_size=1)
-        service.submit(make_request(seed=3))
-        service.drain()
-        service.submit(make_request(seed=3))
-        service.drain()
+        service.serve_chunk([make_request(seed=3)])
+        service.serve_chunk([make_request(seed=3)])
         assert counter(service, "simulations") == 2
 
 
 class TestAdmissionControl:
     def test_cost_budget_sheds_expensive_requests(self):
         service = ScheduleService(batch_size=4, max_cost=50)
-        service.submit(make_request(tasks=10))  # cost 20: admitted
-        service.submit(make_request(tasks=100))  # cost 200: shed
-        ok, shed = service.drain()
+        ok, shed = service.serve_chunk(
+            [make_request(tasks=10), make_request(tasks=100)]  # costs 20 and 200
+        )
         assert ok["status"] == "ok"
         assert shed["status"] == "rejected"
         assert shed["error"]["type"] == "service-overloaded"
         assert "admission budget" in shed["error"]["message"]
         assert counter(service, "rejected") == counter(service, "shed_cost") == 1
 
-    def test_queue_has_no_length_bound(self):
-        # Transports bound the backlog themselves (one batch per
-        # serve_chunk); the dispatcher admits whatever is submitted.
-        service = ScheduleService(batch_size=2)
-        for seed in range(300):
-            service.submit(make_request(seed=seed % 3, id=f"r{seed}"))
-        assert service.pending == 300
-        responses = service.drain()
-        assert [r["status"] for r in responses] == ["ok"] * 300
-        assert counter(service, "rejected") == 0
+class TestChunking:
+    @pytest.mark.parametrize("n_requests, pumps", [(0, 0), (1, 1), (4, 1), (5, 2), (9, 3)])
+    def test_a_chunk_runs_one_pump_per_batch_size_slice(self, monkeypatch, n_requests, pumps):
+        # ceil(n / batch_size) pumps, each handed at most batch_size entries.
+        sizes = []
+        real_pump = ScheduleService.pump
 
-    def test_pending_gauge_counts_unresolved_requests_at_scrape_time(self):
-        service = ScheduleService(batch_size=4)
+        def counting_pump(self, batch):
+            sizes.append(len(batch))
+            return real_pump(self, batch)
 
-        def gauge():
-            return service.obs.registry.snapshot()["gauges"]["service.pending"]
-
-        service.submit(make_request(seed=1))
-        service.submit("broken")  # pre-resolved: not pending
-        service.submit(make_request(seed=2))
-        assert gauge() == 2
-        service.drain()
-        assert gauge() == 0
+        monkeypatch.setattr(ScheduleService, "pump", counting_pump)
+        chunk = [make_request(seed=index % 3, id=f"r{index}") for index in range(n_requests)]
+        if n_requests > 1:
+            chunk[1] = "garbage"  # a pre-resolved entry rides in its slice
+        responses = ScheduleService(batch_size=4).serve_chunk(chunk)
+        assert len(sizes) == pumps
+        assert all(size <= 4 for size in sizes) and sum(sizes) == len(chunk)
+        assert len(responses) == len(chunk)
+        assert responses == ScheduleService(batch_size=1).serve_chunk(chunk)
 
 
-class TestThreadSafety:
-    """Regression tests for the drain race the asyncio server exposed.
-
-    The old ``pump`` extracted its batch with two unlocked queue slices
-    (``self._entries[:bs]`` then ``self._entries[bs:]``); a ``submit``
-    landing between the two evaluations was silently dropped — no
-    response, ever.  Both the lost-update and the attribution contracts
-    are pinned here.
-    """
-
-    def test_concurrent_submit_during_drain_loses_no_request(self):
-        # Submitter threads race a continuously-pumping drainer; under the
-        # old slicing race this reliably lost entries.  Every submitted id
-        # must come back exactly once.
-        n_threads, per_thread = 4, 40
-        service = ScheduleService(batch_size=4)
-        barrier = threading.Barrier(n_threads + 1)
-
-        def submitter(thread_index):
-            barrier.wait()
-            for index in range(per_thread):
-                seed = (thread_index * per_thread + index) % 6
-                service.submit(
-                    make_request(seed=seed, id=f"t{thread_index}-{index}")
-                )
-
-        threads = [
-            threading.Thread(target=submitter, args=(t,)) for t in range(n_threads)
-        ]
-        for thread in threads:
-            thread.start()
-        barrier.wait()
-        responses = []
-        while any(thread.is_alive() for thread in threads) or service.buffered:
-            responses.extend(service.pump())
-        for thread in threads:
-            thread.join()
-        responses.extend(service.drain())
-
-        expected = {
-            f"t{t}-{i}" for t in range(n_threads) for i in range(per_thread)
-        }
-        got = [r["id"] for r in responses]
-        assert len(got) == n_threads * per_thread  # nothing lost, nothing doubled
-        assert set(got) == expected
-        assert counter(service, "responded") == n_threads * per_thread
-
-    def test_serve_chunk_attributes_responses_to_the_submitting_thread(self):
-        # Two threads serve interleaved chunks off one shared service (the
-        # asyncio server's executor-thread pattern): each must get exactly
-        # its own ids, in its own submission order.
-        service = ScheduleService(batch_size=4, cache=LRUResultCache(max_entries=64))
-        results = {}
-        barrier = threading.Barrier(2)
-
-        def worker(name):
-            barrier.wait()
-            mine = []
-            for chunk_index in range(8):
-                chunk = [
-                    make_request(seed=chunk_index % 3, id=f"{name}-{chunk_index}-{i}")
-                    for i in range(3)
-                ]
-                mine.extend(service.serve_chunk(chunk))
-            results[name] = mine
-
-        threads = [threading.Thread(target=worker, args=(n,)) for n in ("a", "b")]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        for name in ("a", "b"):
-            ids = [r["id"] for r in results[name]]
-            assert ids == [
-                f"{name}-{chunk}-{i}" for chunk in range(8) for i in range(3)
-            ]
-            assert all(r["status"] == "ok" for r in results[name])
-
+class TestConcurrentScrape:
     def test_snapshot_is_consistent_under_concurrent_pumps(self):
         service = ScheduleService(batch_size=2, cache=LRUResultCache(max_entries=16))
         stop = threading.Event()
@@ -431,9 +349,7 @@ class TestDeterminism:
         with ScheduleService(
             batch_size=batch_size, cache=LRUResultCache(max_entries=16)
         ) as service:
-            for raw in self.stream():
-                service.submit(raw)
-            return service.drain()
+            return service.serve_chunk(self.stream())
 
     def test_mixed_stream_is_identical_at_batch_1_and_batch_4(self):
         batched = self.run(4)

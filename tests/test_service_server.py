@@ -7,7 +7,7 @@ import json
 
 from repro.service.cache import LRUResultCache
 from repro.service.dispatcher import ScheduleService
-from repro.service.server import response_line, serve_lines, serve_stream
+from repro.service.server import response_line, serve_lines
 
 
 def request_line(seed=0, tasks=10, **extra):
@@ -77,25 +77,3 @@ class TestDeterminismContract:
     def test_rerun_is_byte_identical(self):
         assert self.serve() == self.serve()
 
-
-class TestServeStream:
-    def test_summary_goes_to_err_not_out(self):
-        out, err = io.StringIO(), io.StringIO()
-        service = ScheduleService(batch_size=2, cache=LRUResultCache())
-        written = serve_stream(
-            io.StringIO(request_line(id="a") + "\n" + request_line(id="a") + "\n"),
-            service,
-            out,
-            err=err,
-        )
-        assert written == 2
-        assert "service: 2 request(s)" in err.getvalue()
-        assert "cache:" in err.getvalue()
-        assert "service:" not in out.getvalue()
-
-    def test_err_is_optional(self):
-        out = io.StringIO()
-        written = serve_stream(
-            io.StringIO(request_line() + "\n"), ScheduleService(batch_size=1), out
-        )
-        assert written == 1

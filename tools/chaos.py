@@ -690,12 +690,12 @@ async def drive(
         # The replay: the whole pool once more, through servers only.  Its
         # keys were cached and journaled before the kills, so a restarted
         # shard answers them from replayed state (warm hits).
-        degraded_before = client.counters.degraded_responses
+        degraded_before = client.client_stats()["degraded_responses"]
         replay_pairs = await pump(client, stream(lines, FaultSchedule(), fire, None), WINDOW)
         telemetry = await client.metrics()
         replay = {
             "pairs": replay_pairs,
-            "degraded_responses": client.counters.degraded_responses - degraded_before,
+            "degraded_responses": client.client_stats()["degraded_responses"] - degraded_before,
             "responded": {
                 str(shard): _responded(telemetry, shard) - _responded(before, shard)
                 for shard in sorted(killed_shards)
