@@ -34,7 +34,7 @@ also the cache's registry; see :mod:`repro.service.observability`.
 
 A service is driven from one thread at a time: the persistent asyncio
 server resolves every chunk on its event-loop thread, and the sharded
-client's local fall-back serializes its calls with a lock of its own.
+client resolves its degraded requests on its own event-loop thread.
 """
 
 from __future__ import annotations

@@ -22,10 +22,9 @@ client-side — no coordination service, no rebalancing protocol:
   answer in.
 
 Self-healing (see ``docs/SERVICE.md`` § Failure modes and recovery): the
-client is the recovery half of the supervisor's auto-restart.  Every knob
-defaults to the PR-5 behaviour (fail over to typed ``shard-unavailable``
-responses) so existing callers are unchanged; chaos tooling and resilient
-deployments opt in:
+client is the recovery half of the supervisor's auto-restart.  By default
+a lost shard's requests fail over to typed ``shard-unavailable``
+responses; chaos tooling and resilient deployments opt in to:
 
 * **per-request timeout** (``request_timeout``) — a stalled (not dead)
   shard no longer blocks the client forever: the head-of-line request
@@ -33,8 +32,8 @@ deployments opt in:
   connection is severed (in-order response matching makes a timed-out
   response unattributable, so the connection cannot be reused);
 * **bounded retry with exponential backoff** (``max_retries``) — requests
-  pending on a dying connection are resubmitted after a capped
-  exponential delay.  Resubmission is safe because requests are
+  pending on a dying connection are resubmitted after an exponential
+  delay capped at one second.  Resubmission is safe because requests are
   canonicalized content-hash keys: a retry that races a completed
   original coalesces onto the same cache entry and returns the identical
   bytes;
@@ -46,11 +45,15 @@ deployments opt in:
   consecutive connection failures the breaker opens and submissions
   **degrade gracefully**: the request is answered from the local
   ``execute`` path (byte-identical to the server's response, by the
-  determinism contract) instead of erroring.  After
+  determinism contract) instead of erroring.  The local simulation runs
+  on the client's event loop, as a shard runs its chunks.  After
   ``breaker_cooldown`` seconds the breaker half-opens and the next
   submission probes the shard; a successful probe closes it.
 
-One response per request survives every failure mode — crash, stall,
+Every failed request goes through one synchronous step,
+``ShardedClient._settle``, which gives it a typed timeout, a typed
+unavailable response, a scheduled retry or a degraded answer.  One
+response per request survives every failure mode — crash, stall,
 restart, crash-loop — which is the invariant ``tools/chaos.py`` and
 ``tests/test_self_healing.py`` drive end-to-end.
 
@@ -64,7 +67,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 import time
 from collections import deque
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -92,6 +94,9 @@ __all__ = [
 #: Leading hex digits of the canonical key used for shard assignment
 #: (64 bits — far beyond any realistic shard count).
 _SHARD_KEY_DIGITS = 16
+
+#: Cap on one retry's backoff sleep, in seconds.
+_RETRY_BACKOFF_MAX = 1.0
 
 
 def shard_index(key: str, n_shards: int) -> int:
@@ -358,15 +363,15 @@ class ShardedClient:
     request_timeout:
         Optional per-request deadline, in seconds.  A request that
         outlives it resolves to a typed ``shard-timeout`` response and
-        the stalled connection is severed.  ``None`` (default) keeps the
-        PR-5 behaviour of waiting forever.
+        the stalled connection is severed.  ``None`` (default) waits
+        forever.
     max_retries:
         Resubmissions allowed per request after connection failures,
         each preceded by capped exponential backoff
-        (``retry_backoff * 2**attempt``, capped at ``retry_backoff_max``).
+        (``retry_backoff * 2**attempt``, capped at one second).
         ``0`` (default) fails over immediately.
-    retry_backoff, retry_backoff_max:
-        Backoff base and cap, in seconds.
+    retry_backoff:
+        Backoff base, in seconds.
     breaker_threshold:
         Consecutive connection failures that open a shard's circuit
         breaker; while open, submissions are answered from the local
@@ -387,7 +392,6 @@ class ShardedClient:
         request_timeout: Optional[float] = None,
         max_retries: int = 0,
         retry_backoff: float = 0.05,
-        retry_backoff_max: float = 1.0,
         breaker_threshold: Optional[int] = None,
         breaker_cooldown: float = 1.0,
         time_fn=time.monotonic,
@@ -419,7 +423,6 @@ class ShardedClient:
         self.request_timeout = request_timeout
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
-        self.retry_backoff_max = retry_backoff_max
         #: Client-side registry: the ``client.*`` resilience counters
         #: (:data:`_CLIENT_COUNTERS`), ``client.request_ms`` and one
         #: ``client.shard{i}.request_ms`` histogram per shard, fed by the
@@ -433,9 +436,6 @@ class ShardedClient:
         self._closed = False
         self._retry_tasks: "set[asyncio.Task]" = set()
         self._local_service = None
-        # The degraded path runs in executor threads; this serializes them
-        # (and close) on the one local service.
-        self._local_lock = threading.Lock()
 
     @classmethod
     def from_base(
@@ -508,12 +508,10 @@ class ShardedClient:
                 shard.read_task.cancel()
                 await asyncio.gather(shard.read_task, return_exceptions=True)
                 shard.read_task = None
-            self._fail_pending(shard)
-            shard.alive = False
-        with self._local_lock:
-            if self._local_service is not None:
-                self._local_service.close()
-                self._local_service = None
+            self._mark_dead(shard)
+        if self._local_service is not None:
+            self._local_service.close()
+            self._local_service = None
 
     async def __aenter__(self) -> "ShardedClient":
         """Async-context entry: connect to every shard."""
@@ -625,18 +623,15 @@ class ShardedClient:
     async def _dispatch(self, shard: _ShardConnection, entry: _Pending) -> None:
         """Send one entry to its shard, degrading/failing per the policy."""
         if self._closed:
-            self._resolve_unavailable(shard, entry)
+            self._settle(shard, entry)
             return
         if not entry.is_control and shard.breaker.state == "open":
-            await self._resolve_degraded(shard, entry)
+            self._degrade(entry)
             return
         if not shard.alive and not await self._reconnect(shard):
-            await self._fail_or_retry(shard, entry)
+            self._settle(shard, entry)
             return
         writer = shard.writer
-        if writer is None:  # pragma: no cover - narrowed by alive
-            await self._fail_or_retry(shard, entry)
-            return
         shard.pending.append(entry)
         if self.request_timeout is not None:
             loop = asyncio.get_running_loop()
@@ -684,8 +679,16 @@ class ShardedClient:
             shard.read_task = asyncio.create_task(self._read_loop(shard))
             return True
 
-    async def _fail_or_retry(self, shard: _ShardConnection, entry: _Pending) -> None:
-        """Resolve a failed entry: typed error, degraded answer, or retry."""
+    def _settle(self, shard: _ShardConnection, entry: _Pending) -> None:
+        """Resolve one failed entry in one synchronous step.
+
+        The outcome is, in this order: a typed ``shard-timeout`` (the
+        entry outlived ``request_timeout``); a typed ``shard-unavailable``
+        (metrics probes and a closed client); a retry scheduled after its
+        backoff sleep, while attempts remain; a degraded answer if the
+        shard's breaker is open; else ``shard-unavailable``.
+        """
+        entry.cancel_timer()
         if entry.future.done():
             return
         if entry.timed_out:
@@ -700,25 +703,22 @@ class ShardedClient:
                     )
                 )
             )
-            return
-        if entry.is_control or self._closed:
+        elif entry.is_control or self._closed:
             self._resolve_unavailable(shard, entry)
-            return
-        if entry.attempts >= self.max_retries:
-            if shard.breaker.state == "open":
-                await self._resolve_degraded(shard, entry)
-            else:
-                self._resolve_unavailable(shard, entry)
-            return
-        entry.attempts += 1
-        self.registry.inc("client.retries")
-        delay = min(
-            self.retry_backoff_max,
-            self.retry_backoff * (2.0 ** (entry.attempts - 1)),
-        )
-        task = asyncio.create_task(self._retry_later(shard, entry, delay))
-        self._retry_tasks.add(task)
-        task.add_done_callback(self._retry_tasks.discard)
+        elif entry.attempts < self.max_retries:
+            entry.attempts += 1
+            self.registry.inc("client.retries")
+            delay = min(
+                _RETRY_BACKOFF_MAX,
+                self.retry_backoff * (2.0 ** (entry.attempts - 1)),
+            )
+            task = asyncio.create_task(self._retry_later(shard, entry, delay))
+            self._retry_tasks.add(task)
+            task.add_done_callback(self._retry_tasks.discard)
+        elif shard.breaker.state == "open":
+            self._degrade(entry)
+        else:
+            self._resolve_unavailable(shard, entry)
 
     async def _retry_later(
         self, shard: _ShardConnection, entry: _Pending, delay: float
@@ -731,38 +731,28 @@ class ShardedClient:
             self._resolve_unavailable(shard, entry)
             raise
 
-    async def _resolve_degraded(self, shard: _ShardConnection, entry: _Pending) -> None:
+    def _degrade(self, entry: _Pending) -> None:
         """Answer one entry from the local execute path (breaker open).
 
         The local pipeline is the same validate → canonicalize → simulate
         sequence the server runs, so — by the determinism contract — the
         degraded response is byte-identical to what the healthy shard
-        would have answered.  The work runs in a thread so the event loop
-        keeps multiplexing the healthy shards.
+        would have answered.  It runs on the client's loop through one
+        lazily built local service, as a shard runs its chunks: the
+        simulation delays reads from the healthy shards by its own time.
         """
-        loop = asyncio.get_running_loop()
-        text = await loop.run_in_executor(None, self._execute_locally, entry.line)
+        if entry.future.done():
+            return
+        if self._local_service is None:
+            from .cache import LRUResultCache
+            from .dispatcher import ScheduleService
+
+            self._local_service = ScheduleService(
+                batch_size=1, cache=LRUResultCache(max_entries=256)
+            )
+        (response,) = self._local_service.serve_chunk([entry.line])
         self.registry.inc("client.degraded_responses")
-        if not entry.future.done():
-            entry.future.set_result(text)
-
-    def _execute_locally(self, line: str) -> str:
-        """Thread body of the degraded path: one request through a local service.
-
-        Several degraded requests can run at once, each in its own
-        executor thread; the lock makes them build one service and take
-        turns on it.
-        """
-        with self._local_lock:
-            if self._local_service is None:
-                from .cache import LRUResultCache
-                from .dispatcher import ScheduleService
-
-                self._local_service = ScheduleService(
-                    batch_size=1, cache=LRUResultCache(max_entries=256)
-                )
-            (response,) = self._local_service.serve_chunk([line])
-        return response_line(response)
+        entry.future.set_result(response_line(response))
 
     def _on_timeout(self, shard: _ShardConnection, entry: _Pending) -> None:
         """Request-timeout callback: sever the stalled connection.
@@ -827,49 +817,7 @@ class ShardedClient:
         entries = list(shard.pending)
         shard.pending.clear()
         for entry in entries:
-            entry.cancel_timer()
-        if not entries:
-            return
-        try:
-            loop = asyncio.get_running_loop()
-        except RuntimeError:  # pragma: no cover - loop already gone
-            for entry in entries:
-                self._resolve_unavailable(shard, entry)
-            return
-        for entry in entries:
-            if self._needs_async_resolution(shard, entry):
-                task = loop.create_task(self._fail_or_retry(shard, entry))
-                self._retry_tasks.add(task)
-                task.add_done_callback(self._retry_tasks.discard)
-            else:
-                self._resolve_immediately(shard, entry)
-
-    def _needs_async_resolution(self, shard: _ShardConnection, entry: _Pending) -> bool:
-        """Whether an entry's failure path may retry or degrade (async work)."""
-        if self._closed or entry.is_control or entry.timed_out:
-            return False
-        if entry.attempts < self.max_retries:
-            return True
-        return shard.breaker.state == "open"
-
-    def _resolve_immediately(self, shard: _ShardConnection, entry: _Pending) -> None:
-        """Synchronously resolve an entry that cannot retry or degrade."""
-        if entry.future.done():
-            return
-        if entry.timed_out:
-            self.registry.inc("client.timeouts")
-            entry.future.set_result(
-                response_line(
-                    shard_timeout_response(
-                        shard.index,
-                        shard.address,
-                        self.request_timeout or 0.0,
-                        _request_id_of(entry.line),
-                    )
-                )
-            )
-            return
-        self._resolve_unavailable(shard, entry)
+            self._settle(shard, entry)
 
     def _resolve_unavailable(self, shard: _ShardConnection, entry: _Pending) -> None:
         """Resolve one entry with the typed unavailable response."""
@@ -882,8 +830,3 @@ class ShardedClient:
                     )
                 )
             )
-
-    def _fail_pending(self, shard: _ShardConnection) -> None:
-        """Resolve every pending entry with the typed unavailable response."""
-        while shard.pending:
-            self._resolve_unavailable(shard, shard.pending.popleft())

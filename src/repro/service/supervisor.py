@@ -18,11 +18,13 @@ until the operator intervened.  :class:`ShardSupervisor` closes that gap:
   that stays up for ``stable_after`` seconds resets its counter) the
   shard is abandoned and the supervisor keeps serving the surviving
   shards; the final exit code reports the degradation;
-* **observability** — every (re)spawn is announced on stderr as
-  ``shard I/N: HOST:PORT pid=P restarts=K`` (``tools/chaos.py`` parses
-  these lines to aim its fault injections), and the restart count rides
-  into the child on the ``REPRO_SHARD_RESTARTS`` environment variable so
-  the shard's own ``{"type": "metrics"}`` response reports it;
+* **observability** — every death (with its restart delay) and every
+  give-up is announced on stderr; each (re)spawn is announced by the
+  spawner, for ``repro serve`` the CLI's ``shard I/N: HOST:PORT pid=P
+  restarts=K`` line (``tools/chaos.py`` parses both to aim its faults
+  and audit the backoff).  The restart count rides into the child on the
+  ``REPRO_SHARD_RESTARTS`` environment variable so the shard's own
+  ``{"type": "metrics"}`` response reports it;
 * **signal forwarding** — SIGTERM/SIGINT is forwarded to every live
   child (each drains gracefully), pending restarts are cancelled, and
   the supervisor exits once every child has.
@@ -39,10 +41,9 @@ import random
 import signal as signal_module
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, TextIO
+from typing import Any, Callable, List, Optional, TextIO
 
 from ..exceptions import ServiceError
-from ..obs import MetricsRegistry
 
 __all__ = ["RestartPolicy", "ShardState", "ShardSupervisor"]
 
@@ -151,16 +152,8 @@ class ShardSupervisor:
     poll_interval:
         Upper bound on the monitor's sleep between polls, in seconds.
     err:
-        Stream for the spawn/restart/give-up announcements (``None``
+        Stream for the restart and give-up announcements (``None``
         silences them).
-    registry:
-        Optional :class:`~repro.obs.MetricsRegistry` receiving the
-        supervision gauges (``supervisor.restarts_total``,
-        ``supervisor.alive``, ``supervisor.gave_up``, per-shard
-        ``supervisor.shard{N}.restarts`` /
-        ``supervisor.shard{N}.backoff_s``).  The supervisor lives in the
-        parent process, so these gauges describe the fleet — shard-local
-        restart counts still reach scrapes via ``server.restarts``.
     """
 
     def __init__(
@@ -174,7 +167,6 @@ class ShardSupervisor:
         sleep: Callable[[float], None] = time.sleep,
         poll_interval: float = 0.05,
         err: Optional[TextIO] = None,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if n_shards < 1:
             raise ServiceError(f"n_shards must be >= 1, got {n_shards}")
@@ -186,10 +178,8 @@ class ShardSupervisor:
         self._sleep = sleep
         self.poll_interval = poll_interval
         self._err = err
-        self.registry = registry if registry is not None else MetricsRegistry()
         self.shards = [ShardState(index) for index in range(n_shards)]
         self.stopping = False
-        self._update_gauges()
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
@@ -198,14 +188,10 @@ class ShardSupervisor:
             self._spawn_shard(state)
 
     def _spawn_shard(self, state: ShardState) -> None:
-        """(Re)spawn one shard slot and announce it."""
+        """(Re)spawn one shard slot; the spawner announces the new child."""
         state.process = self._spawn(state.index, state.restarts)
         state.started_at = self._clock()
         state.restart_due = None
-        self._announce(
-            f"shard {state.index + 1}/{len(self.shards)} spawned "
-            f"pid={getattr(state.process, 'pid', '?')} restarts={state.restarts}"
-        )
 
     def _announce(self, message: str) -> None:
         if self._err is not None:
@@ -275,33 +261,9 @@ class ShardSupervisor:
                 else:
                     remaining = state.restart_due - now
                     next_due = remaining if next_due is None else min(next_due, remaining)
-        self._update_gauges()
         if not any_open:
             return None
         return next_due if next_due is not None else math.inf
-
-    def _update_gauges(self) -> None:
-        """Refresh the supervision gauges from the current slot states."""
-        now = self._clock()
-        registry = self.registry
-        registry.set_gauge("supervisor.restarts_total", self.total_restarts)
-        registry.set_gauge(
-            "supervisor.alive",
-            sum(
-                1
-                for state in self.shards
-                if state.process is not None and state.process.poll() is None
-            ),
-        )
-        registry.set_gauge(
-            "supervisor.gave_up", sum(1 for state in self.shards if state.gave_up)
-        )
-        for state in self.shards:
-            registry.set_gauge(f"supervisor.shard{state.index}.restarts", state.restarts)
-            backoff = 0.0
-            if state.restart_due is not None:
-                backoff = max(0.0, state.restart_due - now)
-            registry.set_gauge(f"supervisor.shard{state.index}.backoff_s", backoff)
 
     def run(self) -> int:
         """Supervise until every child has exited (post-stop) or given up.
@@ -345,21 +307,6 @@ class ShardSupervisor:
                     state.process.send_signal(signal_module.SIGTERM)
                 except (ProcessLookupError, OSError):  # pragma: no cover
                     pass
-
-    # -- observability ------------------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """Point-in-time supervision counters (tests, chaos reports)."""
-        return {
-            "restarts": [state.restarts for state in self.shards],
-            "consecutive_crashes": [
-                state.consecutive_crashes for state in self.shards
-            ],
-            "gave_up": [state.gave_up for state in self.shards],
-            "alive": [
-                state.process is not None and state.process.poll() is None
-                for state in self.shards
-            ],
-        }
 
     @property
     def total_restarts(self) -> int:

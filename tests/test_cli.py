@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _serve_flag_argv, build_parser, main
 
 
 class TestParser:
@@ -161,6 +162,51 @@ class TestServeCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--max-queue", "64"])
         assert "--max-queue" in capsys.readouterr().err
+
+    def test_every_serve_option_reaches_the_shard_processes(self):
+        # A shard child runs `serve --listen HOST:PORT --shards 1` plus
+        # `_serve_flag_argv(args)`; every other option (the supervisor's
+        # own --restart-* aside) must survive that re-encoding, or a
+        # sharded server silently drops it.
+        (subparsers,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        serve = subparsers.choices["serve"]
+        argv = ["serve"]
+        for action in serve._actions:
+            if action.dest in ("help", "listen", "shards") or action.dest.startswith(
+                "restart_"
+            ):
+                continue
+            argv.append(action.option_strings[-1])
+            if action.nargs == 0:
+                continue
+            if action.default is not None:
+                argv.append(str(action.default + 7))
+            else:
+                argv.append("7" if action.type is not None else "value")
+        args = build_parser().parse_args(argv)
+        child = build_parser().parse_args(
+            ["serve", "--listen", "127.0.0.1:7000", "--shards", "1"]
+            + _serve_flag_argv(args)
+        )
+
+        def forwarded(namespace):
+            return {
+                dest: value
+                for dest, value in vars(namespace).items()
+                if dest not in ("listen", "shards") and not dest.startswith("restart_")
+            }
+
+        defaults = forwarded(build_parser().parse_args(["serve"]))
+        assert all(
+            value != defaults[dest]
+            for dest, value in forwarded(args).items()
+            if dest != "command"
+        )
+        assert forwarded(child) == forwarded(args)
 
     def _request_line(self, seed=0, **extra):
         payload = {
