@@ -308,33 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--trace",
-        action="store_true",
-        help=(
-            "attach per-request span timings to responses that opt in "
-            'with "trace": true (see docs/OBSERVABILITY.md)'
-        ),
-    )
-    serve.add_argument(
-        "--metrics-log",
-        default=None,
-        metavar="DIR",
-        help=(
-            "append structured JSONL telemetry events (slow requests) "
-            "to per-shard files under this directory"
-        ),
-    )
-    serve.add_argument(
-        "--slow-ms",
-        type=_positive_float,
-        default=None,
-        metavar="MS",
-        help=(
-            "requests slower than this land in the slow-request log "
-            "(counter service.slow_requests; event needs --metrics-log)"
-        ),
-    )
-    serve.add_argument(
         "--quiet",
         action="store_true",
         help="suppress the statistics summary on stderr",
@@ -431,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         action="store_true",
         help=(
-            "request span timings in the response (needs a server started "
-            "with --trace; mints a trace id when --id is not given)"
+            'request span timings in the response ("trace": true); the '
+            "trace id is --id, or a freshly minted one"
         ),
     )
     request.add_argument(
@@ -660,41 +633,21 @@ def _build_persistence(args: argparse.Namespace):
     )
 
 
-def _build_observability(args: argparse.Namespace) -> "Observability":
-    """The shard's telemetry config per the serve flags.
-
-    The event log (``--metrics-log``) gets one ``events-shard<NN>.jsonl``
-    file per shard so concurrent shards never interleave writes.
-    """
-    import os
-
-    from .service.observability import EventLog, Observability
-
-    event_log = None
-    if args.metrics_log is not None:
-        shard_index = int(os.environ.get("REPRO_SHARD_INDEX", "0"))
-        event_log = EventLog(
-            os.path.join(args.metrics_log, f"events-shard{shard_index:02d}.jsonl")
-        )
-    return Observability(trace=args.trace, slow_ms=args.slow_ms, event_log=event_log)
-
-
 def _build_service(args: argparse.Namespace) -> ScheduleService:
     """One dispatcher configured from the ``repro serve`` flags.
 
     With ``--state-dir``, the cache is warm-loaded from the shard's
     journal+snapshot *here* — before the caller starts accepting
     requests — so a restarted shard's first connection already sees the
-    replayed results.  The cache shares the shard's metric registry so
-    ``cache.*`` counters land in the ``{"type": "metrics"}`` scrape.
+    replayed results.  The service counts into the cache's metric
+    registry, so ``cache.*`` counters land in the ``{"type": "metrics"}``
+    scrape.
     """
-    obs = _build_observability(args)
     cache = (
         LRUResultCache(
             max_entries=args.cache_size,
             ttl=args.ttl,
             persistence=_build_persistence(args),
-            registry=obs.registry,
         )
         if args.cache_size
         else None
@@ -712,7 +665,6 @@ def _build_service(args: argparse.Namespace) -> ScheduleService:
         batch_size=args.batch_size,
         cache=cache,
         max_cost=args.max_cost,
-        observability=obs,
     )
 
 
@@ -732,12 +684,6 @@ def _serve_flag_argv(args: argparse.Namespace) -> List[str]:
             "--state-dir", str(args.state_dir),
             "--journal-max-entries", str(args.journal_max_entries),
         ]
-    if args.trace:
-        argv.append("--trace")
-    if args.metrics_log is not None:
-        argv += ["--metrics-log", str(args.metrics_log)]
-    if args.slow_ms is not None:
-        argv += ["--slow-ms", str(args.slow_ms)]
     if args.quiet:
         argv.append("--quiet")
     return argv
@@ -808,7 +754,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         with _build_service(args) as service:
             serve_lines(sys.stdin, service, sys.stdout)
             if not args.quiet:
-                snapshot = service.obs.registry.snapshot()
+                snapshot = service.registry.snapshot()
                 print(summary(snapshot, cache=service.cache is not None), file=sys.stderr)
         return 0
 
@@ -836,7 +782,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             err=sys.stderr,
         )
         if not args.quiet:
-            print(summary(service.obs.registry.snapshot()), file=sys.stderr)
+            print(summary(service.registry.snapshot()), file=sys.stderr)
     return 0
 
 
@@ -910,7 +856,6 @@ def _cmd_request_connected(args: argparse.Namespace) -> int:
 def _cmd_request(args: argparse.Namespace) -> int:
     from ._hashing import canonical_json
     from .exceptions import RequestValidationError
-    from .service.observability import Observability
     from .service.schema import canonicalize_request
     from .service.server import response_line
 
@@ -933,9 +878,7 @@ def _cmd_request(args: argparse.Namespace) -> int:
             return 2
         print(canonical_json(payload))
         return 0
-    with ScheduleService(
-        batch_size=1, observability=Observability(trace=args.trace)
-    ) as service:
+    with ScheduleService(batch_size=1) as service:
         (response,) = service.serve_chunk([payload])
     print(response_line(response))
     if response["status"] != "ok":

@@ -6,10 +6,11 @@ boundaries).  Spans are built from *consecutive* absolute timestamps, so
 non-overlap holds by construction; :meth:`Trace.as_dict` converts them to
 millisecond durations for the wire.
 
-Trace ids are minted client-side (``ShardedClient`` / ``repro request``)
-and ride the request's metadata — like ``"id"`` and ``"arrival"`` they
-are excluded from the canonical key, so tracing never perturbs caching,
-coalescing, or shard routing.
+A trace's id is its request's ``"id"``, or one the dispatcher mints when
+the request has none.  The ``"trace"`` opt-in rides the request's
+metadata — like ``"id"`` and ``"arrival"`` it is excluded from the
+canonical key, so tracing never perturbs caching, coalescing, or shard
+routing.
 """
 
 from __future__ import annotations

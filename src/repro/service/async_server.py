@@ -59,6 +59,7 @@ from operator import itemgetter
 from typing import Any, Deque, Dict, List, Optional, TextIO, Tuple
 
 from .dispatcher import ScheduleService
+from .observability import TELEMETRY_SCHEMA_VERSION
 from .schema import SCHEMA_VERSION, control_request_id, is_control_request
 from .server import response_line
 
@@ -319,7 +320,7 @@ class AsyncScheduleServer:
         self.inflight = 0
         # Server counters and spans land in the service's registry so one
         # metrics scrape covers transport, dispatcher and cache alike.
-        registry = self._registry = service.obs.registry
+        registry = self._registry = service.registry
         registry.bind_gauge(
             "server.connections_active", lambda: self.connections_active
         )
@@ -391,18 +392,24 @@ class AsyncScheduleServer:
     def metrics_payload(self) -> Dict[str, Any]:
         """The shard's observability payload (body of a metrics response).
 
-        One flat metric namespace, read from the registry the server
-        shares with its dispatcher and cache — see
-        :data:`repro.service.observability.METRIC_CATALOG` for the names.
+        One atomic snapshot of the registry the server shares with its
+        dispatcher and cache, plus the shard's identity and uptime.  Every
+        name in :data:`repro.service.observability.METRIC_CATALOG` is
+        present in every payload because the registry pre-declares them.
         """
-        return self.service.obs.metrics_payload(
-            shard={
+        snapshot = self.service.registry.snapshot()
+        return {
+            "schema_version": TELEMETRY_SCHEMA_VERSION,
+            "uptime_s": round(self.uptime, 6),
+            "shard": {
                 "index": self.shard_index,
                 "count": self.shard_count,
                 "restarts": self.shard_restarts,
             },
-            uptime_s=round(self.uptime, 6),
-        )
+            "counters": snapshot["counters"],
+            "gauges": snapshot["gauges"],
+            "histograms": snapshot["histograms"],
+        }
 
     def metrics_response(self, request_id: Optional[str]) -> Dict[str, Any]:
         """One full metrics response (canonical-JSON encodable)."""

@@ -29,8 +29,11 @@ state, coalescing and TTL expiry change only latency and the metric
 counters, never a response byte.
 
 Telemetry: every counter lives in the shard's
-:class:`~repro.obs.MetricsRegistry` (``service.obs.registry``), which is
-also the cache's registry; see :mod:`repro.service.observability`.
+:class:`~repro.obs.MetricsRegistry` (``service.registry``), which is
+also the cache's registry; see :mod:`repro.service.observability`.  A
+request that carries ``"trace": true`` gets its span breakdown attached
+under the response's ``"trace"`` field; the trace id is the request's
+``id``, or one minted here when it has none.
 
 A service is driven from one thread at a time: the persistent asyncio
 server resolves every chunk on its event-loop thread, and the sharded
@@ -49,10 +52,10 @@ from ..exceptions import (
     ServiceError,
     ServiceOverloadedError,
 )
-from ..obs import Trace, mint_trace_id
+from ..obs import MetricsRegistry, Trace, mint_trace_id
 from .cache import LRUResultCache
 from .executor import execute_request
-from .observability import Observability
+from .observability import declare_service_metrics
 from .schema import SCHEMA_VERSION, ScheduleRequest, canonicalize_request
 
 __all__ = ["ScheduleService"]
@@ -93,21 +96,12 @@ class ScheduleService:
         How many requests of a chunk one :meth:`pump` resolves.
     cache:
         Optional :class:`~repro.service.cache.LRUResultCache` consulted
-        before, and fed after, every simulation.
+        before, and fed after, every simulation.  The service counts into
+        the cache's registry (a fresh one without a cache), exposed as
+        :attr:`registry`, so one scrape covers both.
     max_cost:
         Optional per-request budget on ``n_tasks * n_workers``; costlier
         requests are shed at admission.
-    observability:
-        Optional :class:`~repro.service.observability.Observability`
-        context.  The dispatcher always records its counters and stage
-        histograms into its registry; per-request traces (attached under
-        the opt-in ``"trace"`` response field) and the slow-request log
-        are produced only when the context enables them.  When omitted a
-        default all-quiet context is built on the cache's registry (or a
-        fresh one without a cache), so call sites never branch.  A cache
-        and a context must share one registry —
-        :class:`~repro.exceptions.ServiceError` otherwise — so one scrape
-        covers both.
     """
 
     def __init__(
@@ -116,7 +110,6 @@ class ScheduleService:
         batch_size: int = 16,
         cache: Optional[LRUResultCache] = None,
         max_cost: Optional[int] = None,
-        observability: Optional[Observability] = None,
     ) -> None:
         if workers != 1:
             raise ServiceError(
@@ -127,20 +120,13 @@ class ScheduleService:
             raise ServiceError(f"batch_size must be >= 1, got {batch_size}")
         if max_cost is not None and max_cost <= 0:
             raise ServiceError(f"max_cost must be positive (or None), got {max_cost}")
-        if observability is None:
-            observability = Observability(
-                registry=cache.registry if cache is not None else None
-            )
-        elif cache is not None and cache.registry is not observability.registry:
-            raise ServiceError(
-                "the cache and the observability context must share one "
-                "metrics registry (build the cache with registry=obs.registry)"
-            )
         self.batch_size = batch_size
         self.cache = cache
         self.max_cost = max_cost
-        self.obs = observability
-        self._registry = observability.registry
+        #: The shard's one telemetry store: counters, gauges, histograms.
+        self.registry = declare_service_metrics(
+            cache.registry if cache is not None else MetricsRegistry()
+        )
 
     def serve_chunk(
         self, raws: Iterable[Union[str, bytes, Mapping[str, Any]]]
@@ -166,7 +152,7 @@ class ScheduleService:
         pre-resolved error/rejection entries, so the response stream stays
         one response per request, in order.
         """
-        registry = self._registry
+        registry = self.registry
         registry.inc("service.received")
         request_id: Optional[str] = None
         try:
@@ -202,7 +188,7 @@ class ScheduleService:
     def _check_admission(self, request: ScheduleRequest) -> None:
         """Raise :class:`~repro.exceptions.ServiceOverloadedError` on shed."""
         if self.max_cost is not None and request.cost > self.max_cost:
-            self._registry.inc("service.shed_cost")
+            self.registry.inc("service.shed_cost")
             raise ServiceOverloadedError(
                 f"request cost {request.cost} (tasks x workers) exceeds the "
                 f"admission budget {self.max_cost}"
@@ -237,7 +223,7 @@ class ScheduleService:
                 groups.setdefault(request.key, []).append(entry)
         primaries = {k: v[0].request for k, v in groups.items()}
 
-        registry = self._registry
+        registry = self.registry
         registry.inc("service.batches")
         registry.observe("service.batch_size", len(batch))
 
@@ -299,11 +285,9 @@ class ScheduleService:
         through the pump — admission, cache lookup start/end, the batch's
         simulate window, now — so they never overlap and sum to the
         request's full service-side residence time.  Histograms are always
-        recorded; the response-attached trace additionally requires both
-        the service ``--trace`` switch and the request's ``"trace": true``
-        opt-in (responses stay byte-identical for everyone else).  A
-        response slower than the configured threshold is counted and
-        appended to the slow-request event log.
+        recorded; the trace is attached only to a request that opted in
+        with ``"trace": true``, so every other response stays
+        byte-identical.
         """
         request = entry.request
         response = entry.response
@@ -312,7 +296,7 @@ class ScheduleService:
         done = perf_counter()
         admitted = entry.admitted_at
         lookup_start, lookup_end = entry.cache_window
-        registry = self._registry
+        registry = self.registry
         registry.observe("service.queue_wait_ms", (lookup_start - admitted) * 1000.0)
         registry.observe("service.cache_lookup_ms", (lookup_end - lookup_start) * 1000.0)
         if sim_window is not None:
@@ -322,11 +306,9 @@ class ScheduleService:
             registry.observe("service.serialize_ms", (done - sim_window[1]) * 1000.0)
         else:
             registry.observe("service.serialize_ms", (done - lookup_end) * 1000.0)
-        duration_ms = (done - admitted) * 1000.0
-        registry.observe("service.request_ms", duration_ms)
+        registry.observe("service.request_ms", (done - admitted) * 1000.0)
 
-        trace_dict: Optional[Dict[str, Any]] = None
-        if self.obs.trace_enabled and request.trace:
+        if request.trace:
             trace = Trace(request.request_id or mint_trace_id())
             trace.add("queue_wait", admitted, lookup_start)
             trace.add("cache_lookup", lookup_start, lookup_end)
@@ -336,11 +318,7 @@ class ScheduleService:
                 trace.add("serialize", sim_window[1], done)
             else:
                 trace.add("serialize", lookup_end, done)
-            trace_dict = trace.as_dict()
-            response["trace"] = trace_dict
-
-        if self.obs.slow_ms is not None and duration_ms > self.obs.slow_ms:
-            self.obs.note_slow_request(request.request_id, duration_ms, trace_dict)
+            response["trace"] = trace.as_dict()
 
     def _run_unique(
         self, primaries: Mapping[str, ScheduleRequest]

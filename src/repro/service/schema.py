@@ -77,7 +77,7 @@ RELEASE_PROCESSES: Dict[str, Dict[str, Tuple[str, Any, str]]] = {
 #: a simulation it asks a shard for its observability payload — shard
 #: identity, uptime and the metric registry snapshot (counters, gauges,
 #: streaming-histogram quantiles) assembled by
-#: :meth:`repro.service.observability.Observability.metrics_payload`.
+#: :meth:`repro.service.async_server.AsyncScheduleServer.metrics_payload`.
 #: Control requests are a transport-level concept — the persistent asyncio
 #: server answers them in stream position; the plain stdin/stdout loop has
 #: no server state to report and treats them as invalid schedule requests,
@@ -235,8 +235,9 @@ class ScheduleRequest:
         for latency bookkeeping).  Not part of :attr:`config`.
     trace:
         True when the client asked for span timings on this request's
-        response (``"trace": true``).  Honoured only when the serving
-        process runs with tracing enabled.  Not part of :attr:`config`.
+        response (``"trace": true``).  This opt-in alone attaches the
+        span breakdown, whatever server answers.  Not part of
+        :attr:`config`.
     """
 
     config: Mapping[str, Any]

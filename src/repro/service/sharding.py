@@ -72,7 +72,7 @@ from collections import deque
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..exceptions import RequestValidationError, ServiceError
-from ..obs import MetricsRegistry, mint_trace_id
+from ..obs import MetricsRegistry
 from .schema import (
     SCHEMA_VERSION,
     canonicalize_request,
@@ -531,37 +531,13 @@ class ShardedClient:
         resolves the future with a typed (or locally-computed degraded)
         response, so callers keep their one-response-per-request
         accounting.
-
-        A request that opts into tracing (``"trace": true``) but carries
-        no ``id`` gets a fresh trace id minted here — the id is metadata
-        (outside the canonical key), so minting never perturbs routing,
-        caching or coalescing.  The substring guard keeps the common
-        no-trace path free of a JSON parse.
         """
-        if '"trace"' in line:
-            line = self._mint_trace_id(line)
         shard = self._shards[shard_for_line(line, len(self._shards))]
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[str]" = loop.create_future()
         entry = _Pending(future, line)
         await self._dispatch(shard, entry)
         return future
-
-    @staticmethod
-    def _mint_trace_id(line: str) -> str:
-        """Attach a minted ``id`` to a traced request line lacking one."""
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError:
-            return line
-        if (
-            isinstance(payload, dict)
-            and payload.get("trace") is True
-            and not isinstance(payload.get("id"), str)
-        ):
-            payload["id"] = f"trace-{mint_trace_id()}"
-            return json.dumps(payload, separators=(",", ":"))
-        return line
 
     async def stream(self, lines: Iterable[str]) -> List[str]:
         """Send a whole request stream; responses in submission order.

@@ -179,7 +179,7 @@ class TestSingleConnection:
         lines = [request_line(seed=s, id=f"r{s}") for s in range(6)]
         server, responses = self.run_raw({}, lines)
         assert [json.loads(r)["id"] for r in responses] == [f"r{s}" for s in range(6)]
-        registry = server.service.obs.registry
+        registry = server.service.registry
         assert registry.counter("server.requests_received") == 6
         assert registry.counter("server.responses_sent") == 6
         assert registry.counter("server.connections_total") == 1
@@ -219,7 +219,7 @@ class TestSingleConnection:
         assert before["status"] == after["status"] == "ok"
         assert stats["status"] == "error" and stats["id"] == "old-health"
         assert stats["error"]["type"] == "request-invalid"
-        assert server.service.obs.registry.counter("service.invalid") == 1
+        assert server.service.registry.counter("service.invalid") == 1
 
     def test_metrics_response_is_canonical_jsonl(self):
         _, responses = self.run_raw({}, [json.dumps(metrics_request())])

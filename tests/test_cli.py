@@ -163,6 +163,15 @@ class TestServeCommand:
             build_parser().parse_args(["serve", "--max-queue", "64"])
         assert "--max-queue" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [["--trace"], ["--slow-ms", "5"], ["--metrics-log", "logs"]]
+    )
+    def test_parser_rejects_the_removed_telemetry_flags(self, argv, capsys):
+        # a request's own "trace": true is the only tracing switch
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve"] + argv)
+        assert argv[0] in capsys.readouterr().err
+
     def test_every_serve_option_reaches_the_shard_processes(self):
         # A shard child runs `serve --listen HOST:PORT --shards 1` plus
         # `_serve_flag_argv(args)`; every other option (the supervisor's
@@ -256,6 +265,19 @@ class TestServeCommand:
         assert "service:" not in captured.out
         assert "service: 2 request(s)" in captured.err
         assert "cache:" in captured.err
+
+    def test_serve_on_stdin_traces_the_requests_that_opt_in(self, capsys, monkeypatch):
+        stream = "\n".join(
+            [self._request_line(seed=1, id="t", trace=True), self._request_line(seed=2)]
+        )
+        monkeypatch.setattr("sys.stdin", io.StringIO(stream + "\n"))
+        assert main(["serve", "--quiet"]) == 0
+        traced, plain = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert "trace" not in plain
+        trace = traced["trace"]
+        assert trace["trace_id"] == "t"
+        span_sum = sum(span["ms"] for span in trace["spans"])
+        assert abs(span_sum - trace["total_ms"]) <= 1e-6
 
     def test_serve_quiet_suppresses_stderr(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(self._request_line() + "\n"))

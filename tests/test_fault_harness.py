@@ -39,7 +39,7 @@ def error_response(kind, status="error"):
     return json.dumps({"status": status, "error": {"type": kind}})
 
 
-DEGRADED = error_response("shard-unavailable")
+UNAVAILABLE = error_response("shard-unavailable")
 SHED = error_response("service-overloaded", status="rejected")
 
 LINES = [request_line(index) for index in range(4)]
@@ -53,7 +53,6 @@ def metrics_payload(warm_hits=0, journal_entries=3, max_rss_mib=40.0):
             "counters": {
                 "service.responded": 10,
                 "service.shed_cost": 0,
-                "service.slow_requests": 0,
                 "cache.hits": 6,
                 "cache.misses": 4,
                 "cache.warm_hits": warm_hits,
@@ -131,12 +130,12 @@ def break_typing(outcome):
 
 
 def break_strict(outcome):
-    outcome["pairs"][3] = (LINES[3], DEGRADED)
+    outcome["pairs"][3] = (LINES[3], UNAVAILABLE)
 
 
 def break_nonok_fraction(outcome):
     for index in range(3):
-        outcome["pairs"][index] = (LINES[index], DEGRADED)
+        outcome["pairs"][index] = (LINES[index], UNAVAILABLE)
 
 
 def break_pressure(outcome):
@@ -194,7 +193,7 @@ def break_rss_bound(outcome):
         "lost",
         "byte-mismatch",
         "untyped-error",
-        "degraded-under-strict",
+        "unavailable-under-strict",
         "nonok-fraction",
         "pressure-without-shed",
         "unrecovered-shard",
@@ -226,7 +225,7 @@ def test_one_degraded_response_is_within_the_default_bound():
     break_strict(outcome)
     report = chaos.audit(outcome, BASELINE, strict=False)
     assert report["failures"] == []
-    assert report["degraded"] == 1
+    assert report["unavailable"] == 1
 
 
 def test_pressure_that_shed_passes():

@@ -4,10 +4,10 @@ Drives real in-process TCP shards (no subprocesses, no fixed ports) and
 pins the wire-visible contracts:
 
 * trace-id propagation — a ``"trace": true`` request through a 2-shard
-  server comes back with its own id, the documented span structure,
-  non-overlapping spans that tile ``total_ms``, and **no** trace on
-  plain requests (byte-identity of the untraced stream);
-* the slow-request event log fires strictly by threshold and rotates;
+  server started with default settings comes back with its own id, the
+  documented span structure, non-overlapping spans that tile
+  ``total_ms``, and **no** trace on plain requests (byte-identity of the
+  untraced stream);
 * the metrics payload carries the pinned ``TELEMETRY_SCHEMA_VERSION``
   and exactly the documented metric names;
 * ``docs/OBSERVABILITY.md``'s catalog tables match ``METRIC_CATALOG``;
@@ -17,6 +17,7 @@ pins the wire-visible contracts:
 from __future__ import annotations
 
 import asyncio
+import io
 import json
 import re
 import threading
@@ -28,12 +29,8 @@ from repro.cli import main
 from repro.service.async_server import AsyncScheduleServer
 from repro.service.cache import LRUResultCache
 from repro.service.dispatcher import ScheduleService
-from repro.service.observability import (
-    METRIC_CATALOG,
-    TELEMETRY_SCHEMA_VERSION,
-    EventLog,
-    Observability,
-)
+from repro.service.observability import METRIC_CATALOG, TELEMETRY_SCHEMA_VERSION
+from repro.service.server import serve_lines
 from repro.service.sharding import ShardedClient
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -54,20 +51,25 @@ def request_line(seed=0, tasks=8, **extra):
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def make_service(**obs_kwargs):
-    observability = Observability(**obs_kwargs)
-    cache = LRUResultCache(max_entries=64, registry=observability.registry)
-    return ScheduleService(batch_size=4, cache=cache, observability=observability)
+def make_service():
+    return ScheduleService(batch_size=4, cache=LRUResultCache(max_entries=64))
 
 
-def run_sharded(lines, n_shards=2, **obs_kwargs):
+def assert_tiles(trace):
+    """Spans are non-negative and sum to ``total_ms``."""
+    span_sum = sum(span["ms"] for span in trace["spans"])
+    assert abs(span_sum - trace["total_ms"]) <= 1e-6
+    assert all(span["ms"] >= 0.0 for span in trace["spans"])
+
+
+def run_sharded(lines, n_shards=2):
     """Stream ``lines`` through ``n_shards`` fresh in-process servers."""
 
     async def go():
         servers = []
         for index in range(n_shards):
             server = AsyncScheduleServer(
-                make_service(**obs_kwargs), shard_index=index, shard_count=n_shards
+                make_service(), shard_index=index, shard_count=n_shards
             )
             await server.start()
             servers.append(server)
@@ -87,7 +89,7 @@ class TestTracePropagation:
             request_line(seed=index, id=f"req-{index:03d}", trace=True)
             for index in range(8)
         ]
-        responses = [json.loads(line) for line in run_sharded(lines, trace=True)]
+        responses = [json.loads(line) for line in run_sharded(lines)]
         assert len(responses) == len(lines)
         for index, response in enumerate(responses):
             assert response["status"] == "ok"
@@ -97,11 +99,8 @@ class TestTracePropagation:
 
     def test_spans_tile_total_ms_exactly(self):
         lines = [request_line(seed=7, id="req-tile", trace=True)]
-        (response,) = [json.loads(line) for line in run_sharded(lines, trace=True)]
-        trace = response["trace"]
-        span_sum = sum(span["ms"] for span in trace["spans"])
-        assert abs(span_sum - trace["total_ms"]) <= 1e-6
-        assert all(span["ms"] >= 0.0 for span in trace["spans"])
+        (response,) = [json.loads(line) for line in run_sharded(lines)]
+        assert_tiles(response["trace"])
 
     def test_cache_hit_trace_skips_simulation_spans(self):
         lines = [
@@ -110,7 +109,7 @@ class TestTracePropagation:
         ]
 
         async def go():
-            server = AsyncScheduleServer(make_service(trace=True))
+            server = AsyncScheduleServer(make_service())
             await server.start()
             try:
                 async with ShardedClient([server.address]) as client:
@@ -124,69 +123,28 @@ class TestTracePropagation:
         assert [s["name"] for s in json.loads(first)["trace"]["spans"]] == MISS_SPANS
         assert [s["name"] for s in json.loads(second)["trace"]["spans"]] == HIT_SPANS
 
-    def test_trace_is_doubly_opt_in(self):
-        # Server off + request on → no trace.
-        plain = [json.loads(line) for line in run_sharded([request_line(trace=True)], trace=False)]
-        assert "trace" not in plain[0]
-        # Server on + request silent → no trace either.
-        silent = [json.loads(line) for line in run_sharded([request_line()], trace=True)]
-        assert "trace" not in silent[0]
+    def test_no_opt_in_no_trace(self):
+        (plain,) = [json.loads(line) for line in run_sharded([request_line()])]
+        assert plain["status"] == "ok"
+        assert "trace" not in plain
 
     def test_minted_trace_id_when_request_has_none(self):
-        (response,) = [
-            json.loads(line) for line in run_sharded([request_line(trace=True)], trace=True)
-        ]
-        assert re.fullmatch(r"trace-[0-9a-f]{16}", response["trace"]["trace_id"])
+        (response,) = [json.loads(line) for line in run_sharded([request_line(trace=True)])]
+        assert re.fullmatch(r"[0-9a-f]{16}", response["trace"]["trace_id"])
+        assert response["id"] is None
+
+    def test_in_process_traced_request_carries_a_tiling_trace(self):
+        service = ScheduleService(batch_size=1)
+        (response,) = service.serve_chunk([request_line(id="local", trace=True)])
+        assert response["trace"]["trace_id"] == "local"
+        assert [span["name"] for span in response["trace"]["spans"]] == MISS_SPANS
+        assert_tiles(response["trace"])
 
     def test_untraced_stream_is_byte_identical_to_baseline(self):
         lines = [request_line(seed=index, id=f"r{index}") for index in range(6)]
-        with_obs = run_sharded(lines, trace=True)
-        without_obs = run_sharded(lines, trace=False)
-        assert with_obs == without_obs
-
-
-class TestSlowRequestLog:
-    def _serve_with_threshold(self, tmp_path, slow_ms):
-        log_path = tmp_path / "events.jsonl"
-        observability = Observability(
-            trace=True, slow_ms=slow_ms, event_log=EventLog(str(log_path))
-        )
-        with ScheduleService(batch_size=4, observability=observability) as service:
-            (response,) = service.serve_chunk([request_line(seed=1, id="slow-1", trace=True)])
-        events = []
-        if log_path.exists():
-            events = [
-                json.loads(line)
-                for line in log_path.read_text(encoding="utf-8").splitlines()
-            ]
-        return response, [e for e in events if e["kind"] == "slow_request"]
-
-    def test_threshold_zero_point_logs_every_request(self, tmp_path):
-        response, events = self._serve_with_threshold(tmp_path, slow_ms=0.0001)
-        assert len(events) == 1
-        event = events[0]
-        assert event["id"] == "slow-1"
-        assert event["duration_ms"] >= event["threshold_ms"]
-        assert event["trace"]["trace_id"] == "slow-1"
-        assert "ts" in event
-
-    def test_high_threshold_logs_nothing(self, tmp_path):
-        _, events = self._serve_with_threshold(tmp_path, slow_ms=1e9)
-        assert events == []
-
-    def test_event_log_rotates_at_max_entries(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        log = EventLog(str(path), max_entries=5)
-        for index in range(12):
-            log.append({"kind": "probe", "n": index})
-        current = path.read_text(encoding="utf-8").splitlines()
-        rotated = (tmp_path / "events.jsonl.1").read_text(encoding="utf-8").splitlines()
-        assert [json.loads(line)["n"] for line in current] == [10, 11]
-        assert [json.loads(line)["n"] for line in rotated] == [5, 6, 7, 8, 9]
-
-    def test_event_log_rejects_nonpositive_bound(self, tmp_path):
-        with pytest.raises(ValueError):
-            EventLog(str(tmp_path / "x.jsonl"), max_entries=0)
+        out = io.StringIO()
+        serve_lines(lines, ScheduleService(batch_size=1), out)
+        assert run_sharded(lines) == out.getvalue().splitlines()
 
 
 class TestTelemetrySchema:
@@ -205,7 +163,7 @@ class TestTelemetrySchema:
 
     def test_metrics_pin_schema_version(self):
         metrics = self._scrape()
-        assert TELEMETRY_SCHEMA_VERSION == 3  # service.pending and service.profile_dumps went
+        assert TELEMETRY_SCHEMA_VERSION == 4  # service.slow_requests went
         assert metrics[0]["metrics"]["schema_version"] == TELEMETRY_SCHEMA_VERSION
         assert metrics[0]["id"] == "m-1"
 

@@ -541,6 +541,27 @@ class TestCircuitBreaker:
         assert client.client_stats()["degraded_responses"] == 1
         assert client.client_stats()["breaker_opens"] >= 1
 
+    def test_degraded_traced_request_carries_a_trace(self):
+        # The local service honours the request's own opt-in, as the
+        # healthy shard would have.
+        async def go():
+            server, address, writers = await start_echo_server()
+            client = ShardedClient([address], breaker_threshold=1, breaker_cooldown=60.0)
+            await client.connect()
+            try:
+                await crash_server(server, writers)
+                assert client.breaker_states() == ["open"]
+                line = request_line(seed=4, id="deg-trace", trace=True)
+                return await asyncio.wait_for(await client.submit(line), timeout=10.0)
+            finally:
+                await client.close()
+
+        response = json.loads(asyncio.run(go()))
+        assert response["status"] == "ok"
+        trace = response["trace"]
+        assert trace["trace_id"] == "deg-trace"
+        assert abs(sum(span["ms"] for span in trace["spans"]) - trace["total_ms"]) <= 1e-6
+
     def test_concurrent_degraded_requests_share_one_local_service(self, monkeypatch):
         # Several degraded requests at once must build one local service
         # between them (a slow constructor widens the window in which a

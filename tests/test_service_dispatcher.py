@@ -10,7 +10,6 @@ from repro.exceptions import ServiceError
 from repro.service.cache import LRUResultCache
 from repro.service.dispatcher import ScheduleService
 from repro.service.executor import execute_request
-from repro.service.observability import Observability
 from repro.service.schema import canonicalize_request
 
 
@@ -28,7 +27,7 @@ def make_request(seed=0, tasks=10, scheduler="LS", **extra):
 
 def counter(service, name):
     """One ``service.*`` counter of ``service``'s metrics registry."""
-    return service.obs.registry.counter(f"service.{name}")
+    return service.registry.counter(f"service.{name}")
 
 
 class TestConstruction:
@@ -54,19 +53,12 @@ class TestConstruction:
     def test_default_observability_counts_into_the_cache_registry(self):
         cache = LRUResultCache(max_entries=4)
         service = ScheduleService(batch_size=1, cache=cache)
-        assert service.obs.registry is cache.registry
+        assert service.registry is cache.registry
         service.serve_chunk([make_request(seed=1), make_request(seed=1)])
         snapshot = cache.registry.snapshot()
         assert snapshot["counters"]["service.responded"] == 2
         assert snapshot["counters"]["cache.hits"] == 1
         assert snapshot["gauges"]["cache.size"] == 1
-
-    def test_cache_and_observability_on_different_registries_are_rejected(self):
-        cache = LRUResultCache(max_entries=4)
-        with pytest.raises(ServiceError, match="registry"):
-            ScheduleService(cache=cache, observability=Observability())
-        shared = Observability(registry=cache.registry)
-        assert ScheduleService(cache=cache, observability=shared).obs is shared
 
 
 class TestLifecycle:
@@ -312,7 +304,7 @@ class TestConcurrentScrape:
 
         def reader():
             while not stop.is_set():
-                counters = service.obs.registry.snapshot()["counters"]
+                counters = service.registry.snapshot()["counters"]
                 # Invariant: every response is accounted for by exactly one
                 # outcome counter — a torn snapshot would break the sum.
                 if counters["service.responded"] != (

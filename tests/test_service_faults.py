@@ -86,7 +86,7 @@ class TestClientDisconnect:
                     lambda: server.connections_active == 0
                 ), "server never reaped the aborted connection"
                 assert server.inflight == 0
-                assert service.obs.registry.counter("server.disconnects") == 1
+                assert service.registry.counter("server.disconnects") == 1
 
                 # Client B on the same server still gets the full,
                 # byte-identical stream.
@@ -238,7 +238,7 @@ class TestSlowReaderBackpressure:
                 # stable level strictly below the full stream: write-buffer
                 # bound + kernel buffers, not an unbounded backlog.
                 def responses_sent():
-                    return service.obs.registry.counter("server.responses_sent")
+                    return service.registry.counter("server.responses_sent")
 
                 previous = -1
                 while responses_sent() != previous:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,8 @@ import pytest
 from repro.cli import main
 from repro.scenarios import available_scenarios
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SRC = REPO_ROOT / "src"
 
 #: Modules a shard never runs: the adversary games, the experiment and
 #: campaign harnesses, the scenario library, the kernel interface and its
@@ -98,6 +100,11 @@ def test_serve_path_imports_only_what_a_shard_runs(tmp_path):
     assert unexpected == []
     repro_modules = [name for name in loaded if name == "repro" or name.startswith("repro.")]
     assert len(repro_modules) <= MAX_SERVE_MODULES, repro_modules
+    # The docs quote the measured count; keep them from drifting.
+    for doc in ("ARCHITECTURE.md", "SERVICE.md"):
+        text = (REPO_ROOT / "docs" / doc).read_text(encoding="utf-8")
+        quoted = re.findall(r"loads\s+(\d+)\s+`repro`\s+modules", text)
+        assert quoted == [str(len(repro_modules))], (doc, quoted)
 
 
 @pytest.mark.parametrize("package", ["repro", "repro.service", "repro.campaigns"])

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Fault harness: drive a real shard tree through a seeded fault schedule.
 
-One run boots a durable, traced ``repro serve --listen ... --shards N``
+One run boots a durable ``repro serve --listen ... --shards N``
 supervisor tree, drives a deterministic loadgen request pool through a
 resilient :class:`~repro.service.sharding.ShardedClient`, and fires a
 :class:`~repro.service.faults.FaultSchedule` at the shard processes:
@@ -24,11 +24,12 @@ settles the breakers, replays the pool once, scrapes every shard's
 metrics and fires a few traced requests.  :func:`audit` then checks:
 
 1. **zero lost** — every submitted request resolved to ``ok``, a typed
-   shed or a typed degradation, never a drop or a hang;
+   shed or a typed ``shard-unavailable``/``shard-timeout`` error, never a
+   drop or a hang;
 2. **byte-identity** — every ``ok`` response equals the serial baseline,
    served at batch size 1 while the shards batch 8 (batch 1 ≡ batch N);
-3. **bounded degradation** — sheds plus degradations are 0 (``--strict``)
-   or at most half of the main stream;
+3. **bounded non-ok share** — sheds plus unavailable responses are 0
+   (``--strict``) or at most half of the main stream;
 4. **pressure** — with ``--pressure``, at least one request was shed;
 5. **recovery** — every killed shard serves again, answers part of the
    replay, and the replay needed no client-local degraded execution;
@@ -86,8 +87,10 @@ from repro.service.faults import FaultEvent, FaultSchedule  # noqa: E402
 from repro.service.server import serve_lines  # noqa: E402
 from repro.service.sharding import ShardedClient  # noqa: E402
 
-#: Error types that count as *typed degradation* (terminal, never lost).
-DEGRADED_TYPES = {"shard-unavailable", "shard-timeout"}
+#: Error types of a shard the client could not reach in time (typed and
+#: terminal, never lost).  A client-local *degraded* answer is ``ok``;
+#: the client counts those in ``degraded_responses``.
+UNAVAILABLE_TYPES = {"shard-unavailable", "shard-timeout"}
 
 #: Request pool: distinct configurations, and tasks per request.  Requests
 #: are at most 4 workers wide, so a pool request costs at most 160.
@@ -140,7 +143,7 @@ PRESSURE_RETRIES = 1
 BURSTS = 2
 FAULT_HORIZON = 0.6
 
-#: Upper bound on (shed + degraded) / responses of the main stream
+#: Upper bound on (shed + unavailable) / responses of the main stream
 #: without ``--strict`` (which bounds it at 0).
 MAX_NONOK_FRACTION = 0.5
 
@@ -305,7 +308,7 @@ def summarize_telemetry(
 
     Returns ``(summary, problems)``: one row per answering shard with the
     server-side latency quantiles, batch-assembly wait, cache hit rate,
-    shed/slow counts, restart gauge, cache state and peak RSS the audits
+    shed count, restart gauge, cache state and peak RSS the audits
     assert on, plus one problem string per shard whose metrics endpoint
     did not answer.
     """
@@ -329,7 +332,6 @@ def summarize_telemetry(
             "batch_wait_p95_ms": histograms["service.batch_assembly_ms"]["p95"],
             "cache_hit_rate": round(hits / lookups, 4) if lookups else None,
             "shed": counters["service.shed_cost"],
-            "slow": counters["service.slow_requests"],
             "restarts": gauges["server.restarts"],
             "warm_hits": counters["cache.warm_hits"],
             "cache_size": gauges["cache.size"],
@@ -343,7 +345,7 @@ def format_telemetry_table(summary: Dict[str, Any]) -> List[str]:
     """Render a :func:`summarize_telemetry` summary as aligned table lines."""
     header = (
         f"{'shard':>5} {'responded':>9} {'p50ms':>8} {'p99ms':>8} "
-        f"{'bwait95':>8} {'hit%':>6} {'shed':>6} {'slow':>6} {'restarts':>8} "
+        f"{'bwait95':>8} {'hit%':>6} {'shed':>6} {'restarts':>8} "
         f"{'warm':>6} {'journal':>7} {'rss_mib':>7}"
     )
     lines = [header, "-" * len(header)]
@@ -353,7 +355,7 @@ def format_telemetry_table(summary: Dict[str, Any]) -> List[str]:
         lines.append(
             f"{shard:>5} {row['responded']:>9} {row['p50_ms']:>8.2f} "
             f"{row['p99_ms']:>8.2f} {row['batch_wait_p95_ms']:>8.2f} "
-            f"{hit_text:>6} {row['shed']:>6} {row['slow']:>6} "
+            f"{hit_text:>6} {row['shed']:>6} "
             f"{row['restarts']:>8.0f} {row['warm_hits']:>6} "
             f"{row['journal_entries']:>7} {row['max_rss_mib']:>7.1f}"
         )
@@ -731,7 +733,7 @@ def tally(
     """Classify one stream's responses.
 
     Returns ``(counts, mismatched, untyped)``: the counts of submitted,
-    resolved, ``ok``, shed, degraded and lost requests and of byte
+    resolved, ``ok``, shed, unavailable and lost requests and of byte
     mismatches, the ids of ``ok`` responses that differ from
     ``baseline``, and the (truncated) responses that are neither ``ok``
     nor typed.  ``baseline`` None skips the byte check: the re-seeded
@@ -739,7 +741,7 @@ def tally(
     """
     counts = {
         "submitted": len(pairs), "responses": 0, "ok": 0,
-        "shed": 0, "degraded": 0, "lost": 0,
+        "shed": 0, "unavailable": 0, "lost": 0,
     }
     mismatched: List[str] = []
     untyped: List[str] = []
@@ -759,8 +761,8 @@ def tally(
                     mismatched.append(request_id)
         elif status == "rejected" and error_type == "service-overloaded":
             counts["shed"] += 1
-        elif status == "error" and error_type in DEGRADED_TYPES:
-            counts["degraded"] += 1
+        elif status == "error" and error_type in UNAVAILABLE_TYPES:
+            counts["unavailable"] += 1
         else:
             untyped.append(response_text[:120])
     counts["byte_mismatches"] = len(mismatched)
@@ -803,10 +805,10 @@ def audit(
             f"(first: {untyped[0]})"
         )
     bound = 0.0 if strict else MAX_NONOK_FRACTION
-    nonok_fraction = (main["shed"] + main["degraded"]) / max(main["responses"], 1)
+    nonok_fraction = (main["shed"] + main["unavailable"]) / max(main["responses"], 1)
     if nonok_fraction > bound:
         failures.append(
-            f"shed+degraded fraction {nonok_fraction:.3f} of the main stream "
+            f"shed+unavailable fraction {nonok_fraction:.3f} of the main stream "
             f"exceeds {bound}{' (--strict)' if strict else ''}"
         )
     shed_total = main["shed"] + pressure["shed"]
@@ -940,7 +942,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The harness's command line; every other knob is a module constant."""
     parser = argparse.ArgumentParser(
         description=(
-            "Boot a durable, traced, sharded repro server, drive a "
+            "Boot a durable, sharded repro server, drive a "
             "deterministic load through a resilient client while firing a "
             "seeded fault schedule, and audit zero-lost, byte-identity, "
             "recovery and warm restarts."
@@ -967,7 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--strict", action="store_true",
         help="require every main-stream response ok (crash-only schedules: "
-        "degradation is absorbed by retry + local execution)",
+        "shard loss is absorbed by retry + local execution)",
     )
     parser.add_argument(
         "--pressure", type=int, default=0, metavar="K",
@@ -1013,7 +1015,6 @@ def main(argv=None) -> int:
         )
         flags = [
             "--state-dir", state_dir,
-            "--trace",
             "--batch-size", str(SERVER_BATCH_SIZE),
             "--journal-max-entries", str(JOURNAL_MAX_ENTRIES),
         ]
@@ -1040,7 +1041,8 @@ def main(argv=None) -> int:
         )
     print(
         f"chaos: {report['verdict']} - {report['ok']}/{report['submitted']} ok, "
-        f"{report['shed']} shed, {report['degraded']} degraded, "
+        f"{report['shed']} shed, {report['unavailable']} unavailable, "
+        f"{report['client']['degraded_responses']} degraded, "
         f"{report['lost']} lost, {report['byte_mismatches']} byte mismatch(es), "
         f"{report['shed_total']} shed in total, "
         f"restarts {report['recovery'] or '{}'}, warm {report['warm'] or '{}'}, "

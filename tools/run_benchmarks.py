@@ -72,7 +72,6 @@ from repro.schedulers.base import create_scheduler  # noqa: E402
 from repro.service.async_server import AsyncScheduleServer  # noqa: E402
 from repro.service.cache import LRUResultCache  # noqa: E402
 from repro.service.dispatcher import ScheduleService  # noqa: E402
-from repro.service.observability import Observability  # noqa: E402
 from repro.service.persistence import ShardPersistence  # noqa: E402
 from repro.service.schema import canonicalize_request  # noqa: E402
 from repro.service.server import serve_lines  # noqa: E402
@@ -417,12 +416,11 @@ def bench_service_observability_overhead(runs: int, n_requests: int) -> Dict[str
 
     The warm-cached stream is the most overhead-sensitive path (zero
     simulations, so per-request bookkeeping is the whole cost).  The
-    headline variant is the *deployment* configuration: service started
-    with ``--trace`` and every 16th request opting in with
-    ``"trace": true`` — sampled tracing, the way traces are meant to be
-    collected in steady state.  ``rps_regression`` (headline vs. the
-    tracing-off baseline) is the value the CI smoke asserts stays under
-    5%.  The worst case — **every** request opting in, so span capture
+    headline variant is the *deployment* configuration: every 16th
+    request opting in with ``"trace": true`` — sampled tracing, the way
+    traces are meant to be collected in steady state.  ``rps_regression``
+    (headline vs. the baseline stream, where no request opts in) is the
+    value the CI smoke asserts stays under 5%.  The worst case — **every** request opting in, so span capture
     and trace serialization on each response — is recorded alongside as
     ``traced_all_*``; it prices one traced response (~tens of µs), not a
     realistic serving mix.  Each variant keeps one warm service alive
@@ -446,18 +444,9 @@ def bench_service_observability_overhead(runs: int, n_requests: int) -> Dict[str
 
     passes = 2
 
-    def make_runner(
-        stack: contextlib.ExitStack, stream: List[str], trace: bool
-    ) -> Callable[[], None]:
-        observability = Observability(trace=trace)
-        cache = LRUResultCache(
-            max_entries=4 * n_requests, registry=observability.registry
-        )
-        service = stack.enter_context(
-            ScheduleService(
-                batch_size=16, cache=cache, observability=observability
-            )
-        )
+    def make_runner(stack: contextlib.ExitStack, stream: List[str]) -> Callable[[], None]:
+        cache = LRUResultCache(max_entries=4 * n_requests)
+        service = stack.enter_context(ScheduleService(batch_size=16, cache=cache))
 
         def run() -> None:
             for _ in range(passes):
@@ -478,9 +467,9 @@ def bench_service_observability_overhead(runs: int, n_requests: int) -> Dict[str
     samples: Dict[str, List[float]] = {}
     with contextlib.ExitStack() as stack:
         runners = {
-            "baseline": make_runner(stack, lines, trace=False),
-            "sampled": make_runner(stack, opted_in(lines, sample_every), trace=True),
-            "traced_all": make_runner(stack, opted_in(lines, 1), trace=True),
+            "baseline": make_runner(stack, lines),
+            "sampled": make_runner(stack, opted_in(lines, sample_every)),
+            "traced_all": make_runner(stack, opted_in(lines, 1)),
         }
         samples = {name: [] for name in runners}
         for _ in range(trials):
