@@ -16,12 +16,18 @@ decision point.  Only five event kinds exist in the model:
 
 Events are totally ordered by ``(time, priority, sequence)``; the priority
 encodes the convention that at equal times the engine first learns about
-completions, then platform changes, then releases, then wake-ups, so that a
-scheduler consulted at time *t* sees every piece of information dated *t*.
-Processing completions before platform events is what guarantees that a
-platform event landing exactly on a ``SEND_COMPLETE``/``COMPUTE_COMPLETE``
-timestamp can never alter in-flight durations (they were fixed when the
-send/computation started).
+completions, then platform changes, then releases, then wake-ups.  The
+engine processes one event at a time and consults the scheduler after each
+one whenever the master's port is free and a task is pending, also between
+two events of the same instant.  A consultation at time *t* therefore sees
+the events that precede it in that order, not every event dated *t*: a bag
+of tasks released at 0 is offered to the scheduler first with one task
+released (SLJF on two workers with ``all_at_zero(5)`` is first consulted
+with ``n_released == 1``), and the other releases at 0 reach it at later
+consultations.  Processing completions before platform events is what
+guarantees that a platform event landing exactly on a
+``SEND_COMPLETE``/``COMPUTE_COMPLETE`` timestamp can never alter in-flight
+durations (they were fixed when the send/computation started).
 """
 
 from __future__ import annotations

@@ -162,14 +162,21 @@ class TaskSet:
     def from_releases(cls, releases: Sequence[float]) -> "TaskSet":
         """Build a set of identical tasks from a list of release times.
 
-        Task identifiers are assigned in release order starting at 0.
+        Task identifiers are assigned in release order starting at 0, ties
+        keeping their input order.  The tasks come out already sorted by
+        ``(release, task_id)`` with distinct ids, so the constructor's sort
+        and duplicate scan are skipped; every :class:`Task` check still runs.
         """
-        indexed = sorted(range(len(releases)), key=lambda i: (releases[i], i))
+        # A stable sort keeps equal releases in input order.
+        indexed = sorted(range(len(releases)), key=releases.__getitem__)
         tasks = [
-            Task(release=float(releases[original]), task_id=rank)
+            Task(float(releases[original]), rank)
             for rank, original in enumerate(indexed)
         ]
-        return cls(tasks)
+        task_set = cls.__new__(cls)
+        task_set._tasks = tasks
+        task_set._by_id = dict(enumerate(tasks))
+        return task_set
 
     def with_factors(
         self,

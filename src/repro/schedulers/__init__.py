@@ -2,41 +2,13 @@
 
 The seven heuristics compared in Section 4 of the paper are registered under
 their paper names (``SRPT``, ``LS``, ``RR``, ``RRC``, ``RRP``, ``SLJF``,
-``SLJFWC``) and can be instantiated with :func:`create_scheduler`.
+``SLJFWC``) and can be instantiated with :func:`create_scheduler`.  The
+names below resolve on first access (see :mod:`repro._lazy`), and the
+registry imports a policy's module the first time that policy is created,
+so listing or checking scheduler names loads no heuristic.
 """
 
-from .base import (
-    OnlineScheduler,
-    PAPER_HEURISTICS,
-    available_schedulers,
-    create_scheduler,
-    register_scheduler,
-)
-from .list_scheduling import GreedyCommunicationScheduler, ListScheduler
-from .offline import (
-    MAX_BRUTE_FORCE_TASKS,
-    OfflineSolution,
-    OrderedAssignmentScheduler,
-    enumerate_schedule_values,
-    optimal_schedule,
-    optimal_value,
-    optimal_values,
-)
-from .random_policy import (
-    FixedAssignmentScheduler,
-    RandomScheduler,
-    SingleWorkerScheduler,
-)
-from .round_robin import (
-    RoundRobin,
-    RoundRobinComm,
-    RoundRobinComp,
-    StrictRoundRobin,
-    StrictRoundRobinComm,
-    StrictRoundRobinComp,
-)
-from .sljf import SLJFScheduler, SLJFWCScheduler, backward_plan
-from .srpt import SRPTScheduler
+from .._lazy import lazy_exports
 
 __all__ = [
     "FixedAssignmentScheduler",
@@ -68,22 +40,32 @@ __all__ = [
     "register_scheduler",
 ]
 
-
-def _register_defaults() -> None:
-    """Register the built-in policies under their paper names."""
-    register_scheduler("SRPT", SRPTScheduler)
-    register_scheduler("LS", ListScheduler)
-    register_scheduler("RR", RoundRobin)
-    register_scheduler("RRC", RoundRobinComm)
-    register_scheduler("RRP", RoundRobinComp)
-    register_scheduler("SLJF", SLJFScheduler)
-    register_scheduler("SLJFWC", SLJFWCScheduler)
-    register_scheduler("RR-STRICT", StrictRoundRobin)
-    register_scheduler("RRC-STRICT", StrictRoundRobinComm)
-    register_scheduler("RRP-STRICT", StrictRoundRobinComp)
-    register_scheduler("RANDOM", RandomScheduler)
-    register_scheduler("GREEDY-COMM", GreedyCommunicationScheduler)
-    register_scheduler("SINGLE", SingleWorkerScheduler)
-
-
-_register_defaults()
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "OnlineScheduler": ".base",
+    "PAPER_HEURISTICS": ".base",
+    "available_schedulers": ".base",
+    "create_scheduler": ".base",
+    "register_scheduler": ".base",
+    "GreedyCommunicationScheduler": ".list_scheduling",
+    "ListScheduler": ".list_scheduling",
+    "MAX_BRUTE_FORCE_TASKS": ".offline",
+    "OfflineSolution": ".offline",
+    "OrderedAssignmentScheduler": ".offline",
+    "enumerate_schedule_values": ".offline",
+    "optimal_schedule": ".offline",
+    "optimal_value": ".offline",
+    "optimal_values": ".offline",
+    "FixedAssignmentScheduler": ".random_policy",
+    "RandomScheduler": ".random_policy",
+    "SingleWorkerScheduler": ".random_policy",
+    "RoundRobin": ".round_robin",
+    "RoundRobinComm": ".round_robin",
+    "RoundRobinComp": ".round_robin",
+    "StrictRoundRobin": ".round_robin",
+    "StrictRoundRobinComm": ".round_robin",
+    "StrictRoundRobinComp": ".round_robin",
+    "SLJFScheduler": ".sljf",
+    "SLJFWCScheduler": ".sljf",
+    "backward_plan": ".sljf",
+    "SRPTScheduler": ".srpt",
+})

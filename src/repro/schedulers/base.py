@@ -11,17 +11,23 @@ and inside the adversary games of :mod:`repro.theory`.
 The registry maps the short names used throughout the paper (``SRPT``,
 ``LS``, ``RR``, ``RRC``, ``RRP``, ``SLJF``, ``SLJFWC``) to factories so the
 experiment harness and the CLI can instantiate policies from configuration
-strings.
+strings.  A built-in entry is the ``"module:Class"`` path of its policy,
+imported by the first :func:`create_scheduler` of that name, so reading
+the names (the service's request check, the CLI's ``choices``) imports
+neither the engine nor any heuristic.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, List, Optional
+from importlib import import_module
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
-from ..core.engine import Decision, SchedulerView
-from ..core.platform import Platform
 from ..exceptions import SchedulingError
+
+if TYPE_CHECKING:
+    from ..core.engine import Decision, SchedulerView
+    from ..core.platform import Platform
 
 __all__ = [
     "OnlineScheduler",
@@ -81,7 +87,23 @@ class OnlineScheduler(abc.ABC):
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
-_REGISTRY: Dict[str, Callable[[], OnlineScheduler]] = {}
+#: Name -> factory, or the ``"module:Class"`` path a built-in policy is
+#: imported from when it is created.
+_REGISTRY: Dict[str, Union[str, Callable[[], OnlineScheduler]]] = {
+    "SRPT": "repro.schedulers.srpt:SRPTScheduler",
+    "LS": "repro.schedulers.list_scheduling:ListScheduler",
+    "RR": "repro.schedulers.round_robin:RoundRobin",
+    "RRC": "repro.schedulers.round_robin:RoundRobinComm",
+    "RRP": "repro.schedulers.round_robin:RoundRobinComp",
+    "SLJF": "repro.schedulers.sljf:SLJFScheduler",
+    "SLJFWC": "repro.schedulers.sljf:SLJFWCScheduler",
+    "RR-STRICT": "repro.schedulers.round_robin:StrictRoundRobin",
+    "RRC-STRICT": "repro.schedulers.round_robin:StrictRoundRobinComm",
+    "RRP-STRICT": "repro.schedulers.round_robin:StrictRoundRobinComp",
+    "RANDOM": "repro.schedulers.random_policy:RandomScheduler",
+    "GREEDY-COMM": "repro.schedulers.list_scheduling:GreedyCommunicationScheduler",
+    "SINGLE": "repro.schedulers.random_policy:SingleWorkerScheduler",
+}
 
 #: The seven heuristics compared in Section 4 of the paper, in the order of
 #: the figures (SRPT is the normalisation reference and comes first).
@@ -104,6 +126,9 @@ def create_scheduler(name: str) -> OnlineScheduler:
         raise SchedulingError(
             f"unknown scheduler {name!r}; available: {sorted(_REGISTRY)}"
         ) from exc
+    if isinstance(factory, str):
+        module, _, attribute = factory.partition(":")
+        factory = getattr(import_module(module), attribute)
     return factory()
 
 

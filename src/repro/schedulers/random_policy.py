@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
 from ..core.engine import Decision, SchedulerView
 from ..core.platform import Platform
 from ..exceptions import SchedulingError
@@ -29,13 +27,20 @@ class RandomScheduler(OnlineScheduler):
     def __init__(self, seed: Optional[int] = None) -> None:
         super().__init__()
         self._seed = seed
-        self._rng = np.random.default_rng(seed)
+        self._rng = self._generator()
+
+    def _generator(self):
+        """A fresh generator from the policy's seed."""
+        # numpy loads with the first random policy, not with the registry.
+        import numpy as np
+
+        return np.random.default_rng(self._seed)
 
     def reset(self, platform: Platform, n_tasks_hint: Optional[int] = None) -> None:
         """Re-seed the private generator for a reproducible fresh run."""
         super().reset(platform, n_tasks_hint)
         # Re-seed on reset so repeated runs of the same instance are identical.
-        self._rng = np.random.default_rng(self._seed)
+        self._rng = self._generator()
 
     def decide(self, view: SchedulerView) -> Decision:
         """Assign the FIFO task to a uniformly random worker."""

@@ -7,11 +7,15 @@ same dispatcher over TCP: one shared
 protocol (one request per line in, one canonical-JSON response per line
 out) and **per-connection submission order**.
 
-Each connection is one :class:`asyncio.Protocol`, and all of its work runs
-in its callbacks on the event-loop thread:
+Each connection is one :class:`asyncio.BufferedProtocol`, and all of its
+work runs in its callbacks on the event-loop thread:
 
-* ``data_received`` splits out the complete lines and parses each one
-  once (``json.loads``) to tell control requests from schedule requests;
+* every read lands in the connection's one receive buffer, and
+  ``data_received`` splits out the complete lines and parses each one
+  once (``json.loads``) to tell control requests from schedule requests.
+  A plain protocol would get a fresh 256 KiB ``bytes`` per read, which
+  glibc maps and unmaps (page faults included) unless some earlier free
+  happened to raise its mmap threshold;
 * a *step* resolves at most one chunk (the service batch size) of queued
   lines through :meth:`~repro.service.dispatcher.ScheduleService.serve_chunk`
   — a JSON object goes on parsed, any other line as its text, so a
@@ -74,6 +78,9 @@ __all__ = [
 #: connection (after the lines before them are answered).
 _LINE_LIMIT = 1 << 20
 
+#: Size of each connection's receive buffer, the most one read returns.
+_READ_SIZE = 64 * 1024
+
 #: One parsed request line: ``(request, is_control)``.  ``request`` is the
 #: parsed object of a JSON-object line, else the line's raw text.
 _Item = Tuple[Any, bool]
@@ -113,7 +120,7 @@ def parse_address(text: str) -> Tuple[str, int]:
     return host, port
 
 
-class _Connection(asyncio.Protocol):
+class _Connection(asyncio.BufferedProtocol):
     """One client connection: complete lines in, one resolved chunk per step out."""
 
     def __init__(self, server: "AsyncScheduleServer") -> None:
@@ -133,6 +140,8 @@ class _Connection(asyncio.Protocol):
         self.oversized = False
         self.writing_paused = False
         self.step_due = False
+        #: The receive buffer every read of this connection reuses.
+        self.buffer = memoryview(bytearray(_READ_SIZE))
 
     def connection_made(self, transport: Any) -> None:
         """Register the connection and apply the per-connection buffer bound."""
@@ -153,6 +162,14 @@ class _Connection(asyncio.Protocol):
             transport.set_write_buffer_limits(high=server.per_connection_sndbuf)
         if server._draining:
             self.end_input()
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        """The receive buffer the transport reads into."""
+        return self.buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        """Hand the ``nbytes`` just read to :meth:`data_received`."""
+        self.data_received(self.buffer[:nbytes].tobytes())
 
     def data_received(self, data: bytes) -> None:
         """Queue every complete line of ``data``, then resolve a chunk."""

@@ -54,11 +54,22 @@ from ..exceptions import (
 )
 from ..obs import MetricsRegistry, Trace, mint_trace_id
 from .cache import LRUResultCache
-from .executor import execute_request
 from .observability import declare_service_metrics
 from .schema import SCHEMA_VERSION, ScheduleRequest, canonicalize_request
 
 __all__ = ["ScheduleService"]
+
+
+def execute_request(request: ScheduleRequest) -> Dict[str, Any]:
+    """Run one request through :func:`repro.service.executor.execute_request`.
+
+    The executor, and with it numpy, the engine and the heuristics, is
+    imported by the first cache miss: a shard answers cache hits without
+    loading the compute path.
+    """
+    from . import executor
+
+    return executor.execute_request(request)
 
 
 @dataclass

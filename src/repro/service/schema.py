@@ -13,7 +13,9 @@ one key:
 
 * dict key order never matters (:func:`repro._hashing.canonical_json`);
 * numeric spellings are normalised (``1`` vs ``1.0`` for a float-valued
-  field, NumPy scalars, integral floats for int-valued fields);
+  field, NumPy scalars, integral floats for int-valued fields); numbers are
+  recognised through :mod:`numbers`, where NumPy registers its scalar
+  types, so checking a request never imports NumPy;
 * optional fields are filled with their defaults (``{"tasks": 100}`` is the
   same request as the fully spelt-out all-at-zero bag of 100 tasks);
 * scheduler names are case-folded to the registry's canonical upper case;
@@ -30,16 +32,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
-
-import numpy as np
+from numbers import Integral, Real
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from .._hashing import canonical_json, content_hash
-from ..core.platform import Platform
-from ..core.task import TaskSet
 from ..exceptions import RequestValidationError
 from ..schedulers.base import _REGISTRY as _SCHEDULERS, available_schedulers
-from ..workloads import release
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from ..core.platform import Platform
+    from ..core.task import TaskSet
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -113,7 +117,7 @@ def _as_float(value: Any, where: str) -> float:
     """Coerce a JSON number into a finite float, rejecting bool/str/NaN."""
     if type(value) is float and -_INF < value < _INF:
         return value  # fast path: what json.loads yields for a finite number
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+    if isinstance(value, bool) or not isinstance(value, Real):
         raise _fail(f"{where} must be a number, got {type(value).__name__}")
     result = float(value)
     if not math.isfinite(result):
@@ -125,9 +129,9 @@ def _as_int(value: Any, where: str) -> int:
     """Coerce a JSON number into an int, accepting integral floats (``3.0``)."""
     if type(value) is int:
         return value  # fast path: bool is a subclass, never ``type(...) is int``
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+    if isinstance(value, bool) or not isinstance(value, Real):
         raise _fail(f"{where} must be an integer, got {type(value).__name__}")
-    if isinstance(value, (float, np.floating)):
+    if not isinstance(value, Integral):
         if not math.isfinite(value) or float(value) != int(value):
             raise _fail(f"{where} must be an integer, got {value}")
     return int(value)
@@ -179,7 +183,7 @@ def _canonical_platform(raw: Any) -> Dict[str, Any]:
 
 def _canonical_tasks(raw: Any) -> Dict[str, Any]:
     if type(raw) is not dict:
-        if isinstance(raw, (int, float, np.integer, np.floating)) and not isinstance(raw, bool):
+        if isinstance(raw, Real) and not isinstance(raw, bool):
             raw = {"n": raw}  # shorthand: bare count = all-at-zero bag
         elif not isinstance(raw, Mapping):
             raise _fail(
@@ -286,6 +290,8 @@ class ScheduleRequest:
 
     def platform(self) -> Platform:
         """Materialise the request's :class:`~repro.core.platform.Platform`."""
+        from ..core.platform import Platform
+
         return Platform.from_times(
             self.config["platform"]["comm"], self.config["platform"]["comp"]
         )
@@ -394,6 +400,8 @@ def build_tasks(request: ScheduleRequest, rng: np.random.Generator) -> TaskSet:
     releases depend only on the request — never on the worker that builds
     them.
     """
+    from ..workloads import release
+
     tasks = request.config["tasks"]
     process, n = tasks["process"], tasks["n"]
     if process == "all-at-zero":

@@ -226,3 +226,35 @@ class TestSchedulerView:
         schedule = simulate(Predictor(), platform, all_at_zero(4))
         for task_id, predicted in predictions:
             assert schedule[task_id].compute_end == pytest.approx(predicted)
+
+    def test_consultations_interleave_with_same_instant_releases(self):
+        """Pin the consult order documented in :mod:`repro.core.events`.
+
+        The engine consults after every event, also between two releases of
+        the same instant, so SLJF's first look at a bag of five tasks shows
+        one of them.  A change to batch same-instant events must update
+        this test and that docstring together.
+        """
+        from repro.schedulers.base import create_scheduler
+
+        scheduler = create_scheduler("SLJF")
+        decide = scheduler.decide
+        consulted = []
+
+        def recording_decide(view):
+            decision = decide(view)
+            consulted.append(
+                (view.now, view.n_released, len(view.pending), decision.task_id, decision.worker_id)
+            )
+            return decision
+
+        scheduler.decide = recording_decide
+        platform = Platform.from_times([1.0, 2.0], [3.0, 1.0])
+        simulate(scheduler, platform, all_at_zero(5), expose_task_count=True)
+        assert consulted == [
+            (0.0, 1, 1, 0, 1),
+            (2.0, 5, 4, 1, 0),
+            (3.0, 5, 3, 2, 1),
+            (5.0, 5, 2, 3, 1),
+            (7.0, 5, 1, 4, 1),
+        ]

@@ -55,3 +55,14 @@ class TestRegistry:
     def test_scheduler_names_match_registry_keys(self):
         for name in PAPER_HEURISTICS:
             assert create_scheduler(name).name == name
+
+    def test_every_built_in_path_resolves_to_its_policy(self):
+        from repro.schedulers.base import _REGISTRY
+
+        paths = {name: entry for name, entry in _REGISTRY.items() if isinstance(entry, str)}
+        assert len(paths) == 13
+        for name, path in paths.items():
+            scheduler = create_scheduler(name)
+            assert isinstance(scheduler, OnlineScheduler)
+            assert scheduler.name == name
+            assert path == f"{type(scheduler).__module__}:{type(scheduler).__name__}"

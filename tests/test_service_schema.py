@@ -49,6 +49,9 @@ class TestCanonicalization:
 
     def test_numpy_scalars_collapse(self):
         assert request(seed=np.int64(3)).key == request().key
+        assert request(tasks={"n": np.float64(20.0)}).key == request().key
+        with pytest.raises(RequestValidationError, match="seed"):
+            request(seed=np.bool_(True))
 
     def test_bare_task_count_is_all_at_zero_shorthand(self):
         assert request(tasks=20).key == request().key
