@@ -133,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="on-disk result cache; re-runs skip already-computed cells",
     )
-    campaign.add_argument("--platforms", type=int, default=10, help="platforms per grid")
-    campaign.add_argument("--tasks", type=int, default=1000, help="tasks per run")
+    campaign.add_argument("--platforms", type=_positive_int, default=10, help="platforms per grid")
+    campaign.add_argument("--tasks", type=_positive_int, default=1000, help="tasks per run")
     campaign.add_argument("--seed", type=int, default=2006)
     campaign.add_argument(
         "--panels", nargs="+", default=None, metavar="PANEL",
@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="figure2 only: task-size perturbation amplitude",
     )
     campaign.add_argument(
-        "--perturbations", type=int, default=3,
+        "--perturbations", type=_positive_int, default=3,
         help="figure2 only: perturbed workloads per platform",
     )
     campaign.add_argument(
@@ -196,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["all"] + available_schedulers(),
         help="scheduler to run under the scenario (default: the seven paper heuristics)",
     )
-    scenario.add_argument("--tasks", type=int, default=200, help="tasks per run")
-    scenario.add_argument("--seed", type=int, default=2006)
+    scenario.add_argument("--tasks", type=_positive_int, default=200, help="tasks per run")
+    scenario.add_argument("--seed", type=_nonnegative_int, default=2006)
     scenario.add_argument(
         "--comm", type=float, nargs="+", default=[0.2, 0.5, 1.0], help="c_j per worker"
     )
@@ -472,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = subparsers.add_parser("demo", help="run one scheduler and print a Gantt chart")
     demo.add_argument("--scheduler", default="LS", choices=available_schedulers())
-    demo.add_argument("--tasks", type=int, default=12)
+    demo.add_argument("--tasks", type=_positive_int, default=12)
     demo.add_argument(
         "--comm", type=float, nargs="+", default=[0.2, 0.5, 1.0], help="c_j per worker"
     )

@@ -63,7 +63,7 @@ class CampaignConfig:
             )
 
     def scaled(self, n_platforms: Optional[int] = None, n_tasks: Optional[int] = None) -> "CampaignConfig":
-        """A copy with a smaller campaign size (used by benchmarks and tests)."""
+        """A copy with a smaller campaign size (used by tests)."""
         return replace(
             self,
             n_platforms=n_platforms if n_platforms is not None else self.n_platforms,

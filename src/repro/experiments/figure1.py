@@ -15,8 +15,8 @@ on-disk cache.  Every cell derives its platform from the campaign's root
 seed and its own grid coordinates, so ``workers=8`` reproduces ``workers=1``
 bit for bit.
 
-The qualitative findings the paper reports — and which EXPERIMENTS.md
-records against our measurements — are:
+The qualitative findings the paper reports — each asserted, with the
+measured deviations, by ``tests/test_paper_claims.py`` — are:
 
 * Figure 1(a): on homogeneous platforms every static heuristic performs the
   same and beats SRPT;

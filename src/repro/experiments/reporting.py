@@ -2,8 +2,8 @@
 
 The paper presents its results as bar charts; this module renders the same
 numbers as fixed-width text tables (one row per heuristic, one column per
-metric) so that the campaigns can be inspected from a terminal, from CI logs
-and from EXPERIMENTS.md without a plotting dependency.
+metric) so that the campaigns can be inspected from a terminal or from CI
+logs without a plotting dependency.
 """
 
 from __future__ import annotations

@@ -12,9 +12,8 @@ heuristic) grid as campaign cells and delegates execution to
 :func:`repro.campaigns.runner.run_campaign`, so large sweeps parallelise
 over processes and re-runs resolve from the result cache.
 
-The sweep is an extension (not a published figure); it is exercised by
-``benchmarks/bench_ablation_heterogeneity_sweep.py`` and documented in
-EXPERIMENTS.md alongside the other ablations.
+The sweep is an extension (not a published figure); its finding is
+asserted by ``tests/test_paper_claims.py`` alongside the other ablations.
 """
 
 from __future__ import annotations

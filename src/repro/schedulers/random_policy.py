@@ -1,10 +1,9 @@
 """Randomised and fixed-assignment baselines.
 
 These policies are not part of the paper's experimental comparison; they are
-used by the test-suite (as adversarially bad references), by property-based
-tests (any feasible policy must produce a feasible schedule), and by the
-ablation benchmarks (how much does *any* structure help over random
-placement?).
+used by the test-suite (as adversarially bad references) and by
+property-based tests (any feasible policy must produce a feasible
+schedule).
 """
 
 from __future__ import annotations

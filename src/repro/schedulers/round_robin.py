@@ -27,8 +27,9 @@ ordering.  Two readings are possible and both are implemented here:
     ordering oblivious to the heterogeneous resource keeps feeding the wrong
     slaves first, reproducing the qualitative behaviour of Figure 1.
 
-The choice is recorded in DESIGN.md (Substitutions table) and exercised by
-``benchmarks/bench_ablation_rr_semantics.py``.
+The choice is recorded in ``docs/SCHEDULERS.md`` (RR) and checked by
+``tests/test_paper_claims.py``, where the bounded reading beats the strict
+one on communication-homogeneous platforms.
 """
 
 from __future__ import annotations

@@ -21,7 +21,8 @@ archived):
     it the earliest."
 
 Because [23] is unavailable, this module re-derives both heuristics from the
-properties stated above (the substitution is documented in DESIGN.md):
+properties stated above (the substitution is documented in
+``docs/SCHEDULERS.md``, SLJF):
 
 Backward planning
 -----------------

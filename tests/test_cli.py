@@ -69,6 +69,26 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign", "figure9"])
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["campaign", "figure1", "--platforms", "0"], "--platforms"),
+            (["campaign", "figure1", "--tasks", "-3"], "--tasks"),
+            (["campaign", "figure2", "--perturbations", "0"], "--perturbations"),
+            (["scenario", "static", "--tasks", "0"], "--tasks"),
+            (["scenario", "static", "--seed", "-1"], "--seed"),
+            (["demo", "--tasks", "0"], "--tasks"),
+        ],
+        ids=["campaign-platforms", "campaign-tasks", "campaign-perturbations",
+             "scenario-tasks", "scenario-seed", "demo-tasks"],
+    )
+    def test_out_of_range_counts_are_usage_errors(self, argv, flag, capsys):
+        # rejected before any compute module loads, not by a library traceback
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: must be >=" in capsys.readouterr().err
+
 
 class TestMain:
     def test_table1_command(self, capsys):

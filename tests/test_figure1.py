@@ -51,14 +51,6 @@ class TestPanels:
         b = run_figure1_panel(config)
         assert a.mean_normalised == b.mean_normalised
 
-    def test_static_heuristics_beat_srpt_on_homogeneous(self):
-        config = Figure1Config(
-            kind=PlatformKind.HOMOGENEOUS, n_platforms=3, n_tasks=120, seed=5
-        )
-        panel = run_figure1_panel(config)
-        for name in ("LS", "SLJF", "SLJFWC", "RR"):
-            assert panel.bar(name, "makespan") < 1.0
-
 
 class TestRunFigure1:
     def test_all_panels(self):
