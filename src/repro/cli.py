@@ -35,15 +35,16 @@ regenerates the paper's tables and figures from a terminal:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 # Only what ``build_parser`` and ``serve`` need is imported here: every
 # ``repro serve`` shard (and each restart of one) pays for these imports
 # before its first response.  The other handlers import their own modules.
 from . import __version__
 from .schedulers.base import available_schedulers
-from .service.async_server import main_serve_forever, parse_address
+from .service.async_server import parse_address, run_server
 from .service.cache import LRUResultCache
 from .service.dispatcher import ScheduleService
 from .service.schema import RELEASE_PROCESSES
@@ -68,13 +69,37 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {value}")
     return value
 
 
+def _amplitude(text: str) -> float:
+    """A task-size perturbation amplitude (``--amplitude``)."""
+    value = float(text)
+    if not 0 <= value < 1:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {value}")
+    return value
+
+
+def _heterogeneity_factor(text: str) -> float:
+    """A max/min ratio of a platform parameter (``--factors``)."""
+    value = float(text)
+    if not 1 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be >= 1 and finite, got {value}")
+    return value
+
+
+def _address(text: str) -> Tuple[str, int]:
+    """A ``HOST:PORT`` address (``--listen``, ``--connect``)."""
+    try:
+        return parse_address(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _scenario_name(text: str) -> str:
-    """A registered scenario name (``--scenario``).
+    """A registered scenario name (``campaign figure1 --scenario``, ``scenario NAME``).
 
     Checked here rather than through ``choices=`` so that building the
     parser does not import the scenario library.
@@ -116,62 +141,93 @@ def build_parser() -> argparse.ArgumentParser:
             "value; cache/compute statistics are printed to stderr."
         ),
     )
-    campaign.add_argument(
-        "experiment",
-        choices=("figure1", "figure2", "sweep", "table1"),
-        help="which campaign grid to run",
+    experiments = campaign.add_subparsers(
+        dest="experiment", required=True, help="which campaign grid to run"
     )
-    campaign.add_argument(
+    runner_flags = argparse.ArgumentParser(add_help=False)
+    runner_flags.add_argument(
         "--workers",
         type=_nonnegative_int,
         default=1,
         help="worker processes (1 = serial, 0 = all CPUs)",
     )
-    campaign.add_argument(
+    runner_flags.add_argument(
         "--cache-dir",
         default=None,
         metavar="DIR",
         help="on-disk result cache; re-runs skip already-computed cells",
     )
-    campaign.add_argument("--platforms", type=_positive_int, default=10, help="platforms per grid")
-    campaign.add_argument("--tasks", type=_positive_int, default=1000, help="tasks per run")
-    campaign.add_argument("--seed", type=int, default=2006)
-    campaign.add_argument(
-        "--panels", nargs="+", default=None, metavar="PANEL",
-        help="figure1 only: subset of panels (1a 1b 1c 1d)",
+    grid_flags = argparse.ArgumentParser(add_help=False, parents=[runner_flags])
+    grid_flags.add_argument(
+        "--platforms", type=_positive_int, default=10, help="platforms per grid"
     )
-    campaign.add_argument(
+    grid_flags.add_argument("--tasks", type=_positive_int, default=1000, help="tasks per run")
+    grid_flags.add_argument("--seed", type=int, default=2006)
+
+    figure1 = experiments.add_parser(
+        "figure1", parents=[grid_flags], help="the heuristics on the four platform classes"
+    )
+    figure1.add_argument(
+        "--panels", nargs="+", default=None, choices=("1a", "1b", "1c", "1d"),
+        metavar="PANEL", help="subset of panels (1a 1b 1c 1d)",
+    )
+    figure1.add_argument(
         "--cluster", action="store_true",
-        help="figure1 only: drive the cells through the simulated MPI cluster",
+        help="drive the cells through the simulated MPI cluster",
     )
-    campaign.add_argument(
+    figure1.add_argument(
         "--scenario", default="static", type=_scenario_name,
-        help="figure1 only: dynamic-platform scenario grid axis",
+        help="dynamic-platform scenario grid axis",
     )
-    campaign.add_argument(
-        "--amplitude", type=float, default=0.10,
-        help="figure2 only: task-size perturbation amplitude",
+    figure1.set_defaults(run=_run_figure1)
+
+    figure2 = experiments.add_parser(
+        "figure2", parents=[grid_flags], help="robustness to task-size perturbation"
     )
-    campaign.add_argument(
+    figure2.add_argument(
+        "--amplitude", type=_amplitude, default=0.10,
+        help="task-size perturbation amplitude, in [0, 1)",
+    )
+    figure2.add_argument(
         "--perturbations", type=_positive_int, default=3,
-        help="figure2 only: perturbed workloads per platform",
+        help="perturbed workloads per platform",
     )
-    campaign.add_argument(
+    figure2.set_defaults(run=_run_figure2)
+
+    sweep = experiments.add_parser(
+        "sweep", parents=[grid_flags], help="the heuristic spread as heterogeneity grows"
+    )
+    sweep.add_argument(
         "--dimension", default="both",
         choices=("communication", "computation", "both"),
-        help="sweep only: which platform parameter is spread",
+        help="which platform parameter is spread",
     )
-    campaign.add_argument(
-        "--factors", type=float, nargs="+", default=[1.0, 2.0, 4.0, 8.0, 16.0],
-        metavar="F", help="sweep only: heterogeneity factors",
+    sweep.add_argument(
+        "--factors", type=_heterogeneity_factor, nargs="+", default=[1.0, 2.0, 4.0, 8.0, 16.0],
+        metavar="F", help="heterogeneity factors, each >= 1",
     )
-    campaign.add_argument(
+    sweep.set_defaults(run=_run_sweep)
+
+    table1 = experiments.add_parser(
+        "table1", parents=[runner_flags], help="the nine certified lower bounds"
+    )
+    table1.add_argument(
         "--heuristics", action="store_true",
-        help="table1 only: also play every heuristic against every adversary",
+        help="also play every heuristic against every adversary",
+    )
+    table1.set_defaults(run=_run_table1)
+
+    platform_flags = argparse.ArgumentParser(add_help=False)
+    platform_flags.add_argument(
+        "--comm", type=_positive_float, nargs="+", default=[0.2, 0.5, 1.0], help="c_j per worker"
+    )
+    platform_flags.add_argument(
+        "--comp", type=_positive_float, nargs="+", default=[1.0, 2.0, 4.0], help="p_j per worker"
     )
 
     scenario = subparsers.add_parser(
         "scenario",
+        parents=[platform_flags],
         help="list dynamic-platform scenarios or run the heuristics under one",
         description=(
             "Without a name (or with --list), print the registered scenarios.  "
@@ -185,6 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         "name",
         nargs="?",
         default=None,
+        type=_scenario_name,
         help="scenario to run (omit to list)",
     )
     scenario.add_argument(
@@ -198,12 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenario.add_argument("--tasks", type=_positive_int, default=200, help="tasks per run")
     scenario.add_argument("--seed", type=_nonnegative_int, default=2006)
-    scenario.add_argument(
-        "--comm", type=float, nargs="+", default=[0.2, 0.5, 1.0], help="c_j per worker"
-    )
-    scenario.add_argument(
-        "--comp", type=float, nargs="+", default=[1.0, 2.0, 4.0], help="p_j per worker"
-    )
 
     serve = subparsers.add_parser(
         "serve",
@@ -225,6 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--listen",
+        type=_address,
         default=None,
         metavar="HOST:PORT",
         help=(
@@ -369,13 +421,15 @@ def build_parser() -> argparse.ArgumentParser:
     request.add_argument(
         "--id", default=None, metavar="ID", help="correlation id echoed in the response"
     )
-    request.add_argument(
+    destination = request.add_mutually_exclusive_group()
+    destination.add_argument(
         "--emit",
         action="store_true",
         help="print the request as a JSONL line instead of executing it",
     )
-    request.add_argument(
+    destination.add_argument(
         "--connect",
+        type=_address,
         default=None,
         metavar="HOST:PORT",
         help=(
@@ -433,6 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument(
         "--connect",
+        type=_address,
         required=True,
         metavar="HOST:PORT",
         help="base address of the sharded server (shard i listens on PORT+i)",
@@ -470,68 +525,76 @@ def build_parser() -> argparse.ArgumentParser:
         help="append tables instead of clearing the screen between polls",
     )
 
-    demo = subparsers.add_parser("demo", help="run one scheduler and print a Gantt chart")
+    demo = subparsers.add_parser(
+        "demo", parents=[platform_flags], help="run one scheduler and print a Gantt chart"
+    )
     demo.add_argument("--scheduler", default="LS", choices=available_schedulers())
     demo.add_argument("--tasks", type=_positive_int, default=12)
-    demo.add_argument(
-        "--comm", type=float, nargs="+", default=[0.2, 0.5, 1.0], help="c_j per worker"
-    )
-    demo.add_argument(
-        "--comp", type=float, nargs="+", default=[1.0, 2.0, 4.0], help="p_j per worker"
-    )
     return parser
+
+
+def _run_figure1(args: argparse.Namespace, cache) -> str:
+    from .experiments.config import Figure1Config
+    from .experiments.figure1 import run_figure1
+    from .experiments.reporting import format_figure1
+
+    config = Figure1Config(
+        n_platforms=args.platforms,
+        n_tasks=args.tasks,
+        seed=args.seed,
+        use_cluster=args.cluster,
+        scenario=args.scenario,
+    )
+    return format_figure1(
+        run_figure1(config, panels=args.panels, workers=args.workers, cache=cache)
+    )
+
+
+def _run_figure2(args: argparse.Namespace, cache) -> str:
+    from .experiments.config import Figure2Config
+    from .experiments.figure2 import run_figure2
+    from .experiments.reporting import format_figure2
+
+    config = Figure2Config(
+        n_platforms=args.platforms,
+        n_tasks=args.tasks,
+        seed=args.seed,
+        perturbation_amplitude=args.amplitude,
+        n_perturbations=args.perturbations,
+    )
+    return format_figure2(run_figure2(config, workers=args.workers, cache=cache))
+
+
+def _run_sweep(args: argparse.Namespace, cache) -> str:
+    from .experiments.reporting import format_sweep
+    from .experiments.sweep import run_heterogeneity_sweep
+
+    sweep = run_heterogeneity_sweep(
+        dimension=args.dimension,
+        factors=tuple(args.factors),
+        n_tasks=args.tasks,
+        n_platforms=args.platforms,
+        rng=args.seed,
+        workers=args.workers,
+        cache=cache,
+    )
+    return format_sweep(sweep)
+
+
+def _run_table1(args: argparse.Namespace, cache) -> str:
+    from .experiments.reporting import format_table1_result
+    from .experiments.table1 import run_table1
+
+    result = run_table1(include_heuristics=args.heuristics, workers=args.workers, cache=cache)
+    return format_table1_result(result)
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from .campaigns.cache import CampaignCache
-    from .experiments.config import Figure1Config, Figure2Config
-    from .experiments.figure1 import run_figure1
-    from .experiments.figure2 import run_figure2
-    from .experiments.reporting import (
-        format_figure1,
-        format_figure2,
-        format_sweep,
-        format_table1_result,
-    )
-    from .experiments.sweep import run_heterogeneity_sweep
-    from .experiments.table1 import run_table1
 
     cache = CampaignCache(args.cache_dir) if args.cache_dir else None
-    if args.experiment == "figure1":
-        config = Figure1Config(
-            n_platforms=args.platforms,
-            n_tasks=args.tasks,
-            seed=args.seed,
-            use_cluster=args.cluster,
-            scenario=args.scenario,
-        )
-        result = run_figure1(config, panels=args.panels, workers=args.workers, cache=cache)
-        report = format_figure1(result)
-    elif args.experiment == "figure2":
-        config = Figure2Config(
-            n_platforms=args.platforms,
-            n_tasks=args.tasks,
-            seed=args.seed,
-            perturbation_amplitude=args.amplitude,
-            n_perturbations=args.perturbations,
-        )
-        report = format_figure2(run_figure2(config, workers=args.workers, cache=cache))
-    elif args.experiment == "sweep":
-        sweep = run_heterogeneity_sweep(
-            dimension=args.dimension,
-            factors=tuple(args.factors),
-            n_tasks=args.tasks,
-            n_platforms=args.platforms,
-            rng=args.seed,
-            workers=args.workers,
-            cache=cache,
-        )
-        report = format_sweep(sweep)
-    else:  # table1
-        result = run_table1(
-            include_heuristics=args.heuristics, workers=args.workers, cache=cache
-        )
-        report = format_table1_result(result)
+    # ``run`` is the experiment's run-and-format call (``set_defaults``).
+    report = args.run(args, cache)
 
     # Execution statistics go to stderr so stdout stays byte-identical
     # across worker counts and cache states.
@@ -551,7 +614,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     from .core.engine import simulate
     from .core.metrics import evaluate
     from .core.platform import Platform
-    from .exceptions import ScenarioError
     from .scenarios import available_scenarios, create_scenario
     from .schedulers.base import PAPER_HEURISTICS, create_scheduler
 
@@ -562,14 +624,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             print(f"{name:<18} {create_scenario(name).description}")
         return 0
 
-    try:
-        scenario = create_scenario(args.name)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if len(args.comm) != len(args.comp):
-        print("error: --comm and --comp must have the same length", file=sys.stderr)
-        return 2
+    scenario = create_scenario(args.name)
     platform = Platform.from_times(args.comm, args.comp)
     instance = scenario.build(platform, args.tasks, rng=args.seed)
 
@@ -758,29 +813,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 print(summary(snapshot, cache=service.cache is not None), file=sys.stderr)
         return 0
 
-    try:
-        host, port = parse_address(args.listen)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    host, port = args.listen
     if args.shards > 1:
         return _run_shard_supervisor(args, host, port)
 
+    import asyncio
     import os
 
-    shard_index = int(os.environ.get("REPRO_SHARD_INDEX", "0"))
-    shard_count = int(os.environ.get("REPRO_SHARD_COUNT", "1"))
-    shard_restarts = int(os.environ.get("REPRO_SHARD_RESTARTS", "0"))
     with _build_service(args) as service:
-        main_serve_forever(
+        serving = run_server(
             service,
             host,
             port,
-            shard_index=shard_index,
-            shard_count=shard_count,
-            shard_restarts=shard_restarts,
+            shard_index=int(os.environ.get("REPRO_SHARD_INDEX", "0")),
+            shard_count=int(os.environ.get("REPRO_SHARD_COUNT", "1")),
+            shard_restarts=int(os.environ.get("REPRO_SHARD_RESTARTS", "0")),
             err=sys.stderr,
         )
+        asyncio.run(serving)
         if not args.quiet:
             print(summary(service.registry.snapshot()), file=sys.stderr)
     return 0
@@ -789,15 +839,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _request_payload(args: argparse.Namespace) -> dict:
     """Assemble the raw request mapping described by the CLI flags."""
     tasks: dict = {"process": args.process, "n": args.tasks}
-    for flag, field in (
-        ("rate", "rate"),
-        ("horizon", "horizon"),
-        ("burst_size", "burst_size"),
-        ("gap", "gap"),
-        ("jitter", "jitter"),
-        ("load_factor", "load_factor"),
-    ):
-        value = getattr(args, flag)
+    for field in ("rate", "horizon", "burst_size", "gap", "jitter", "load_factor"):
+        value = getattr(args, field)
         if value is not None:
             tasks[field] = value
     payload = {
@@ -821,11 +864,7 @@ def _cmd_request_connected(args: argparse.Namespace) -> int:
     from ._hashing import canonical_json
     from .service.sharding import ShardedClient
 
-    try:
-        host, port = parse_address(args.connect)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    host, port = args.connect
 
     async def go() -> List[str]:
         async with ShardedClient.from_base(
@@ -863,9 +902,6 @@ def _cmd_request(args: argparse.Namespace) -> int:
         print("error: --metrics requires --connect", file=sys.stderr)
         return 2
     if args.connect is not None:
-        if args.emit:
-            print("error: --emit and --connect are mutually exclusive", file=sys.stderr)
-            return 2
         return _cmd_request_connected(args)
     payload = _request_payload(args)
     if args.emit:
@@ -948,11 +984,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
     from .service.sharding import ShardedClient
 
-    try:
-        host, port = parse_address(args.connect)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    host, port = args.connect
 
     async def watch() -> None:
         async with ShardedClient.from_base(
@@ -995,9 +1027,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     from .schedulers.base import create_scheduler
     from .workloads.release import all_at_zero
 
-    if len(args.comm) != len(args.comp):
-        print("error: --comm and --comp must have the same length", file=sys.stderr)
-        return 2
     platform = Platform.from_times(args.comm, args.comp)
     tasks = all_at_zero(args.tasks)
     scheduler = create_scheduler(args.scheduler)
@@ -1017,6 +1046,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("scenario", "demo") and len(args.comm) != len(args.comp):
+        parser.error("--comm and --comp must have the same length")
     handlers = {
         "campaign": _cmd_campaign,
         "scenario": _cmd_scenario,

@@ -46,7 +46,8 @@ connections (``tests/test_async_server.py`` asserts the bytes).
 A client's EOF (half-close) still gets every response before the server
 closes its side.  A SIGTERM/SIGINT (see :func:`run_server`) triggers a
 **graceful drain**: the listener closes, connections stop reading, the
-complete lines already received resolve and flush, then the process exits.
+complete lines already received resolve and flush (connections still open
+after :data:`_DRAIN_TIMEOUT_S` are aborted), then the process exits.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ import itertools
 import json
 import signal
 import socket
-import sys
 import time
 from collections import deque
 from operator import itemgetter
@@ -69,7 +69,6 @@ from .server import response_line
 
 __all__ = [
     "AsyncScheduleServer",
-    "main_serve_forever",
     "parse_address",
     "run_server",
 ]
@@ -80,6 +79,10 @@ _LINE_LIMIT = 1 << 20
 
 #: Size of each connection's receive buffer, the most one read returns.
 _READ_SIZE = 64 * 1024
+
+#: Seconds a graceful drain waits for open connections to flush before
+#: aborting them.
+_DRAIN_TIMEOUT_S = 10.0
 
 #: One parsed request line: ``(request, is_control)``.  ``request`` is the
 #: parsed object of a JSON-object line, else the line's raw text.
@@ -299,9 +302,6 @@ class AsyncScheduleServer:
         How many times the supervisor has restarted this shard slot
         (``REPRO_SHARD_RESTARTS``); echoed in metrics responses and the
         ``server.restarts`` gauge so recovery is observable end-to-end.
-    drain_timeout:
-        Seconds :meth:`close` waits for open connections to flush before
-        aborting them.
     per_connection_sndbuf:
         Optional send-side buffer bound applied to every accepted socket:
         both the kernel ``SO_SNDBUF`` and the asyncio transport's
@@ -319,7 +319,6 @@ class AsyncScheduleServer:
         shard_index: int = 0,
         shard_count: int = 1,
         shard_restarts: int = 0,
-        drain_timeout: float = 10.0,
         per_connection_sndbuf: Optional[int] = None,
     ) -> None:
         self.service = service
@@ -328,7 +327,6 @@ class AsyncScheduleServer:
         self.shard_index = shard_index
         self.shard_count = shard_count
         self.shard_restarts = shard_restarts
-        self.drain_timeout = drain_timeout
         self.per_connection_sndbuf = per_connection_sndbuf
         #: Connections currently open.
         self.connections_active = 0
@@ -374,7 +372,7 @@ class AsyncScheduleServer:
 
         Connections stop reading (no further request lines are accepted),
         but the complete lines already received still resolve and their
-        responses are flushed, bounded by ``drain_timeout``; stragglers are
+        responses are flushed, bounded by :data:`_DRAIN_TIMEOUT_S`; stragglers are
         aborted.  Idempotent.
         """
         self._draining = True
@@ -385,7 +383,7 @@ class AsyncScheduleServer:
             conn.end_input()
         if connections:
             await asyncio.wait(
-                [conn.closed for conn in connections], timeout=self.drain_timeout
+                [conn.closed for conn in connections], timeout=_DRAIN_TIMEOUT_S
             )
             for conn in connections:
                 if not conn.closed.done():
@@ -489,11 +487,8 @@ async def run_server(
     shard_count: int = 1,
     shard_restarts: int = 0,
     err: Optional[TextIO] = None,
-    install_signal_handlers: bool = True,
-    ready_event: Optional[asyncio.Event] = None,
-    stop_event: Optional[asyncio.Event] = None,
 ) -> AsyncScheduleServer:
-    """Serve until SIGTERM/SIGINT (or ``stop_event``), then drain gracefully.
+    """Serve until SIGTERM/SIGINT, then drain gracefully.
 
     Prints a ``listening on HOST:PORT`` line to ``err`` once the socket is
     bound — supervisors and tests parse it to learn ephemeral ports —
@@ -515,44 +510,16 @@ async def run_server(
             file=err,
             flush=True,
         )
-    if ready_event is not None:
-        ready_event.set()
-    stop = stop_event if stop_event is not None else asyncio.Event()
-    if install_signal_handlers:
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass  # platforms without loop signal handlers (e.g. Windows)
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        try:
+            loop.add_signal_handler(signum, stop.set)
+        except (NotImplementedError, RuntimeError):  # pragma: no cover
+            pass  # platforms without loop signal handlers (e.g. Windows)
     try:
         await stop.wait()
     finally:
         await server.close()
     return server
 
-
-def main_serve_forever(
-    service: ScheduleService,
-    host: str,
-    port: int,
-    *,
-    shard_index: int = 0,
-    shard_count: int = 1,
-    shard_restarts: int = 0,
-    err: Optional[TextIO] = None,
-) -> AsyncScheduleServer:
-    """Synchronous wrapper for the CLI: run :func:`run_server` to completion."""
-    if err is None:
-        err = sys.stderr
-    return asyncio.run(
-        run_server(
-            service,
-            host,
-            port,
-            shard_index=shard_index,
-            shard_count=shard_count,
-            shard_restarts=shard_restarts,
-            err=err,
-        )
-    )

@@ -10,6 +10,53 @@ import pytest
 
 from repro.cli import _serve_flag_argv, build_parser, main
 
+#: The flags each ``repro campaign`` experiment takes.
+CAMPAIGN_FLAGS = {
+    "figure1": {
+        "--workers", "--cache-dir", "--platforms", "--tasks", "--seed",
+        "--panels", "--cluster", "--scenario",
+    },
+    "figure2": {
+        "--workers", "--cache-dir", "--platforms", "--tasks", "--seed",
+        "--amplitude", "--perturbations",
+    },
+    "sweep": {
+        "--workers", "--cache-dir", "--platforms", "--tasks", "--seed",
+        "--dimension", "--factors",
+    },
+    "table1": {"--workers", "--cache-dir", "--heuristics"},
+}
+
+#: A valid value of each campaign flag (``None``: the flag takes no value).
+CAMPAIGN_FLAG_VALUES = {
+    "--workers": "2", "--cache-dir": "cache", "--platforms": "1", "--tasks": "5",
+    "--seed": "3", "--panels": "1a", "--cluster": None, "--scenario": "static",
+    "--amplitude": "0.2", "--perturbations": "2", "--dimension": "both",
+    "--factors": "2", "--heuristics": None,
+}
+
+#: Every (experiment, flag) pair where the flag belongs to another experiment.
+FOREIGN_FLAGS = [
+    (experiment, flag)
+    for experiment, own in CAMPAIGN_FLAGS.items()
+    for flag in sorted(set(CAMPAIGN_FLAG_VALUES) - own)
+]
+
+
+def _flag_argv(flag):
+    value = CAMPAIGN_FLAG_VALUES[flag]
+    return [flag] if value is None else [flag, value]
+
+
+def _subparsers(parser):
+    """The ``{name: subparser}`` map of a parser's subcommands."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _campaign_parsers():
+    return _subparsers(_subparsers(build_parser())["campaign"])
+
 
 class TestParser:
     def test_requires_a_command(self):
@@ -89,6 +136,94 @@ class TestParser:
         assert excinfo.value.code == 2
         assert f"argument {flag}: must be >=" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["campaign", "figure2", "--amplitude", "-1"], "--amplitude: must be in [0, 1)"),
+            (["campaign", "figure2", "--amplitude", "1.5"], "--amplitude: must be in [0, 1)"),
+            (["campaign", "sweep", "--factors", "0"], "--factors: must be >= 1"),
+            (["demo", "--comm", "-1", "1", "1"], "--comm: must be > 0"),
+            (["scenario", "static", "--comp", "1", "1", "-2"], "--comp: must be > 0"),
+            (["campaign", "figure1", "--panels", "1e"], "--panels: invalid choice: '1e'"),
+        ],
+        ids=["amplitude-negative", "amplitude-above-1", "factors", "demo-comm",
+             "scenario-comp", "panels"],
+    )
+    def test_out_of_range_values_are_usage_errors(self, argv, message, capsys):
+        # each used to end in a library exception and a traceback (exit 1)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"argument {message}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["serve", "--listen", "localhost"], ["request", "--connect", "h:port"],
+         ["top", "--connect", "h:70000"]],
+        ids=["serve-listen", "request-connect", "top-connect"],
+    )
+    def test_malformed_addresses_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {argv[1]}: address {argv[2]!r}" in capsys.readouterr().err
+
+    def test_addresses_parse_to_host_and_port(self):
+        args = build_parser().parse_args(["serve", "--listen", "127.0.0.1:7000"])
+        assert args.listen == ("127.0.0.1", 7000)
+
+
+class TestCampaignFlags:
+    def test_each_experiment_takes_exactly_its_own_flags(self):
+        parsers = _campaign_parsers()
+        assert set(parsers) == set(CAMPAIGN_FLAGS)
+        for experiment, subparser in parsers.items():
+            flags = {
+                option
+                for action in subparser._actions
+                for option in action.option_strings
+                if option != "--help" and option.startswith("--")
+            }
+            assert flags == CAMPAIGN_FLAGS[experiment], experiment
+        assert set(CAMPAIGN_FLAG_VALUES) == set().union(*CAMPAIGN_FLAGS.values())
+        assert sum(map(len, CAMPAIGN_FLAGS.values())) == 25
+        assert len(FOREIGN_FLAGS) == 27
+
+    def test_every_experiment_accepts_all_of_its_flags_at_once(self):
+        for experiment, own in CAMPAIGN_FLAGS.items():
+            argv = ["campaign", experiment]
+            for flag in sorted(own):
+                argv += _flag_argv(flag)
+            assert build_parser().parse_args(argv).experiment == experiment
+
+    @pytest.mark.parametrize(
+        "experiment, flag", FOREIGN_FLAGS, ids=[f"{e}{f}" for e, f in FOREIGN_FLAGS]
+    )
+    def test_another_experiments_flag_is_a_usage_error(self, experiment, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["campaign", experiment] + _flag_argv(flag))
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_runner_flags_go_after_the_experiment(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["campaign", "--workers", "2", "figure1"])
+        assert excinfo.value.code == 2
+
+    def test_panel_choices_are_the_figure1_panels(self):
+        # spelled out in the parser, which must not import the experiments
+        from repro.experiments.figure1 import FIGURE1_PANELS
+
+        (panels,) = [a for a in _campaign_parsers()["figure1"]._actions if a.dest == "panels"]
+        assert panels.choices == tuple(FIGURE1_PANELS)
+
+    def test_sweep_keeps_the_cli_grid_defaults(self):
+        args = build_parser().parse_args(["campaign", "sweep"])
+        assert (args.platforms, args.tasks, args.seed) == (10, 1000, 2006)
+        assert args.factors == [1.0, 2.0, 4.0, 8.0, 16.0]
+
 
 class TestMain:
     def test_table1_command(self, capsys):
@@ -119,8 +254,10 @@ class TestMain:
         assert "master" in out  # the Gantt chart
 
     def test_demo_mismatched_platform_lists(self, capsys):
-        code = main(["demo", "--comm", "1.0", "--comp", "1.0", "2.0"])
-        assert code == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["demo", "--comm", "1.0", "--comp", "1.0", "2.0"])
+        assert excinfo.value.code == 2
+        assert "--comm and --comp must have the same length" in capsys.readouterr().err
 
     def test_campaign_figure1_parallel_matches_serial_and_caches(self, tmp_path, capsys):
         base = [
@@ -197,12 +334,7 @@ class TestServeCommand:
         # `_serve_flag_argv(args)`; every other option (the supervisor's
         # own --restart-* aside) must survive that re-encoding, or a
         # sharded server silently drops it.
-        (subparsers,) = [
-            action
-            for action in build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        ]
-        serve = subparsers.choices["serve"]
+        serve = _subparsers(build_parser())["serve"]
         argv = ["serve"]
         for action in serve._actions:
             if action.dest in ("help", "listen", "shards") or action.dest.startswith(
@@ -312,6 +444,18 @@ class TestRequestCommand:
             build_parser().parse_args(["request", "--connect", "h:1", "--stats"])
         assert "--stats" in capsys.readouterr().err
 
+    def test_emit_and_connect_are_mutually_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["request", "--emit", "--connect", "h:1"])
+        assert excinfo.value.code == 2
+        assert "not allowed with argument --emit" in capsys.readouterr().err
+
+    def test_request_platform_is_checked_by_the_request_schema(self, capsys):
+        # a typed error response, not a usage error: the request is a payload
+        assert main(["request", "--comm", "-1", "1", "1"]) == 2
+        response = json.loads(capsys.readouterr().out)
+        assert response["error"]["type"] == "request-invalid"
+
     def test_metrics_query_requires_connect(self, capsys):
         assert main(["request", "--metrics"]) == 2
         assert "--metrics requires --connect" in capsys.readouterr().err
@@ -396,13 +540,16 @@ class TestScenarioCommand:
         assert capsys.readouterr().out == first
 
     def test_unknown_scenario_fails_cleanly(self, capsys):
-        code = main(["scenario", "no-such-scenario"])
-        assert code == 2
-        assert "unknown scenario" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scenario", "no-such-scenario"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'no-such-scenario'" in capsys.readouterr().err
 
     def test_mismatched_platform_lists_fail_cleanly(self, capsys):
-        code = main(["scenario", "static", "--comm", "1.0", "--comp", "1.0", "2.0"])
-        assert code == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scenario", "static", "--comm", "1.0", "--comp", "1.0", "2.0"])
+        assert excinfo.value.code == 2
+        assert "--comm and --comp must have the same length" in capsys.readouterr().err
 
     def test_figure1_scenario_flag(self, capsys):
         code = main(

@@ -1,16 +1,20 @@
 """docs/CLI.md must match :func:`repro.cli.build_parser` exactly.
 
 The reference documents every subcommand as a ``## `repro <name>` ``
-section whose flag table lists each option as a row starting with
-``| `--flag` |`` (positionals as ``| `name` (positional) |``).  This test
-re-derives the same inventory from the parser and fails on any drift in
-either direction, so the documentation cannot rot.
+section, and every nested one (``repro campaign figure1``) as a
+``## `repro <name> <sub>` `` section, whose flag table lists each option as
+a row starting with ``| `--flag` |`` (positionals as
+``| `name` (positional) |``).  A flag that several nested subcommands share
+through a parent parser is documented once, in their parent's section.
+This test re-derives the same inventory from the parser and fails on any
+drift in either direction, so the documentation cannot rot.
 """
 
 from __future__ import annotations
 
 import argparse
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,12 +23,14 @@ from repro.cli import build_parser
 
 DOC_PATH = Path(__file__).resolve().parent.parent / "docs" / "CLI.md"
 
-_SECTION_RE = re.compile(r"^## `repro (?P<name>[a-z0-9-]+)`$", re.MULTILINE)
+_SECTION_RE = re.compile(
+    r"^## `repro (?P<name>[a-z0-9-]+(?: [a-z0-9-]+)?)`$", re.MULTILINE
+)
 _ROW_RE = re.compile(r"^\| `(?P<token>[a-z-]+|--[a-z-]+)`(?P<positional> \(positional\))? \|", re.MULTILINE)
 
 
 def _documented_commands() -> dict:
-    """``{subcommand: {"flags": set, "positionals": set}}`` from CLI.md."""
+    """``{"campaign figure1": {"flags": set, "positionals": set}, ...}`` from CLI.md."""
     text = DOC_PATH.read_text(encoding="utf-8")
     matches = list(_SECTION_RE.finditer(text))
     assert matches, "docs/CLI.md has no '## `repro <command>`' sections"
@@ -46,27 +52,46 @@ def _documented_commands() -> dict:
     return sections
 
 
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    """``{name: subparser}`` of a parser's subcommands (empty if it has none)."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return dict(action.choices)
+    return {}
+
+
+def _inventory(actions) -> dict:
+    flags, positionals = set(), set()
+    for action in actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if action.option_strings:
+            flags.update(opt for opt in action.option_strings if opt.startswith("--"))
+        else:
+            positionals.add(action.dest)
+    return {"flags": flags, "positionals": positionals}
+
+
 def _parser_commands() -> dict:
-    """The same inventory, introspected from the argparse tree."""
-    parser = build_parser()
-    subparsers = next(
-        action
-        for action in parser._actions
-        if isinstance(action, argparse._SubParsersAction)
-    )
+    """The same inventory, introspected from the argparse tree.
+
+    An action that two nested subcommands share (the same object, added
+    through ``parents=``) is counted in their parent's section only.
+    """
     sections = {}
-    for name, subparser in subparsers.choices.items():
-        flags, positionals = set(), set()
-        for action in subparser._actions:
-            if isinstance(action, argparse._HelpAction):
-                continue
-            if action.option_strings:
-                flags.update(
-                    opt for opt in action.option_strings if opt.startswith("--")
-                )
-            else:
-                positionals.add(action.dest)
-        sections[name] = {"flags": flags, "positionals": positionals}
+    for name, subparser in _subparsers(build_parser()).items():
+        nested = _subparsers(subparser)
+        uses = Counter(id(action) for child in nested.values() for action in child._actions)
+        shared = [
+            action
+            for child in nested.values()
+            for action in child._actions
+            if uses[id(action)] > 1
+        ]
+        sections[name] = _inventory(subparser._actions + shared)
+        for child_name, child in nested.items():
+            own = [action for action in child._actions if uses[id(action)] == 1]
+            sections[f"{name} {child_name}"] = _inventory(own)
     return sections
 
 

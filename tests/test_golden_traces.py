@@ -54,7 +54,8 @@ def test_engine_matches_committed_golden_traces(corpus, scenario_name):
             "regenerate with tools/golden_traces.py --regen"
         )
     # provenance fields are part of the artefact too
-    for key in ("platform", "n_tasks", "seed"):
+    assert set(committed) == set(current)
+    for key in ("scenario", "platform", "n_tasks", "seed"):
         assert committed[key] == current[key]
 
 
