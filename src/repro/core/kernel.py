@@ -23,9 +23,12 @@ Every backend must be **trace-equal** to the reference engine: for any
 supported job, the produced :class:`~repro.core.schedule.TaskRecord` rows —
 compared exactly, float bit for float bit — and therefore the metrics must
 be identical to what :func:`repro.core.engine.simulate` produces.  The
-contract is enforced by the differential harness (``tests/differential/``
-and ``tools/diff_backends.py``); a backend that cannot honour it for some
-job must delegate that job to the reference engine rather than approximate.
+contract is enforced through the committed engine digests
+(``tests/golden/engine_digests.jsonl``, checked by
+``tools/engine_digests.py`` and ``tests/test_engine_digests.py``): every
+backend must reproduce each case's digest of trace rows and metrics.  A
+backend that cannot honour it for some job must delegate that job to the
+reference engine rather than approximate.
 
 Adding a backend: subclass :class:`SimulationKernel`, implement
 :meth:`~SimulationKernel.run_batch`, and call :func:`register_backend` with
@@ -66,9 +69,9 @@ def trace_rows(schedule: Schedule) -> List[List[float]]:
 
     Rows are ``[task_id, worker_id, release, send_start, send_end,
     compute_start, compute_end]`` ordered by ``(send_start, task_id)`` — the
-    exact comparison unit of the differential harness and the golden-trace
-    corpus.  Two schedules are *trace-equal* iff these rows are equal with
-    exact float comparison (no tolerance).
+    exact comparison unit of the committed engine digests.  Two schedules
+    are *trace-equal* iff these rows are equal with exact float comparison
+    (no tolerance).
     """
     return [
         [

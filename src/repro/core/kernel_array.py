@@ -23,9 +23,9 @@ The backend reproduces the reference engine's floating-point arithmetic
 expression for expression (same operand order, same ``max``/divide
 structure; ``x * 1.0`` and ``x / 1.0`` are exact identities in IEEE-754, so
 the unified dynamic-pricing path is bit-identical to the static one).  The
-differential harness (``tests/differential/``) asserts event-for-event trace
-equality and bit-identical metrics against the reference backend on the full
-scheduler × scenario grid.
+committed engine digests (``tests/test_engine_digests.py``) assert
+event-for-event trace equality and bit-identical metrics with the reference
+backend on the full scheduler × scenario grid.
 
 Only the seven paper heuristics are vectorized (their decision rules are
 pure functions of the worker state); any other scheduler — RANDOM, the
@@ -669,8 +669,8 @@ def _metrics_from_arrays(
     are sequential Python-float additions over the records in schedule
     order (``(send_start, task_id)``), the exact iteration order and
     operand order the reference path uses, so the floating-point results
-    are identical down to the last ulp.  Asserted by ``tests/differential``
-    and by the kernel unit tests against the reference backend.
+    are identical down to the last ulp.  Asserted by the committed engine
+    digests (``tests/test_engine_digests.py``) and by the kernel unit tests.
     """
     order = np.lexsort((tid, snd_s))
     n = rel.shape[0]

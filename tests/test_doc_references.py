@@ -3,7 +3,7 @@
 README.md, ``docs/*.md``, the verify skill and the docstrings under
 ``src/repro`` cite files in two forms: a ``*.md`` name (``CHANGES.md``), or
 a repository path containing ``/`` (``docs/SERVICE.md``,
-``schedulers/sljf.py``, ``tests/differential/``, ``docs/*.md``).  Each must
+``schedulers/sljf.py``, ``tests/golden/``, ``docs/*.md``).  Each must
 resolve relative to the repository root, ``docs``, ``src/repro``, ``src``
 or the citing file's directory, so a reader is never sent to a file that
 was deleted or never written.  Bare module names in tree listings

@@ -26,8 +26,9 @@ class TestEvent:
 
     def test_same_time_ordering_by_kind(self):
         # At equal times completions are processed before releases, releases
-        # before wake-ups, so a scheduler consulted at time t has full
-        # knowledge of everything dated t.
+        # before wake-ups.  The engine consults between two of them, so a
+        # consultation at t sees only the events dated t that sort before it
+        # (see the repro.core.events docstring).
         compute = Event(time=1.0, kind=EventKind.COMPUTE_COMPLETE, sequence=5)
         send = Event(time=1.0, kind=EventKind.SEND_COMPLETE, sequence=4)
         release = Event(time=1.0, kind=EventKind.TASK_RELEASE, sequence=3)

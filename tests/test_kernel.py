@@ -1,12 +1,16 @@
 """Tests for the kernel interface layer (:mod:`repro.core.kernel`).
 
-The differential suite (``tests/differential/``) proves backend *parity*;
-these tests cover the interface itself: job validation, the lazy result
-container, the backend registry and the reference backend's equivalence
-with the plain :func:`repro.core.engine.simulate` entry point.
+The committed engine digests (``tests/test_engine_digests.py``) prove
+backend *parity*; these tests cover the interface itself: job validation,
+the lazy result container, the backend registry, the reference backend's
+equivalence with the plain :func:`repro.core.engine.simulate` entry point,
+and two properties of the array backend that compare it only with itself.
 """
 
 from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,13 @@ from repro.core.task import TaskSet
 from repro.exceptions import SchedulingError
 from repro.scenarios.events import PlatformTimeline, SpeedChange
 from repro.schedulers.base import create_scheduler
+
+_spec = importlib.util.spec_from_file_location(
+    "engine_digests", Path(__file__).resolve().parent.parent / "tools" / "engine_digests.py"
+)
+_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_digests)
+grid_cases = _digests.grid_cases
 
 
 @pytest.fixture()
@@ -119,3 +130,22 @@ class TestRegistry:
     def test_duplicate_registration_is_rejected(self):
         with pytest.raises(SchedulingError):
             register_backend("REFERENCE", ReferenceKernel)
+
+
+def test_array_metrics_match_its_own_materialised_schedule():
+    # The lazy KernelResult contract: eagerly-computed metrics must equal
+    # evaluate() of the schedule the factory later materialises.
+    jobs = grid_cases(scenarios=["node-failure"], seeds=2, n_tasks=30)
+    for result in create_kernel("array").run_batch(jobs):
+        assert result.metrics == evaluate(result.schedule).as_dict()
+
+
+def test_single_job_run_equals_batched_run():
+    (job,) = grid_cases(
+        schedulers=["LS"], scenarios=["flash-crowd"], seeds=1, n_tasks=25
+    )
+    kernel = create_kernel("array")
+    single = kernel.run(job)
+    (batched,) = kernel.run_batch([job])
+    assert single.metrics == batched.metrics
+    assert single.trace() == batched.trace()

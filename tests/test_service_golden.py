@@ -3,10 +3,10 @@
 ``tests/golden/service_requests.jsonl`` holds 42 schedule requests: each of
 the seven paper heuristics with all-at-zero, poisson and uniform releases,
 twice, on random 2-5 worker platforms.  ``service_responses.jsonl`` is what
-``serve_lines`` wrote for them.  The golden engine traces pin schedules;
-this corpus also pins the metric floats ``evaluate`` computes from them and
-the response encoding, so a change anywhere between the request line and
-the response bytes shows up here as a named request.
+``serve_lines`` wrote for them.  The engine digests pin schedules and
+metrics on the kernel's own cases; this corpus pins the metric floats of
+service requests and the response encoding, so a change anywhere between
+the request line and the response bytes shows up here as a named request.
 
 If a change is meant to move these bytes, regenerate the responses::
 

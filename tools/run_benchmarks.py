@@ -142,7 +142,7 @@ def bench_engine_simulate_batched(runs: int) -> Dict[str, Any]:
     Records the ``array`` backend's batch time plus the reference kernel's
     on the identical job list, and their ratio (``speedup_vs_reference``,
     computed from ``min_s`` of each).  The two backends are trace-equal by
-    contract (``tests/differential/``), so the ratio compares pure
+    contract (``tests/test_engine_digests.py``), so the ratio compares pure
     execution strategy, not output.
     """
     platform = _bench_platform()
