@@ -35,6 +35,15 @@ returns a :class:`Decision`:
 Returning ``wait`` while no future event exists raises
 :class:`~repro.exceptions.SchedulingStalledError` instead of hanging.
 
+Events
+------
+Send and compute completions, platform events and wake-ups live in an
+:class:`~repro.core.events.EventQueue`.  Releases do not: the task set is
+sorted, so the run loop releases it through a cursor merged with the
+queue's head in the queue's own ``(time, kind, sequence)`` order (see
+:mod:`repro.core.events`).  Each release still counts against
+``max_events``.
+
 Dynamic platforms (scenario timelines)
 --------------------------------------
 The engine optionally takes a :class:`~repro.scenarios.events.
@@ -64,7 +73,6 @@ point.
 from __future__ import annotations
 
 import math
-from bisect import insort
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
@@ -243,14 +251,15 @@ class _WorkerState:
     #: tasks assigned (in flight, queued or computing) but not completed
     backlog: int = 0
     completed: int = 0
-    #: arrival queue: (task_id, arrival_time) for tasks received, not started
-    queue: List[Tuple[int, float]] = field(default_factory=list)
+    #: arrival queue: the records of tasks received, not started, in
+    #: arrival order
+    queue: List["_PartialRecord"] = field(default_factory=list)
     #: (task_id, finish_time) of the task currently computing, if any
     computing: Optional[Tuple[int, float]] = None
-    #: (task_id, send_end) of the task currently being sent to this worker,
-    #: if any (at most one globally under the one-port model); used by the
+    #: the record of the task currently being sent to this worker, if any
+    #: (at most one globally under the one-port model); used by the
     #: platform-event re-pricing pass
-    inflight: Optional[Tuple[int, float]] = None
+    inflight: Optional["_PartialRecord"] = None
     #: effective unit communication/computation times shown to schedulers
     #: (equal to the worker's base c/p on static platforms; updated at every
     #: platform event on dynamic ones)
@@ -267,14 +276,8 @@ class _WorkerState:
         self.eff_c = self.worker.c
         self.eff_p = self.worker.p
 
-    def view(self, now: float) -> WorkerView:
-        # A view shows ``max(ready_time, now)`` for a busy worker and ``now``
-        # for an idle one, so an unchanged worker's last view stays exact for
-        # as long as its ready time has not fallen behind the clock: busy
-        # views are reused across instants, idle ones within one instant.
-        view = self.cached_view
-        if view is not None and view[3] >= now:
-            return view
+    def build_view(self, now: float) -> WorkerView:
+        """Build the worker's view at ``now`` and cache it."""
         ready = self.ready_time
         view = self.cached_view = _tuple_new(
             WorkerView,
@@ -293,9 +296,8 @@ class _WorkerState:
 
 @dataclass(slots=True)
 class _PartialRecord:
-    task_id: int
+    task: Task
     worker_id: int
-    release: float
     send_start: float
     send_end: float
     compute_start: float = math.nan
@@ -363,6 +365,7 @@ class OnePortEngine:
         self._workers: List[_WorkerState] = [
             _WorkerState(worker=w) for w in platform.workers
         ]
+        self._bag: List[Task] = list(tasks)     # (release, id) order
         self._pending: List[Task] = []          # released, unassigned, FIFO
         self._records: Dict[int, _PartialRecord] = {}
         self._n_released = 0
@@ -383,9 +386,6 @@ class OnePortEngine:
                     worker_id=event.worker_id,
                 )
 
-        for task in tasks:
-            self._events.push(task.release, EventKind.TASK_RELEASE, task_id=task.task_id)
-
     # -- views ---------------------------------------------------------------
     def view(self) -> SchedulerView:
         """Build the immutable snapshot handed to the scheduler.
@@ -402,13 +402,23 @@ class OnePortEngine:
             for state in self._workers:
                 if self._sync_worker_state(state):
                     self._reprice_worker(state)
+        # A view shows ``max(ready_time, now)`` for a busy worker and ``now``
+        # for an idle one, so an unchanged worker's last view stays exact for
+        # as long as its ready time has not fallen behind the clock: busy
+        # views are reused across instants, idle ones within one instant.
+        views = []
+        for state in self._workers:
+            view = state.cached_view
+            if view is None or view[3] < now:
+                view = state.build_view(now)
+            views.append(view)
         free_at = self.channel_free_at
         return _tuple_new(
             SchedulerView,
             (
                 now,
                 tuple(self._pending),
-                tuple([state.view(now) for state in self._workers]),
+                tuple(views),
                 free_at <= now,
                 free_at if free_at > now else now,
                 self._n_released,
@@ -425,19 +435,42 @@ class OnePortEngine:
         processed = 0
         max_events = self.max_events
         events = self._events
+        bag = self._bag
+        n_bag = len(bag)
+        cursor = 0  # index in the bag of the next task to release
 
         while self._n_completed < n_tasks:
             # 1. consult the scheduler if a decision is possible
             if self._pending and self.channel_free_at <= self.now + 1e-15:
                 self._maybe_consult(scheduler)
 
-            # 2. advance to the next event
-            if not events:
+            # 2. advance to the next event: the bag's next release or the
+            # heap's head, whichever comes first in the heap's own
+            # (time, kind, sequence) order.  Releases are the only kind-3
+            # events and come in bag order, so the release goes first when
+            # it is earlier than the head, or at the head's time and the
+            # head is a WAKEUP.
+            if cursor < n_bag:
+                task = bag[cursor]
+                release = task.release
+                head = events.peek()
+                take_release = (
+                    head is None
+                    or release < head[0]
+                    or (release == head[0] and head[1] is _WAKEUP)
+                )
+            elif events:
+                take_release = False
+            else:
                 raise SchedulingStalledError(
                     "scheduler declined to act and no future event exists; "
                     f"{len(self._pending)} task(s) remain unassigned"
                 )
-            time, kind, _sequence, task_id, worker_id = events.pop()
+            if take_release:
+                cursor += 1
+                time, kind = release, _TASK_RELEASE
+            else:
+                time, kind, _sequence, task_id, worker_id = events.pop()
             processed += 1
             if processed > max_events:
                 raise SchedulingError(
@@ -450,7 +483,7 @@ class OnePortEngine:
                 raise SchedulingError("event queue went back in time")
 
             if kind is _TASK_RELEASE:
-                self._on_release(task_id)
+                self._on_release(task)
             elif kind is _SEND_COMPLETE:
                 self._on_send_complete(task_id, worker_id)
             elif kind is _COMPUTE_COMPLETE:
@@ -461,14 +494,17 @@ class OnePortEngine:
                 raise SchedulingError(f"unknown event kind {kind}")
 
         records = [
-            TaskRecord(
-                task_id=r.task_id,
-                worker_id=r.worker_id,
-                release=r.release,
-                send_start=r.send_start,
-                send_end=r.send_end,
-                compute_start=r.compute_start,
-                compute_end=r.compute_end,
+            _tuple_new(
+                TaskRecord,
+                (
+                    r.task.task_id,
+                    r.worker_id,
+                    r.task.release,
+                    r.send_start,
+                    r.send_end,
+                    r.compute_start,
+                    r.compute_end,
+                ),
             )
             for r in self._records.values()
         ]
@@ -514,11 +550,6 @@ class OnePortEngine:
     # expressions, so engine and validator can never disagree.  Without a
     # timeline the hot paths price inline with Worker.comm_time/comp_time's
     # own expressions (``c * comm_factor``, ``p * comp_factor``).
-    def _comp_duration(self, worker: Worker, task: Task) -> float:
-        if self._timeline is None:
-            return worker.p * task.comp_factor
-        return self._timeline.effective_comp_time(worker, task.comp_factor, self.now)
-
     def _reprice_worker(self, state: _WorkerState) -> None:
         """Recompute a worker's ready-time estimate after a platform event.
 
@@ -530,14 +561,14 @@ class OnePortEngine:
         if state.backlog == 0:
             state.ready_time = self.now
             return
-        t = state.computing[1] if state.computing is not None else self.now
-        for task_id, _arrival in state.queue:
-            t += self._comp_duration(state.worker, self.tasks.by_id(task_id))
-        if state.inflight is not None:
-            task_id, send_end = state.inflight
-            t = max(t, send_end) + self._comp_duration(
-                state.worker, self.tasks.by_id(task_id)
-            )
+        price = self._timeline.effective_comp_time
+        worker, now = state.worker, self.now
+        t = state.computing[1] if state.computing is not None else now
+        for record in state.queue:
+            t += price(worker, record.task.comp_factor, now)
+        record = state.inflight
+        if record is not None:
+            t = max(t, record.send_end) + price(worker, record.task.comp_factor, now)
         state.ready_time = t
 
     def _sync_worker_state(self, state: _WorkerState) -> bool:
@@ -575,18 +606,10 @@ class OnePortEngine:
             self._start_next_computation(event.worker_id)
 
     # -- event handlers --------------------------------------------------------
-    def _on_release(self, task_id: int) -> None:
-        task = self.tasks.by_id(task_id)
-        pending = self._pending
-        # Releases pop in (release, id) order, so the task almost always
-        # belongs at the end; insort keeps FIFO order in the other cases.
-        last = pending[-1] if pending else None
-        if last is None or last.release < task.release or (
-            last.release == task.release and last.task_id < task.task_id
-        ):
-            pending.append(task)
-        else:
-            insort(pending, task)
+    def _on_release(self, task: Task) -> None:
+        # Releases come in bag order, which is (release, id) order, so
+        # appending keeps the pending list in FIFO order.
+        self._pending.append(task)
         self._n_released += 1
 
     def _start_send(self, task_id: int, worker_id: int) -> None:
@@ -606,7 +629,7 @@ class OnePortEngine:
                 )
         if not 0 <= worker_id < len(self._workers):
             raise InvalidDecisionError(f"unknown worker {worker_id}")
-        task = self.tasks.by_id(task_id)
+        task = pending[pending_index]
         worker_state = self._workers[worker_id]
         worker = worker_state.worker
 
@@ -628,20 +651,20 @@ class OnePortEngine:
         ready = worker_state.ready_time
         worker_state.ready_time = (send_end if send_end > ready else ready) + compute
         worker_state.backlog += 1
-        worker_state.inflight = (task_id, send_end)
+        worker_state.inflight = record = _PartialRecord(
+            task, worker_id, send_start, send_end
+        )
         worker_state.cached_view = None
 
         del pending[pending_index]
-        self._records[task_id] = _PartialRecord(
-            task_id, worker_id, task.release, send_start, send_end
-        )
+        self._records[task_id] = record
         self._n_assigned += 1
         self._events.push(send_end, EventKind.SEND_COMPLETE, task_id, worker_id)
 
     def _on_send_complete(self, task_id: int, worker_id: int) -> None:
         state = self._workers[worker_id]
         state.inflight = None
-        state.queue.append((task_id, self.now))
+        state.queue.append(self._records[task_id])
         if state.computing is None:
             self._start_next_computation(worker_id)
 
@@ -654,15 +677,19 @@ class OnePortEngine:
             # Downed (or not-yet-joined) workers hold their queue; the
             # matching WorkerUp/WorkerJoin platform event re-kicks them.
             return
-        task_id, _arrival = state.queue.pop(0)
-        task = self.tasks.by_id(task_id)
+        record = state.queue.pop(0)
+        task = record.task
         start = self.now
-        finish = start + self._comp_duration(state.worker, task)
-        state.computing = (task_id, finish)
-        record = self._records[task_id]
+        if timeline is None:
+            finish = start + state.worker.p * task.comp_factor
+        else:
+            finish = start + timeline.effective_comp_time(
+                state.worker, task.comp_factor, start
+            )
+        state.computing = (task.task_id, finish)
         record.compute_start = start
         record.compute_end = finish
-        self._events.push(finish, EventKind.COMPUTE_COMPLETE, task_id, worker_id)
+        self._events.push(finish, EventKind.COMPUTE_COMPLETE, task.task_id, worker_id)
 
     def _on_compute_complete(self, task_id: int, worker_id: int) -> None:
         state = self._workers[worker_id]

@@ -16,16 +16,25 @@ decision point.  Only five event kinds exist in the model:
 
 Events are totally ordered by ``(time, priority, sequence)``; the priority
 encodes the convention that at equal times the engine first learns about
-completions, then platform changes, then releases, then wake-ups.  The
-engine processes one event at a time and consults the scheduler after each
-one whenever the master's port is free and a task is pending, also between
-two events of the same instant.  A consultation at time *t* therefore sees
-the events that precede it in that order, not every event dated *t*: a bag
-of tasks released at 0 is offered to the scheduler first with one task
-released (SLJF on two workers with ``all_at_zero(5)`` is first consulted
-with ``n_released == 1``), and the other releases at 0 reach it at later
-consultations.  Processing completions before platform events is what
-guarantees that a platform event landing exactly on a
+completions, then platform changes, then releases, then wake-ups.
+
+Releases never enter the :class:`EventQueue`.  The task set is already
+sorted by ``(release, task_id)``, so the engine walks it with a cursor and
+merges it with the queue's head: the next release goes first when it is
+earlier than the head, or at the head's time and the head is a
+``WAKEUP``.  That is exactly where a ``TASK_RELEASE`` entry would sort,
+because releases are the only kind-3 events and would be pushed in that
+order, so the processing order is the total order above.
+
+The engine processes one event at a time, a release included, and consults
+the scheduler after each one whenever the master's port is free and a task
+is pending, also between two events of the same instant.  A consultation at
+time *t* therefore sees the events that precede it in that order, not every
+event dated *t*: a bag of tasks released at 0 is offered to the scheduler
+first with one task released (SLJF on two workers with ``all_at_zero(5)``
+is first consulted with ``n_released == 1``), and the other releases at 0
+reach it at later consultations.  Processing completions before platform
+events is what guarantees that a platform event landing exactly on a
 ``SEND_COMPLETE``/``COMPUTE_COMPLETE`` timestamp can never alter in-flight
 durations (they were fixed when the send/computation started).
 """

@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .._sums import left_sum
 from ..exceptions import SchedulingError, SchedulingStalledError
 from .kernel import KernelJob, KernelResult, ReferenceKernel, SimulationKernel
 from .schedule import Schedule, TaskRecord
@@ -666,28 +667,28 @@ def _metrics_from_arrays(
     """``evaluate(schedule).as_dict()`` computed straight from the arrays.
 
     Bit-exact replication of :func:`repro.core.metrics.evaluate`: the sums
-    are sequential Python-float additions over the records in schedule
-    order (``(send_start, task_id)``), the exact iteration order and
-    operand order the reference path uses, so the floating-point results
-    are identical down to the last ulp.  Asserted by the committed engine
-    digests (``tests/test_engine_digests.py``) and by the kernel unit tests.
+    are :func:`~repro._sums.left_sum` folds of Python floats over the
+    records in schedule order (``(send_start, task_id)``), the exact
+    iteration order and operand order the reference path uses, so the
+    floating-point results are identical down to the last ulp.  Asserted by
+    the committed engine digests (``tests/test_engine_digests.py``) and by
+    the kernel unit tests.
     """
     order = np.lexsort((tid, snd_s))
     n = rel.shape[0]
     total = float(cmp_e.max())
-    flows = (cmp_e - rel)[order].tolist()
-    sum_flow = float(sum(flows))
-    comm_busy = float(sum((snd_e - snd_s)[order].tolist()))
-    queue_sum = sum((cmp_s - snd_e)[order].tolist())
+    sum_flow = left_sum((cmp_e - rel)[order].tolist())
+    comm_busy = left_sum((snd_e - snd_s)[order].tolist())
+    queue_sum = left_sum((cmp_s - snd_e)[order].tolist())
     return {
         "n_tasks": float(n),
         "makespan": total,
         "max_flow": float((cmp_e - rel).max()),
         "sum_flow": sum_flow,
         "mean_flow": sum_flow / n,
-        "sum_completion": float(sum(cmp_e[order].tolist())),
+        "sum_completion": left_sum(cmp_e[order].tolist()),
         "master_utilisation": comm_busy / total if total > 0 else 0.0,
-        "mean_queue_wait": float(queue_sum / n),
+        "mean_queue_wait": queue_sum / n,
     }
 
 
@@ -696,18 +697,8 @@ def _schedule_factory(job: KernelJob, timeline, columns) -> Schedule:
     tid, asg_w, rel, snd_s, snd_e, cmp_s, cmp_e = (
         column.tolist() for column in columns
     )
-    records = [
-        TaskRecord(
-            task_id=tid[i],
-            worker_id=asg_w[i],
-            release=rel[i],
-            send_start=snd_s[i],
-            send_end=snd_e[i],
-            compute_start=cmp_s[i],
-            compute_end=cmp_e[i],
-        )
-        for i in range(len(tid))
-    ]
+    rows = zip(tid, asg_w, rel, snd_s, snd_e, cmp_s, cmp_e)
+    records = list(map(TaskRecord._make, rows))
     return Schedule(job.platform, job.tasks, records, timeline=timeline)
 
 

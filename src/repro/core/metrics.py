@@ -19,6 +19,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping
 
+from .._sums import left_sum
 from ..exceptions import SchedulingError
 from .schedule import Schedule
 
@@ -66,7 +67,7 @@ def max_flow(schedule: Schedule) -> float:
 def sum_flow(schedule: Schedule) -> float:
     """Sum of response times :math:`\\sum_i (C_i - r_i)`."""
     _require_non_empty(schedule)
-    return float(sum(record.flow for record in schedule))
+    return left_sum(record.flow for record in schedule)
 
 
 def mean_flow(schedule: Schedule) -> float:
@@ -78,7 +79,7 @@ def mean_flow(schedule: Schedule) -> float:
 def sum_completion(schedule: Schedule) -> float:
     """Sum of completion times :math:`\\sum_i C_i` (= sum-flow + :math:`\\sum r_i`)."""
     _require_non_empty(schedule)
-    return float(sum(record.completion for record in schedule))
+    return left_sum(record.completion for record in schedule)
 
 
 _OBJECTIVE_FUNCTIONS: Dict[Objective, Callable[[Schedule], float]] = {
@@ -140,26 +141,46 @@ class ScheduleMetrics:
 
 
 def evaluate(schedule: Schedule) -> ScheduleMetrics:
-    """Compute every metric of interest for a schedule."""
+    """Compute every metric of interest for a schedule.
+
+    One pass over the records in schedule order.  Maxima keep the first
+    largest value, as :func:`max` does, and every sum is a left fold with
+    ``+=`` in record order, the same bytes as :func:`~repro._sums.left_sum`
+    and so as :func:`sum_flow`/:func:`sum_completion`.
+    """
     _require_non_empty(schedule)
-    total = makespan(schedule)
-    comm_busy = float(sum(r.comm_duration for r in schedule))
     worker_busy: Dict[int, float] = {w.worker_id: 0.0 for w in schedule.platform}
+    worker_counts: Dict[int, int] = {w.worker_id: 0 for w in schedule.platform}
+    first = next(iter(schedule))
+    total = first.compute_end
+    peak_flow = first.compute_end - first.release
+    flow_sum = completion_sum = comm_busy = queue_wait = 0.0
     for record in schedule:
-        worker_busy[record.worker_id] += record.comp_duration
+        _, worker_id, release, send_start, send_end, compute_start, compute_end = record
+        flow = compute_end - release
+        if compute_end > total:
+            total = compute_end
+        if flow > peak_flow:
+            peak_flow = flow
+        flow_sum += flow
+        completion_sum += compute_end
+        comm_busy += send_end - send_start
+        queue_wait += compute_start - send_end
+        worker_busy[worker_id] += compute_end - compute_start
+        worker_counts[worker_id] += 1
+    n_tasks = len(schedule)
     worker_util = {
         wid: (busy / total if total > 0 else 0.0) for wid, busy in worker_busy.items()
     }
-    queue_waits = [r.queue_wait for r in schedule]
     return ScheduleMetrics(
-        n_tasks=len(schedule),
+        n_tasks=n_tasks,
         makespan=total,
-        max_flow=max_flow(schedule),
-        sum_flow=sum_flow(schedule),
-        mean_flow=mean_flow(schedule),
-        sum_completion=sum_completion(schedule),
+        max_flow=peak_flow,
+        sum_flow=flow_sum,
+        mean_flow=flow_sum / n_tasks,
+        sum_completion=completion_sum,
         master_utilisation=comm_busy / total if total > 0 else 0.0,
         worker_utilisation=worker_util,
-        worker_task_counts=schedule.worker_task_counts(),
-        mean_queue_wait=float(sum(queue_waits) / len(queue_waits)),
+        worker_task_counts=worker_counts,
+        mean_queue_wait=queue_wait / n_tasks,
     )

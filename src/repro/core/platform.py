@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from .._sums import left_sum
 from ..exceptions import PlatformError
 
 __all__ = ["Worker", "Platform", "PlatformKind"]
@@ -254,7 +255,7 @@ class Platform:
     def total_speed(self) -> float:
         """Aggregate processing rate :math:`\\sum_j 1/p_j` (tasks per time unit),
         ignoring communications."""
-        return float(sum(1.0 / w.p for w in self._workers))
+        return left_sum(1.0 / w.p for w in self._workers)
 
     def steady_state_throughput(self) -> float:
         """Upper bound on sustainable task throughput under the one-port model.

@@ -31,8 +31,10 @@ rather than against the engine's own bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, TYPE_CHECKING
+from operator import itemgetter
+from typing import (
+    Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, TYPE_CHECKING,
+)
 
 from ..exceptions import InfeasibleScheduleError, SchedulingError
 from .platform import Platform
@@ -46,10 +48,13 @@ __all__ = ["TaskRecord", "Schedule"]
 #: Absolute tolerance for floating-point feasibility comparisons.
 _FEAS_ATOL = 1e-9
 
+#: Schedule order of the records: ``(send_start, task_id)``.
+_SEND_ORDER = itemgetter(3, 0)
 
-@dataclass(frozen=True)
-class TaskRecord:
-    """The execution record of a single task."""
+
+class TaskRecord(NamedTuple):
+    """The execution record of a single task: a plain tuple of its seven
+    fields, which the engine builds positionally with ``tuple.__new__``."""
 
     task_id: int
     worker_id: int
@@ -103,9 +108,7 @@ class Schedule:
         #: for the static model.  Trivial timelines are normalised away so
         #: static scenarios validate through the classic path.
         self.timeline = timeline if timeline is not None and len(timeline) else None
-        self._records: List[TaskRecord] = sorted(
-            records, key=lambda r: (r.send_start, r.task_id)
-        )
+        self._records: List[TaskRecord] = sorted(records, key=_SEND_ORDER)
         self._by_task: Dict[int, TaskRecord] = {}
         for record in self._records:
             if record.task_id in self._by_task:

@@ -15,17 +15,34 @@ which is the order in which the master discovers them on-line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
+from .._sums import left_sum
 from ..exceptions import TaskError
 
 __all__ = ["Task", "TaskSet", "identical_tasks"]
 
+_INF = math.inf
+_tuple_new = tuple.__new__
 
-@dataclass(frozen=True, order=True, slots=True)
-class Task:
-    """A single unit-size task.
+
+class _TaskFields(NamedTuple):
+    """Field layout of :class:`Task`, which subclasses it because a
+    ``NamedTuple`` body may not define ``__new__``."""
+
+    release: float
+    task_id: int
+    comm_factor: float = 1.0
+    comp_factor: float = 1.0
+
+
+def _release_error(release: float) -> TaskError:
+    return TaskError(f"release time must be finite and non-negative, got {release}")
+
+
+class Task(_TaskFields):
+    """A single unit-size task: a plain tuple ``(release, task_id,
+    comm_factor, comp_factor)``.
 
     Parameters
     ----------
@@ -41,30 +58,36 @@ class Task:
     comp_factor:
         Multiplier applied to the worker's base computation time ``p_j``.
         ``1.0`` for the identical-task model.
+
+    Tasks compare as tuples.  Ordering is by ``(release, task_id)``, the
+    FIFO order used throughout the paper: identifiers are unique within a
+    :class:`TaskSet`, so the size factors never decide an order.  ``==`` and
+    ``hash`` cover every field, so two tasks differing only in their size
+    factors are different tasks.
     """
 
-    # ``order=True`` sorts by (release, task_id) which is exactly the FIFO
-    # order used throughout the paper.
-    release: float
-    task_id: int
-    comm_factor: float = field(default=1.0, compare=False)
-    comp_factor: float = field(default=1.0, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.task_id < 0:
-            raise TaskError(f"task_id must be non-negative, got {self.task_id}")
-        if not math.isfinite(self.release) or self.release < 0.0:
+    def __new__(
+        cls,
+        release: float,
+        task_id: int,
+        comm_factor: float = 1.0,
+        comp_factor: float = 1.0,
+    ) -> "Task":
+        if task_id < 0:
+            raise TaskError(f"task_id must be non-negative, got {task_id}")
+        if not 0.0 <= release < _INF:
+            raise _release_error(release)
+        if not 0.0 < comm_factor < _INF:
             raise TaskError(
-                f"release time must be finite and non-negative, got {self.release}"
+                f"comm_factor must be positive and finite, got {comm_factor}"
             )
-        if self.comm_factor <= 0.0 or not math.isfinite(self.comm_factor):
+        if not 0.0 < comp_factor < _INF:
             raise TaskError(
-                f"comm_factor must be positive and finite, got {self.comm_factor}"
+                f"comp_factor must be positive and finite, got {comp_factor}"
             )
-        if self.comp_factor <= 0.0 or not math.isfinite(self.comp_factor):
-            raise TaskError(
-                f"comp_factor must be positive and finite, got {self.comp_factor}"
-            )
+        return _tuple_new(cls, (release, task_id, comm_factor, comp_factor))
 
     @property
     def is_identical(self) -> bool:
@@ -73,7 +96,7 @@ class Task:
 
     def perturbed(self, comm_factor: float, comp_factor: float) -> "Task":
         """Return a copy of the task with new size factors."""
-        return replace(self, comm_factor=comm_factor, comp_factor=comp_factor)
+        return Task(self.release, self.task_id, comm_factor, comp_factor)
 
 
 class TaskSet:
@@ -150,7 +173,7 @@ class TaskSet:
     def total_release_time(self) -> float:
         """Sum of all release dates (the constant linking sum-flow and the sum
         of completion times: :math:`\\sum C_i = \\sum (C_i - r_i) + \\sum r_i`)."""
-        return float(sum(t.release for t in self._tasks))
+        return left_sum(t.release for t in self._tasks)
 
     @property
     def all_identical(self) -> bool:
@@ -164,14 +187,19 @@ class TaskSet:
 
         Task identifiers are assigned in release order starting at 0, ties
         keeping their input order.  The tasks come out already sorted by
-        ``(release, task_id)`` with distinct ids, so the constructor's sort
-        and duplicate scan are skipped; every :class:`Task` check still runs.
+        ``(release, task_id)`` with distinct ids and identity factors, so the
+        constructor's sort and duplicate scan are skipped and only the
+        releases are checked, in one loop, before the tuples are built.
         """
-        # A stable sort keeps equal releases in input order.
-        indexed = sorted(range(len(releases)), key=releases.__getitem__)
+        # Equal releases are interchangeable, so numbering the sorted values
+        # gives the same tasks as numbering a stable sort of the input.
+        ordered = sorted([float(release) for release in releases])
+        for release in ordered:
+            if not 0.0 <= release < _INF:
+                raise _release_error(release)
         tasks = [
-            Task(float(releases[original]), rank)
-            for rank, original in enumerate(indexed)
+            _tuple_new(Task, (release, rank, 1.0, 1.0))
+            for rank, release in enumerate(ordered)
         ]
         task_set = cls.__new__(cls)
         task_set._tasks = tasks

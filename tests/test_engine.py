@@ -39,11 +39,17 @@ class DelayingScheduler(OnlineScheduler):
 
 
 class StallingScheduler(OnlineScheduler):
-    """Always refuses to act (used to exercise the stall detection)."""
+    """Always refuses to act (used to exercise the stall detection) and
+    records ``(now, n_released)`` at each consultation."""
 
     name = "STALL"
 
+    def __init__(self) -> None:
+        super().__init__()
+        self.consulted = []
+
     def decide(self, view):
+        self.consulted.append((view.now, view.n_released))
         return Decision.wait()
 
 
@@ -73,6 +79,28 @@ class PastWakeupScheduler(OnlineScheduler):
 
     def decide(self, view):
         return Decision.wait_until(view.now - 5.0)
+
+
+class FreeWorkerScheduler(OnlineScheduler):
+    """Sends the FIFO task to worker 0 once it is free, waiting otherwise,
+    and records ``(now, n_released, n_completed)`` at each consultation.
+
+    With ``wake_at`` set it first waits until that time."""
+
+    name = "FREE-WORKER"
+
+    def __init__(self, wake_at: float = 0.0) -> None:
+        super().__init__()
+        self.wake_at = wake_at
+        self.consulted = []
+
+    def decide(self, view):
+        self.consulted.append((view.now, view.n_released, view.n_completed))
+        if view.now < self.wake_at:
+            return Decision.wait_until(self.wake_at)
+        if not view.worker(0).is_free:
+            return Decision.wait()
+        return Decision.assign(self._fifo_task(view), 0)
 
 
 class TestBasicSemantics:
@@ -155,10 +183,21 @@ class TestDelaysAndWakeups:
 
 
 class TestErrorHandling:
-    def test_stalled_scheduler_detected(self):
+    @pytest.mark.parametrize(
+        "releases, consulted",
+        [
+            ([0.0, 0.0], [(0.0, 1), (0.0, 2)]),
+            ([0.0, 5.0], [(0.0, 1), (5.0, 2)]),
+        ],
+        ids=["bag", "spread"],
+    )
+    def test_stalled_scheduler_detected(self, releases, consulted):
+        # The stall is raised once the last release has been offered.
         platform = Platform.from_times([1.0], [1.0])
+        scheduler = StallingScheduler()
         with pytest.raises(SchedulingStalledError):
-            simulate(StallingScheduler(), platform, all_at_zero(2))
+            simulate(scheduler, platform, TaskSet.from_releases(releases))
+        assert scheduler.consulted == consulted
 
     def test_unknown_worker_rejected(self):
         platform = Platform.from_times([1.0], [1.0])
@@ -175,11 +214,18 @@ class TestErrorHandling:
         with pytest.raises(InvalidDecisionError):
             simulate(NotADecisionScheduler(), platform, all_at_zero(1))
 
-    def test_event_budget_guard(self):
+    @pytest.mark.parametrize("max_events, enough", [(1, False), (5, False), (6, True)])
+    def test_event_budget_guard(self, max_events, enough):
+        # Two tasks make six events: each task's release, send completion
+        # and compute completion.  Releases count although they never
+        # enter the heap.
         platform = Platform.from_times([1.0], [1.0])
-        engine = OnePortEngine(platform, all_at_zero(2), max_events=1)
-        with pytest.raises(SchedulingError):
-            engine.run(FixedAssignmentScheduler([0, 0]))
+        engine = OnePortEngine(platform, all_at_zero(2), max_events=max_events)
+        if enough:
+            assert len(engine.run(FixedAssignmentScheduler([0, 0]))) == 2
+        else:
+            with pytest.raises(SchedulingError, match=f"exceeded {max_events} events"):
+                engine.run(FixedAssignmentScheduler([0, 0]))
 
 
 class TestSchedulerView:
@@ -258,3 +304,32 @@ class TestSchedulerView:
             (5.0, 5, 2, 3, 1),
             (7.0, 5, 1, 4, 1),
         ]
+
+
+class TestReleaseMergeOrder:
+    """A release at the instant of a heap event is processed in the heap's
+    ``(time, kind, sequence)`` order, although releases never enter the heap:
+    completions and platform events first, then the release, then wake-ups.
+    The platform-event case is in ``tests/test_engine_dynamic.py``."""
+
+    @pytest.mark.parametrize(
+        "wake_at, releases, first_at_2",
+        [
+            # A WAKEUP at 2 and a release at 2: the release goes first, so
+            # the consultation the wake-up triggers already sees both tasks.
+            (2.0, [0.0, 2.0], (2.0, 2, 0)),
+            # Task 0 computes over [1, 2], task 1 waits for the free worker
+            # and task 2 is released at 2: the COMPUTE_COMPLETE goes first,
+            # so its consultation sees two releases and one completion.
+            (0.0, [0.0, 1.0, 2.0], (2.0, 2, 1)),
+        ],
+        ids=["wakeup", "compute-complete"],
+    )
+    def test_release_at_the_instant_of_a_heap_event(
+        self, wake_at, releases, first_at_2
+    ):
+        platform = Platform.from_times([1.0], [1.0])
+        scheduler = FreeWorkerScheduler(wake_at)
+        simulate(scheduler, platform, TaskSet.from_releases(releases))
+        at_2 = [entry for entry in scheduler.consulted if entry[0] == 2.0]
+        assert at_2[0] == first_at_2

@@ -19,7 +19,7 @@ import pytest
 from repro.core.engine import Decision, OnePortEngine, simulate
 from repro.core.platform import Platform
 from repro.core.schedule import Schedule, TaskRecord
-from repro.core.task import identical_tasks
+from repro.core.task import TaskSet, identical_tasks
 from repro.exceptions import InfeasibleScheduleError, SchedulingError
 from repro.scenarios import (
     PlatformTimeline,
@@ -115,6 +115,29 @@ class TestEventAtCompletionBoundaries:
         assert schedule[0].compute_start == pytest.approx(0.5)
         assert schedule[0].compute_end == pytest.approx(2.5)
         schedule.validate()
+
+    def test_platform_event_at_a_release_goes_first(self):
+        # Worker 0 is down over [0, 2] and task 1 is released at 2, the
+        # instant of the WorkerUp.  The PLATFORM_EVENT goes first (heap
+        # order), so the consultation it triggers sees one released task;
+        # the release at 2 then finds the port busy sending task 0.
+        platform = Platform.from_times([1.0], [1.0])
+        consulted = []
+
+        class WaitForWorker(OnlineScheduler):
+            name = "WAIT-FOR-WORKER"
+
+            def decide(self, view):
+                worker = view.worker(0)
+                consulted.append((view.now, view.n_released, worker.available))
+                if not worker.available:
+                    return Decision.wait()
+                return Decision.assign(self._fifo_task(view), 0)
+
+        timeline = PlatformTimeline(1, [WorkerDown(0.0, 0), WorkerUp(2.0, 0)])
+        tasks = TaskSet.from_releases([0.0, 2.0])
+        simulate(WaitForWorker(), platform, tasks, timeline=timeline).validate()
+        assert consulted == [(0.0, 1, False), (2.0, 1, True), (3.0, 2, True)]
 
 
 class TestDynamicBehaviour:

@@ -83,6 +83,7 @@ BOOT_MODULES = frozenset((
 #: executor, its seeding, the task builder, the engine, the metrics and
 #: the one heuristic module the request runs.
 MISS_MODULES = frozenset((
+    "repro._sums",
     "repro.campaigns",
     "repro.campaigns.grid",
     "repro.core",

@@ -46,6 +46,25 @@ class TestTask:
         assert early < late
         assert late < tie_low
 
+    def test_sorted_orders_by_release_then_id_whatever_the_factors(self):
+        tasks = [
+            Task(2.0, 0, comm_factor=0.5),
+            Task(1.0, 3, comp_factor=4.0),
+            Task(1.0, 1, comm_factor=9.0, comp_factor=9.0),
+            Task(0.0, 2, comp_factor=0.1),
+        ]
+        assert [(t.release, t.task_id) for t in sorted(tasks)] == [
+            (0.0, 2), (1.0, 1), (1.0, 3), (2.0, 0)
+        ]
+
+    def test_size_factors_take_part_in_equality_and_hash(self):
+        task = Task(release=1.0, task_id=0)
+        assert task == Task(1.0, 0, 1.0, 1.0)
+        assert hash(task) == hash(Task(1.0, 0, 1.0, 1.0))
+        assert task != task.perturbed(1.1, 1.0)
+        assert task != task.perturbed(1.0, 0.9)
+        assert len({task, task.perturbed(1.1, 1.0), task.perturbed(1.0, 0.9)}) == 3
+
     def test_perturbed_copy(self):
         task = Task(release=2.0, task_id=3)
         perturbed = task.perturbed(1.1, 0.9)
@@ -82,6 +101,19 @@ class TestTaskSet:
         tasks = TaskSet.from_releases([3.0, 1.0, 2.0])
         assert tasks.releases == [1.0, 2.0, 3.0]
         assert tasks.task_ids == [0, 1, 2]
+
+    def test_from_releases_builds_the_tasks_the_constructor_would(self):
+        releases = [2.0, 0, 1.5, 0.0, 2.0]
+        built = TaskSet.from_releases(releases)
+        expected = TaskSet(Task(float(r), i) for i, r in enumerate(sorted(releases)))
+        assert list(built) == list(expected)
+        assert all(type(t) is Task and type(t.release) is float for t in built)
+        assert [built.by_id(i) for i in range(5)] == list(expected)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+    def test_from_releases_rejects_invalid_releases(self, bad):
+        with pytest.raises(TaskError, match="must be finite and non-negative"):
+            TaskSet.from_releases([0.0, bad, 1.0])
 
     def test_total_release_time(self):
         tasks = TaskSet.from_releases([0.0, 1.5, 2.5])
