@@ -21,8 +21,11 @@ Scheduler protocol
 ------------------
 The engine consults the scheduler at every *decision point* — any event after
 which the master's port is free and at least one released task is still
-unassigned.  The scheduler sees an immutable :class:`SchedulerView` and
-returns a :class:`Decision`:
+unassigned.  The scheduler sees an immutable :class:`SchedulerView` (the
+clock, the pending head, the workers and counters) and returns a
+:class:`Decision`.  Every heuristic sends the head, so the view shows no
+other pending task; a policy that plans its own order (the off-line replay)
+holds the task set itself:
 
 * :meth:`Decision.assign` — start sending the given task to the given worker
   immediately;
@@ -73,6 +76,7 @@ point.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
@@ -148,11 +152,6 @@ class Decision(NamedTuple):
         """Do nothing, but guarantee a wake-up at ``time``."""
         return _tuple_new(cls, (_WAIT_UNTIL, -1, -1, float(time)))
 
-    @property
-    def is_assignment(self) -> bool:
-        """True when the decision starts a send."""
-        return self.kind == _ASSIGN
-
 
 # ---------------------------------------------------------------------------
 # Scheduler-facing views
@@ -208,14 +207,10 @@ class SchedulerView(NamedTuple):
     """Immutable snapshot handed to the scheduler at a decision point."""
 
     now: float
-    #: Released, not-yet-assigned tasks in FIFO order (release, then id).
-    pending: Tuple[Task, ...]
+    #: The first released, not-yet-assigned task in FIFO order (release,
+    #: then id), or ``None`` when nothing is pending.
+    next_pending: Optional[Task]
     workers: Tuple[WorkerView, ...]
-    #: True when the master's port is free (always true at decision points,
-    #: kept for completeness so views can also be built for inspection).
-    channel_free: bool
-    #: Time at which the port frees (== ``now`` when it is free).
-    channel_free_at: float
     #: Number of tasks released so far (assigned or not).
     n_released: int
     #: Number of tasks whose computation has completed.
@@ -232,11 +227,6 @@ class SchedulerView(NamedTuple):
     def free_workers(self) -> Tuple[WorkerView, ...]:
         """Workers with an empty backlog."""
         return tuple(w for w in self.workers if w.is_free)
-
-    @property
-    def next_pending(self) -> Optional[Task]:
-        """The first pending task in FIFO order, or ``None``."""
-        return self.pending[0] if self.pending else None
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +356,7 @@ class OnePortEngine:
             _WorkerState(worker=w) for w in platform.workers
         ]
         self._bag: List[Task] = list(tasks)     # (release, id) order
-        self._pending: List[Task] = []          # released, unassigned, FIFO
+        self._pending: "deque[Task]" = deque()  # released, unassigned, FIFO
         self._records: Dict[int, _PartialRecord] = {}
         self._n_released = 0
         self._n_completed = 0
@@ -412,15 +402,13 @@ class OnePortEngine:
             if view is None or view[3] < now:
                 view = state.build_view(now)
             views.append(view)
-        free_at = self.channel_free_at
+        pending = self._pending
         return _tuple_new(
             SchedulerView,
             (
                 now,
-                tuple(self._pending),
+                pending[0] if pending else None,
                 tuple(views),
-                free_at <= now,
-                free_at if free_at > now else now,
                 self._n_released,
                 self._n_completed,
                 self._n_total,
@@ -608,15 +596,15 @@ class OnePortEngine:
     # -- event handlers --------------------------------------------------------
     def _on_release(self, task: Task) -> None:
         # Releases come in bag order, which is (release, id) order, so
-        # appending keeps the pending list in FIFO order.
+        # appending keeps the pending deque in FIFO order.
         self._pending.append(task)
         self._n_released += 1
 
     def _start_send(self, task_id: int, worker_id: int) -> None:
-        # FIFO schedulers almost always pick the head of the pending list, so
-        # check it first before scanning.
+        # The engine consults only while a task is pending, and FIFO
+        # schedulers almost always pick the head, so check it before scanning.
         pending = self._pending
-        if pending and pending[0].task_id == task_id:
+        if pending[0].task_id == task_id:
             pending_index = 0
         else:
             for pending_index, candidate in enumerate(pending):
@@ -625,7 +613,7 @@ class OnePortEngine:
             else:
                 raise InvalidDecisionError(
                     f"task {task_id} is not pending "
-                    f"(pending: {[t.task_id for t in pending]})"
+                    f"({len(pending)} pending, head {pending[0].task_id})"
                 )
         if not 0 <= worker_id < len(self._workers):
             raise InvalidDecisionError(f"unknown worker {worker_id}")

@@ -67,18 +67,10 @@ class OnlineScheduler(abc.ABC):
         """Return the next decision for the state described by ``view``.
 
         The engine only calls this when the master's port is free and at
-        least one released task is unassigned, so returning
-        ``Decision.assign`` is always legal with respect to the port.
+        least one released task is unassigned, so ``view.next_pending`` is
+        never ``None`` and returning ``Decision.assign`` is always legal
+        with respect to the port.
         """
-
-    # Helper shared by several policies -------------------------------------
-    @staticmethod
-    def _fifo_task(view: SchedulerView) -> int:
-        """Identifier of the first pending task in FIFO order."""
-        task = view.next_pending
-        if task is None:  # pragma: no cover - engine never calls with no pending
-            raise SchedulingError("no pending task to schedule")
-        return task.task_id
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

@@ -39,8 +39,6 @@ class ListScheduler(OnlineScheduler):
     def decide(self, view: SchedulerView) -> Decision:
         """Send the FIFO task to the worker minimising its completion time."""
         task = view.next_pending
-        if task is None:  # pragma: no cover - engine never calls with no pending
-            return Decision.wait()
         best = min(
             view.workers,
             key=lambda w: (
@@ -65,8 +63,6 @@ class GreedyCommunicationScheduler(OnlineScheduler):
     def decide(self, view: SchedulerView) -> Decision:
         """Send the FIFO task to the cheapest link among least-loaded workers."""
         task = view.next_pending
-        if task is None:  # pragma: no cover
-            return Decision.wait()
         min_backlog = min(w.backlog for w in view.workers)
         candidates = [w for w in view.workers if w.backlog == min_backlog]
         best = min(candidates, key=lambda w: (w.c, w.worker_id))

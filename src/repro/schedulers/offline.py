@@ -173,7 +173,9 @@ def optimal_schedule(
             best_value = value
             best_solution = sol
     assert best_solution is not None
-    replay = OrderedAssignmentScheduler(best_solution.order, best_solution.assignment)
+    replay = OrderedAssignmentScheduler(
+        tasks, best_solution.order, best_solution.assignment
+    )
     schedule = simulate(replay, platform, tasks)
     return schedule, best_value
 
@@ -182,17 +184,32 @@ class OrderedAssignmentScheduler(OnlineScheduler):
     """Replay an explicit send order and task→worker assignment eagerly.
 
     The scheduler sends the next task of ``order`` as soon as the port is
-    free and the task is released; if the task is not yet released it asks to
-    be woken up at the release time.  This turns any off-line solution into a
+    free and the task is released.  While that task is not yet released it
+    returns :meth:`Decision.wait` and is consulted again by the engine once
+    the release is processed.  This turns any off-line solution into a
     normal engine run so it can be validated and traced like the heuristics.
+
+    The view shows only the pending head, so the replay knows ``tasks``
+    itself: task *k* is released once ``view.n_released`` exceeds its rank in
+    the set's FIFO order.  The clock cannot tell: a consultation at ``t`` may
+    follow a completion dated ``t`` and precede a release dated ``t``.
     """
 
     name = "ORDERED"
 
-    def __init__(self, order: Sequence[int], assignment: Dict[int, int]) -> None:
+    def __init__(
+        self, tasks: TaskSet, order: Sequence[int], assignment: Dict[int, int]
+    ) -> None:
         super().__init__()
         self.order = list(order)
         self.assignment = dict(assignment)
+        rank = {task.task_id: index for index, task in enumerate(tasks)}
+        unknown = [task_id for task_id in self.order if task_id not in rank]
+        if unknown:
+            raise SchedulingError(f"order names unknown task(s) {unknown}")
+        #: per position of ``order``: the task's FIFO rank + 1, the
+        #: ``n_released`` from which it is pending
+        self._released_at = [rank[task_id] + 1 for task_id in self.order]
         self._cursor = 0
 
     def reset(self, platform: Platform, n_tasks_hint: Optional[int] = None) -> None:
@@ -209,13 +226,11 @@ class OrderedAssignmentScheduler(OnlineScheduler):
         """Replay the planned order, falling back to FIFO beyond it."""
         if self._cursor >= len(self.order):
             # Tasks outside the explicit order fall back to FIFO/first worker.
-            return Decision.assign(self._fifo_task(view), 0)
+            return Decision.assign(view.next_pending.task_id, 0)
+        if view.n_released < self._released_at[self._cursor]:
+            # The next task of the prescribed order is not released yet: hold
+            # the port, since the engine consults again after each release.
+            return Decision.wait()
         next_task_id = self.order[self._cursor]
-        pending_ids = {t.task_id: t for t in view.pending}
-        if next_task_id in pending_ids:
-            self._cursor += 1
-            return Decision.assign(next_task_id, self.assignment[next_task_id])
-        # The next task of the prescribed order is not released yet: since the
-        # engine consults us only when *some* task is pending, the prescribed
-        # order wants us to hold the port until the release.
-        return Decision.wait()
+        self._cursor += 1
+        return Decision.assign(next_task_id, self.assignment[next_task_id])

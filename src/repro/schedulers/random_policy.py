@@ -44,7 +44,7 @@ class RandomScheduler(OnlineScheduler):
     def decide(self, view: SchedulerView) -> Decision:
         """Assign the FIFO task to a uniformly random worker."""
         worker_id = int(self._rng.integers(0, len(view.workers)))
-        return Decision.assign(self._fifo_task(view), worker_id)
+        return Decision.assign(view.next_pending.task_id, worker_id)
 
 
 class FixedAssignmentScheduler(OnlineScheduler):
@@ -81,7 +81,7 @@ class FixedAssignmentScheduler(OnlineScheduler):
             )
         worker_id = self.assignment[self._cursor]
         self._cursor += 1
-        return Decision.assign(self._fifo_task(view), worker_id)
+        return Decision.assign(view.next_pending.task_id, worker_id)
 
 
 class SingleWorkerScheduler(OnlineScheduler):
@@ -101,4 +101,4 @@ class SingleWorkerScheduler(OnlineScheduler):
 
     def decide(self, view: SchedulerView) -> Decision:
         """Assign the FIFO task to the designated worker."""
-        return Decision.assign(self._fifo_task(view), self.worker_id)
+        return Decision.assign(view.next_pending.task_id, self.worker_id)

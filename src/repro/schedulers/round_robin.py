@@ -90,8 +90,6 @@ class BoundedRoundRobinBase(OnlineScheduler):
     def decide(self, view: SchedulerView) -> Decision:
         """Send the FIFO task to the first under-backlog worker in order."""
         task = view.next_pending
-        if task is None:  # pragma: no cover - engine never calls with no pending
-            return Decision.wait()
         for worker_id in self._order:
             if view.worker(worker_id).backlog < self.max_backlog:
                 return Decision.assign(task.task_id, worker_id)
@@ -142,8 +140,6 @@ class StrictRoundRobinBase(OnlineScheduler):
     def decide(self, view: SchedulerView) -> Decision:
         """Assign the FIFO task to the next worker of the cycle."""
         task = view.next_pending
-        if task is None:  # pragma: no cover
-            return Decision.wait()
         worker_id = self._order[self._cursor % len(self._order)]
         self._cursor += 1
         return Decision.assign(task.task_id, worker_id)

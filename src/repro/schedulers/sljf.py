@@ -207,8 +207,6 @@ class _PlannedScheduler(OnlineScheduler):
     def decide(self, view: SchedulerView) -> Decision:
         """Dispatch by remaining quota; list-schedule beyond the plan."""
         task = view.next_pending
-        if task is None:  # pragma: no cover - engine never calls with no pending
-            return Decision.wait()
         self._ensure_plan(view)
         assert self._quota is not None
         remaining = [w for w in view.workers if self._quota[w.worker_id] > 0]

@@ -40,4 +40,4 @@ class SRPTScheduler(OnlineScheduler):
             # change anything is a worker completing its task.
             return Decision.wait()
         fastest = min(free, key=lambda w: (w.p, w.c, w.worker_id))
-        return Decision.assign(self._fifo_task(view), fastest.worker_id)
+        return Decision.assign(view.next_pending.task_id, fastest.worker_id)

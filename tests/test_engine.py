@@ -8,6 +8,8 @@ paper's model rather than to its own implementation.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.core.engine import Decision, OnePortEngine, simulate
@@ -35,7 +37,7 @@ class DelayingScheduler(OnlineScheduler):
     def decide(self, view):
         if view.now < self.until:
             return Decision.wait_until(self.until)
-        return Decision.assign(self._fifo_task(view), 0)
+        return Decision.assign(view.next_pending.task_id, 0)
 
 
 class StallingScheduler(OnlineScheduler):
@@ -57,7 +59,7 @@ class BadWorkerScheduler(OnlineScheduler):
     name = "BAD-WORKER"
 
     def decide(self, view):
-        return Decision.assign(self._fifo_task(view), 99)
+        return Decision.assign(view.next_pending.task_id, 99)
 
 
 class BadTaskScheduler(OnlineScheduler):
@@ -100,7 +102,7 @@ class FreeWorkerScheduler(OnlineScheduler):
             return Decision.wait_until(self.wake_at)
         if not view.worker(0).is_free:
             return Decision.wait()
-        return Decision.assign(self._fifo_task(view), 0)
+        return Decision.assign(view.next_pending.task_id, 0)
 
 
 class TestBasicSemantics:
@@ -248,7 +250,7 @@ class TestSchedulerView:
                 observations.append(
                     (view.now, tuple(w.backlog for w in view.workers))
                 )
-                return Decision.assign(self._fifo_task(view), 0)
+                return Decision.assign(view.next_pending.task_id, 0)
 
         simulate(Spy(), platform, all_at_zero(2))
         # First decision: both workers free; second (at t=c): worker 0 busy.
@@ -290,7 +292,13 @@ class TestSchedulerView:
         def recording_decide(view):
             decision = decide(view)
             consulted.append(
-                (view.now, view.n_released, len(view.pending), decision.task_id, decision.worker_id)
+                (
+                    view.now,
+                    view.n_released,
+                    view.next_pending.task_id,
+                    decision.task_id,
+                    decision.worker_id,
+                )
             )
             return decision
 
@@ -298,12 +306,44 @@ class TestSchedulerView:
         platform = Platform.from_times([1.0, 2.0], [3.0, 1.0])
         simulate(scheduler, platform, all_at_zero(5), expose_task_count=True)
         assert consulted == [
-            (0.0, 1, 1, 0, 1),
-            (2.0, 5, 4, 1, 0),
-            (3.0, 5, 3, 2, 1),
-            (5.0, 5, 2, 3, 1),
-            (7.0, 5, 1, 4, 1),
+            (0.0, 1, 0, 0, 1),
+            (2.0, 5, 1, 1, 0),
+            (3.0, 5, 2, 2, 1),
+            (5.0, 5, 3, 3, 1),
+            (7.0, 5, 4, 4, 1),
         ]
+
+    @staticmethod
+    def _view_bytes_at_second_consultation(n_tasks):
+        """Bytes a view holds when all but one of ``n_tasks`` are pending."""
+        platform = Platform.from_times([1.0, 2.0], [3.0, 1.0])
+        engine = OnePortEngine(platform, all_at_zero(n_tasks))
+        measured = []
+
+        class Measure(OnlineScheduler):
+            name = "MEASURE"
+
+            def decide(self, view):
+                if view.n_released == n_tasks and not measured:
+                    tracemalloc.start()
+                    try:
+                        before = tracemalloc.get_traced_memory()[0]
+                        kept = engine.view()
+                        measured.append(tracemalloc.get_traced_memory()[0] - before)
+                    finally:
+                        tracemalloc.stop()
+                    assert kept.next_pending.task_id == 1
+                return Decision.assign(view.next_pending.task_id, 0)
+
+        engine.run(Measure())
+        return measured[0]
+
+    def test_a_view_does_not_grow_with_the_bag(self):
+        # The second consultation comes after the first send completes, when
+        # every task is released and only task 0 is assigned.
+        assert self._view_bytes_at_second_consultation(
+            20
+        ) == self._view_bytes_at_second_consultation(20000)
 
 
 class TestReleaseMergeOrder:

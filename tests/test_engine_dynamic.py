@@ -49,7 +49,7 @@ class _ViewProbe(OnlineScheduler):
     def decide(self, view):
         worker = view.worker(0)
         self.observations.append((view.now, worker.p, worker.available))
-        return Decision.assign(self._fifo_task(view), 0)
+        return Decision.assign(view.next_pending.task_id, 0)
 
 
 class TestEventAtCompletionBoundaries:
@@ -132,7 +132,7 @@ class TestEventAtCompletionBoundaries:
                 consulted.append((view.now, view.n_released, worker.available))
                 if not worker.available:
                     return Decision.wait()
-                return Decision.assign(self._fifo_task(view), 0)
+                return Decision.assign(view.next_pending.task_id, 0)
 
         timeline = PlatformTimeline(1, [WorkerDown(0.0, 0), WorkerUp(2.0, 0)])
         tasks = TaskSet.from_releases([0.0, 2.0])

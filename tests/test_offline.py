@@ -111,15 +111,40 @@ class TestOrderedAssignmentScheduler:
         from repro.core.engine import simulate
 
         tasks = TaskSet.from_releases([0.0, 2.0])
-        scheduler = OrderedAssignmentScheduler(order=[1, 0], assignment={0: 0, 1: 0})
+        scheduler = OrderedAssignmentScheduler(
+            tasks, order=[1, 0], assignment={0: 0, 1: 0}
+        )
         schedule = simulate(scheduler, theorem1_platform, tasks)
         schedule.validate()
         assert schedule[1].send_start == pytest.approx(2.0)
         assert schedule[0].send_start >= schedule[1].send_end - 1e-12
 
+    def test_waits_for_a_release_at_the_instant_a_send_completes(
+        self, theorem1_platform
+    ):
+        # Task 0's send ends at t=1, the release date of task 2, which the
+        # order names next.  The send completion is processed first, so the
+        # consultation it triggers at t=1 sees task 2 not yet released: the
+        # replay must wait for the release instead of naming a task that is
+        # not pending.
+        from repro.core.engine import simulate
+
+        tasks = TaskSet.from_releases([0.0, 0.0, 1.0])
+        scheduler = OrderedAssignmentScheduler(
+            tasks, order=[0, 2, 1], assignment={0: 0, 1: 1, 2: 0}
+        )
+        schedule = simulate(scheduler, theorem1_platform, tasks)
+        schedule.validate()
+        assert [schedule[i].send_start for i in (0, 2, 1)] == [0.0, 1.0, 2.0]
+
+    def test_unknown_task_in_order_rejected(self):
+        with pytest.raises(SchedulingError, match="unknown task"):
+            OrderedAssignmentScheduler(all_at_zero(2), order=[0, 7], assignment={})
+
     def test_unknown_worker_in_assignment_rejected(self, theorem1_platform):
         from repro.core.engine import simulate
 
-        scheduler = OrderedAssignmentScheduler(order=[0], assignment={0: 5})
+        tasks = all_at_zero(1)
+        scheduler = OrderedAssignmentScheduler(tasks, order=[0], assignment={0: 5})
         with pytest.raises(SchedulingError):
-            simulate(scheduler, theorem1_platform, all_at_zero(1))
+            simulate(scheduler, theorem1_platform, tasks)
