@@ -40,12 +40,24 @@ Returning ``wait`` while no future event exists raises
 
 Events
 ------
-Send and compute completions, platform events and wake-ups live in an
-:class:`~repro.core.events.EventQueue`.  Releases do not: the task set is
-sorted, so the run loop releases it through a cursor merged with the
-queue's head in the queue's own ``(time, kind, sequence)`` order (see
-:mod:`repro.core.events`).  Each release still counts against
+Compute completions, platform events and wake-ups live in an
+:class:`~repro.core.events.EventQueue`.  Sends and releases do not.  The
+port carries one send at a time, so in-flight sends end in the order they
+started and wait in a FIFO ``deque`` beside the heap (two are in flight
+only at an exact tie, when a consultation after a same-instant compute
+completion starts a send before the old send's completion is processed).
+The task set is sorted, so the run loop releases it through a cursor.  The
+loop merges the FIFO's head, the heap's head and the cursor in the
+queue's own ``(time, kind, sequence)`` order (see :mod:`repro.core.events`):
+a send completion keeps its rank between compute completions and platform
+events.  After a release, every later release that comes before the next
+other event is taken in the same step while the port stays busy, since no
+consultation can fall between them.  Each release still counts against
 ``max_events``.
+
+Each task's :class:`~repro.core.schedule.TaskRecord` is built once, when
+its computation starts: in-flight work is never re-priced, so all seven
+fields are known then.
 
 Dynamic platforms (scenario timelines)
 --------------------------------------
@@ -78,7 +90,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
+from heapq import heappop as _heappop
+from typing import List, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
 from ..exceptions import (
     InvalidDecisionError,
@@ -116,6 +129,7 @@ _WAIT = "wait"
 _WAIT_UNTIL = "wait-until"
 
 _NAN = math.nan
+_INF = math.inf
 _tuple_new = tuple.__new__
 
 
@@ -241,15 +255,16 @@ class _WorkerState:
     #: tasks assigned (in flight, queued or computing) but not completed
     backlog: int = 0
     completed: int = 0
-    #: arrival queue: the records of tasks received, not started, in
-    #: arrival order
-    queue: List["_PartialRecord"] = field(default_factory=list)
+    #: arrival queue: one ``(task, send_start, send_end)`` entry per task
+    #: received and not started, in arrival order; the task's record is
+    #: built from its entry when its computation starts
+    queue: "deque[Tuple[Task, float, float]]" = field(default_factory=deque)
     #: (task_id, finish_time) of the task currently computing, if any
     computing: Optional[Tuple[int, float]] = None
-    #: the record of the task currently being sent to this worker, if any
-    #: (at most one globally under the one-port model); used by the
+    #: the ``(task, send_start, send_end)`` entry of the newest send to this
+    #: worker, cleared by the next send completion on it; used by the
     #: platform-event re-pricing pass
-    inflight: Optional["_PartialRecord"] = None
+    inflight: Optional[Tuple[Task, float, float]] = None
     #: effective unit communication/computation times shown to schedulers
     #: (equal to the worker's base c/p on static platforms; updated at every
     #: platform event on dynamic ones)
@@ -265,33 +280,6 @@ class _WorkerState:
     def __post_init__(self) -> None:
         self.eff_c = self.worker.c
         self.eff_p = self.worker.p
-
-    def build_view(self, now: float) -> WorkerView:
-        """Build the worker's view at ``now`` and cache it."""
-        ready = self.ready_time
-        view = self.cached_view = _tuple_new(
-            WorkerView,
-            (
-                self.worker.worker_id,
-                self.eff_c,
-                self.eff_p,
-                (now if now > ready else ready) if self.backlog else now,
-                self.backlog,
-                self.completed,
-                self.available,
-            ),
-        )
-        return view
-
-
-@dataclass(slots=True)
-class _PartialRecord:
-    task: Task
-    worker_id: int
-    send_start: float
-    send_end: float
-    compute_start: float = math.nan
-    compute_end: float = math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -350,17 +338,15 @@ class OnePortEngine:
         )
 
         self.now = 0.0
-        self.channel_free_at = 0.0
         self._events = EventQueue()
         self._workers: List[_WorkerState] = [
             _WorkerState(worker=w) for w in platform.workers
         ]
         self._bag: List[Task] = list(tasks)     # (release, id) order
         self._pending: "deque[Task]" = deque()  # released, unassigned, FIFO
-        self._records: Dict[int, _PartialRecord] = {}
+        self._records: List[TaskRecord] = []    # one per started computation
         self._n_released = 0
         self._n_completed = 0
-        self._n_assigned = 0
 
         if timeline is not None:
             for state in self._workers:
@@ -400,7 +386,19 @@ class OnePortEngine:
         for state in self._workers:
             view = state.cached_view
             if view is None or view[3] < now:
-                view = state.build_view(now)
+                ready = state.ready_time
+                view = state.cached_view = _tuple_new(
+                    WorkerView,
+                    (
+                        state.worker.worker_id,
+                        state.eff_c,
+                        state.eff_p,
+                        (now if now > ready else ready) if state.backlog else now,
+                        state.backlog,
+                        state.completed,
+                        state.available,
+                    ),
+                )
             views.append(view)
         pending = self._pending
         return _tuple_new(
@@ -420,114 +418,244 @@ class OnePortEngine:
         """Execute the scheduler until every task has completed."""
         n_tasks = self._n_tasks
         scheduler.reset(self.platform, n_tasks_hint=self._n_total)
-        processed = 0
+        decide = scheduler.decide
+        view = self.view
         max_events = self.max_events
+        timeline = self._timeline
         events = self._events
+        push = events.push
+        heap = events._heap
+        workers = self._workers
+        n_workers = len(workers)
+        pending = self._pending
+        records = self._records
         bag = self._bag
         n_bag = len(bag)
         cursor = 0  # index in the bag of the next task to release
+        # In-flight sends, oldest first: (send_end, worker_id, entry).  The
+        # port carries one send at a time, so their ends come in start order
+        # (for any send longer than the port's 1e-15 tolerance below, as in
+        # the array kernel's FIFO); two are in flight only at an exact tie,
+        # when a consultation after a same-instant compute completion starts
+        # a send before the old send's completion is processed.
+        sends: "deque[Tuple[float, int, Tuple[Task, float, float]]]" = deque()
+        channel_free_at = 0.0
+        now = self.now
+        n_completed = 0
+        processed = 0
 
-        while self._n_completed < n_tasks:
-            # 1. consult the scheduler if a decision is possible
-            if self._pending and self.channel_free_at <= self.now + 1e-15:
-                self._maybe_consult(scheduler)
+        while n_completed < n_tasks:
+            # 1. consult the scheduler while the port is free and a task is
+            # pending; it may assign, wait, or ask for a wake-up.
+            if pending and channel_free_at <= now + 1e-15:
+                self.now = now
+                self._n_released = cursor
+                self._n_completed = n_completed
+                guard = 0
+                while True:
+                    guard += 1
+                    if guard > n_tasks + 10:
+                        raise SchedulingError(
+                            "scheduler returned more assignments than possible "
+                            "in one instant"
+                        )
+                    decision = decide(view())
+                    if decision is None:
+                        break  # same as Decision.wait()
+                    if not isinstance(decision, Decision):
+                        raise InvalidDecisionError(
+                            f"scheduler returned {type(decision).__name__}, "
+                            "expected Decision"
+                        )
+                    kind, task_id, worker_id, until = decision
+                    if kind == _WAIT:
+                        break
+                    if kind == _WAIT_UNTIL:
+                        if not math.isfinite(until) or until < now - 1e-12:
+                            raise InvalidDecisionError(
+                                f"wake-up time {until} is in the past (now={now})"
+                            )
+                        push(max(until, now), _WAKEUP)
+                        break
+                    # An assignment.  FIFO schedulers almost always pick the
+                    # pending head, so check it before scanning.
+                    task = pending[0]
+                    index = 0
+                    if task.task_id != task_id:
+                        for index, task in enumerate(pending):
+                            if task.task_id == task_id:
+                                break
+                        else:
+                            raise InvalidDecisionError(
+                                f"task {task_id} is not pending ({len(pending)} "
+                                f"pending, head {pending[0].task_id})"
+                            )
+                    if not 0 <= worker_id < n_workers:
+                        raise InvalidDecisionError(f"unknown worker {worker_id}")
+                    state = workers[worker_id]
+                    worker = state.worker
+                    if timeline is None:
+                        send_end = now + worker.c * task.comm_factor
+                        compute = worker.p * task.comp_factor
+                    else:
+                        send_end = now + timeline.effective_comm_time(
+                            worker, task.comm_factor, now
+                        )
+                        compute = timeline.effective_comp_time(
+                            worker, task.comp_factor, now
+                        )
+                    if not 0.0 <= send_end < _INF:
+                        raise SchedulingError(
+                            f"event time must be finite and >= 0, got {send_end}"
+                        )
+                    # exact incremental ready-time update (FIFO execution on
+                    # the worker); on dynamic platforms this prices the future
+                    # computation at today's rate — the estimate is corrected
+                    # at the next platform event
+                    ready = state.ready_time
+                    state.ready_time = (send_end if send_end > ready else ready) + compute
+                    state.backlog += 1
+                    state.inflight = entry = (task, now, send_end)
+                    state.cached_view = None
+                    if index:
+                        del pending[index]
+                    else:
+                        pending.popleft()
+                    sends.append((send_end, worker_id, entry))
+                    channel_free_at = send_end
+                    if not pending or channel_free_at > now + 1e-15:
+                        break
 
-            # 2. advance to the next event: the bag's next release or the
-            # heap's head, whichever comes first in the heap's own
-            # (time, kind, sequence) order.  Releases are the only kind-3
-            # events and come in bag order, so the release goes first when
-            # it is earlier than the head, or at the head's time and the
-            # head is a WAKEUP.
-            if cursor < n_bag:
-                task = bag[cursor]
-                release = task.release
-                head = events.peek()
-                take_release = (
-                    head is None
-                    or release < head[0]
-                    or (release == head[0] and head[1] is _WAKEUP)
-                )
-            elif events:
-                take_release = False
+            # 2. advance to the next event.  Releases come from the bag's
+            # cursor, sends from the in-flight FIFO and every other event
+            # from the heap; they are merged in the (time, kind) order of
+            # repro.core.events.  ``time``/``kind`` is the earlier of the
+            # FIFO's and the heap's heads.
+            if heap:
+                head = heap[0]
+                time = head[0]
+                kind = head[1]
+                if sends:
+                    send_end = sends[0][0]
+                    if send_end < time or (
+                        send_end == time and kind is not _COMPUTE_COMPLETE
+                    ):
+                        time = send_end
+                        kind = _SEND_COMPLETE
+            elif sends:
+                time = sends[0][0]
+                kind = _SEND_COMPLETE
             else:
+                time = _INF
+                kind = None
+            if cursor < n_bag:
+                release = bag[cursor].release
+                if release < time or (release == time and kind is _WAKEUP):
+                    # Take this release and every later one that still comes
+                    # before ``time`` while the port stays busy: no
+                    # consultation can fall between them.
+                    while True:
+                        processed += 1
+                        if processed > max_events:
+                            raise SchedulingError(
+                                f"simulation exceeded {max_events} events; the "
+                                "scheduler is probably requesting wake-ups in a loop"
+                            )
+                        if release > now:
+                            now = release
+                        elif release < now - 1e-12:
+                            raise SchedulingError("event queue went back in time")
+                        # The bag is in (release, id) order, so appending
+                        # keeps the pending deque FIFO.
+                        pending.append(bag[cursor])
+                        cursor += 1
+                        if cursor == n_bag or channel_free_at <= now + 1e-15:
+                            break
+                        release = bag[cursor].release
+                        if not (release < time or (release == time and kind is _WAKEUP)):
+                            break
+                    continue
+            elif kind is None:
                 raise SchedulingStalledError(
                     "scheduler declined to act and no future event exists; "
-                    f"{len(self._pending)} task(s) remain unassigned"
+                    f"{len(pending)} task(s) remain unassigned"
                 )
-            if take_release:
-                cursor += 1
-                time, kind = release, _TASK_RELEASE
-            else:
-                time, kind, _sequence, task_id, worker_id = events.pop()
+
             processed += 1
             if processed > max_events:
                 raise SchedulingError(
                     f"simulation exceeded {max_events} events; "
                     "the scheduler is probably requesting wake-ups in a loop"
                 )
-            if time > self.now:
-                self.now = time
-            elif time < self.now - 1e-12:
+            if time > now:
+                now = time
+            elif time < now - 1e-12:
                 raise SchedulingError("event queue went back in time")
 
-            if kind is _TASK_RELEASE:
-                self._on_release(task)
-            elif kind is _SEND_COMPLETE:
-                self._on_send_complete(task_id, worker_id)
-            elif kind is _COMPUTE_COMPLETE:
-                self._on_compute_complete(task_id, worker_id)
-            elif kind is _PLATFORM_EVENT:
-                self._on_platform_event(task_id)
-            elif kind is not _WAKEUP:  # a wake-up only triggers a consultation
-                raise SchedulingError(f"unknown event kind {kind}")
+            if kind is _SEND_COMPLETE:
+                _send_end, worker_id, entry = sends.popleft()
+                state = workers[worker_id]
+                state.inflight = None
+                state.queue.append(entry)
+                if state.computing is not None:
+                    continue
+            else:
+                _time, kind, _sequence, task_id, worker_id = _heappop(heap)
+                if kind is _COMPUTE_COMPLETE:
+                    state = workers[worker_id]
+                    computing = state.computing
+                    if computing is None or computing[0] != task_id:
+                        raise SchedulingError(
+                            f"worker {worker_id} completed task {task_id} "
+                            "it was not computing"
+                        )
+                    state.computing = None
+                    state.backlog -= 1
+                    state.completed += 1
+                    state.cached_view = None
+                    n_completed += 1
+                elif kind is _PLATFORM_EVENT:
+                    # Apply one timeline event: sync the worker's speeds and
+                    # availability, re-price its estimate, and start its next
+                    # task below if it is idle (a WorkerUp/WorkerJoin re-kicks
+                    # a held queue).
+                    self.now = now
+                    state = workers[worker_id]
+                    if self._sync_worker_state(state):
+                        self._reprice_worker(state)
+                    if state.computing is not None:
+                        continue
+                elif kind is _WAKEUP:  # a wake-up only triggers a consultation
+                    continue
+                else:
+                    raise SchedulingError(f"unknown event kind {kind}")
 
-        records = [
-            _tuple_new(
-                TaskRecord,
-                (
-                    r.task.task_id,
-                    r.worker_id,
-                    r.task.release,
-                    r.send_start,
-                    r.send_end,
-                    r.compute_start,
-                    r.compute_end,
-                ),
-            )
-            for r in self._records.values()
-        ]
-        return Schedule(self.platform, self.tasks, records, timeline=self._timeline)
-
-    # -- scheduler consultation ----------------------------------------------
-    def _maybe_consult(self, scheduler: "OnlineScheduler") -> None:
-        """Ask the scheduler for decisions while it can and wants to act."""
-        guard = 0
-        while self.channel_free_at <= self.now + 1e-15 and self._pending:
-            guard += 1
-            if guard > self._n_tasks + 10:
-                raise SchedulingError(
-                    "scheduler returned more assignments than possible in one instant"
-                )
-            decision = scheduler.decide(self.view())
-            if decision is None:
-                return  # same as Decision.wait()
-            if not isinstance(decision, Decision):
-                raise InvalidDecisionError(
-                    f"scheduler returned {type(decision).__name__}, expected Decision"
-                )
-            kind, task_id, worker_id, until = decision
-            if kind == _WAIT:
-                return
-            if kind == _WAIT_UNTIL:
-                if not math.isfinite(until) or until < self.now - 1e-12:
-                    raise InvalidDecisionError(
-                        f"wake-up time {until} is in the past (now={self.now})"
+            # 3. ``state``'s worker is idle: start its next queued task (a
+            # down or not-yet-joined worker holds its queue until the
+            # matching WorkerUp/WorkerJoin platform event).
+            queue = state.queue
+            if queue and (timeline is None or timeline.available(worker_id, now)):
+                task, send_start, send_end = queue.popleft()
+                if timeline is None:
+                    finish = now + state.worker.p * task.comp_factor
+                else:
+                    finish = now + timeline.effective_comp_time(
+                        state.worker, task.comp_factor, now
                     )
-                self._events.push(max(until, self.now), EventKind.WAKEUP)
-                return
-            # assignment
-            self._start_send(task_id, worker_id)
-            # After an assignment the port is busy, so the loop exits naturally.
+                task_id = task.task_id
+                state.computing = (task_id, finish)
+                records.append(
+                    _tuple_new(
+                        TaskRecord,
+                        (task_id, worker_id, task.release, send_start, send_end, now, finish),
+                    )
+                )
+                push(finish, _COMPUTE_COMPLETE, task_id, worker_id)
+
+        self.now = now
+        self._n_released = cursor
+        self._n_completed = n_completed
+        return Schedule(self.platform, self.tasks, records, timeline=self._timeline)
 
     # -- dynamic-platform pricing ----------------------------------------------
     # Work started at time `now` is priced through the timeline (inclusive
@@ -552,11 +680,11 @@ class OnePortEngine:
         price = self._timeline.effective_comp_time
         worker, now = state.worker, self.now
         t = state.computing[1] if state.computing is not None else now
-        for record in state.queue:
-            t += price(worker, record.task.comp_factor, now)
-        record = state.inflight
-        if record is not None:
-            t = max(t, record.send_end) + price(worker, record.task.comp_factor, now)
+        for task, _send_start, _send_end in state.queue:
+            t += price(worker, task.comp_factor, now)
+        if state.inflight is not None:
+            task, _send_start, send_end = state.inflight
+            t = max(t, send_end) + price(worker, task.comp_factor, now)
         state.ready_time = t
 
     def _sync_worker_state(self, state: _WorkerState) -> bool:
@@ -583,114 +711,6 @@ class OnePortEngine:
         state.eff_p = eff_p
         state.cached_view = None
         return True
-
-    def _on_platform_event(self, index: int) -> None:
-        """Apply one timeline event: sync speeds/availability, re-price."""
-        event = self._timeline.events[index]
-        state = self._workers[event.worker_id]
-        if self._sync_worker_state(state):
-            self._reprice_worker(state)
-        if state.available and state.computing is None and state.queue:
-            self._start_next_computation(event.worker_id)
-
-    # -- event handlers --------------------------------------------------------
-    def _on_release(self, task: Task) -> None:
-        # Releases come in bag order, which is (release, id) order, so
-        # appending keeps the pending deque in FIFO order.
-        self._pending.append(task)
-        self._n_released += 1
-
-    def _start_send(self, task_id: int, worker_id: int) -> None:
-        # The engine consults only while a task is pending, and FIFO
-        # schedulers almost always pick the head, so check it before scanning.
-        pending = self._pending
-        if pending[0].task_id == task_id:
-            pending_index = 0
-        else:
-            for pending_index, candidate in enumerate(pending):
-                if candidate.task_id == task_id:
-                    break
-            else:
-                raise InvalidDecisionError(
-                    f"task {task_id} is not pending "
-                    f"({len(pending)} pending, head {pending[0].task_id})"
-                )
-        if not 0 <= worker_id < len(self._workers):
-            raise InvalidDecisionError(f"unknown worker {worker_id}")
-        task = pending[pending_index]
-        worker_state = self._workers[worker_id]
-        worker = worker_state.worker
-
-        send_start = self.now
-        timeline = self._timeline
-        if timeline is None:
-            send_end = send_start + worker.c * task.comm_factor
-            compute = worker.p * task.comp_factor
-        else:
-            send_end = send_start + timeline.effective_comm_time(
-                worker, task.comm_factor, send_start
-            )
-            compute = timeline.effective_comp_time(worker, task.comp_factor, send_start)
-        self.channel_free_at = send_end
-
-        # exact incremental ready-time update (FIFO execution on the worker);
-        # on dynamic platforms this prices the future computation at today's
-        # rate — the estimate is corrected at the next platform event
-        ready = worker_state.ready_time
-        worker_state.ready_time = (send_end if send_end > ready else ready) + compute
-        worker_state.backlog += 1
-        worker_state.inflight = record = _PartialRecord(
-            task, worker_id, send_start, send_end
-        )
-        worker_state.cached_view = None
-
-        del pending[pending_index]
-        self._records[task_id] = record
-        self._n_assigned += 1
-        self._events.push(send_end, EventKind.SEND_COMPLETE, task_id, worker_id)
-
-    def _on_send_complete(self, task_id: int, worker_id: int) -> None:
-        state = self._workers[worker_id]
-        state.inflight = None
-        state.queue.append(self._records[task_id])
-        if state.computing is None:
-            self._start_next_computation(worker_id)
-
-    def _start_next_computation(self, worker_id: int) -> None:
-        state = self._workers[worker_id]
-        if state.computing is not None or not state.queue:
-            return
-        timeline = self._timeline
-        if timeline is not None and not timeline.available(worker_id, self.now):
-            # Downed (or not-yet-joined) workers hold their queue; the
-            # matching WorkerUp/WorkerJoin platform event re-kicks them.
-            return
-        record = state.queue.pop(0)
-        task = record.task
-        start = self.now
-        if timeline is None:
-            finish = start + state.worker.p * task.comp_factor
-        else:
-            finish = start + timeline.effective_comp_time(
-                state.worker, task.comp_factor, start
-            )
-        state.computing = (task.task_id, finish)
-        record.compute_start = start
-        record.compute_end = finish
-        self._events.push(finish, EventKind.COMPUTE_COMPLETE, task.task_id, worker_id)
-
-    def _on_compute_complete(self, task_id: int, worker_id: int) -> None:
-        state = self._workers[worker_id]
-        if state.computing is None or state.computing[0] != task_id:
-            raise SchedulingError(
-                f"worker {worker_id} completed task {task_id} it was not computing"
-            )
-        state.computing = None
-        state.backlog -= 1
-        state.completed += 1
-        state.cached_view = None
-        self._n_completed += 1
-        self._start_next_computation(worker_id)
 
 
 def simulate(

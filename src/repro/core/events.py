@@ -18,23 +18,29 @@ Events are totally ordered by ``(time, priority, sequence)``; the priority
 encodes the convention that at equal times the engine first learns about
 completions, then platform changes, then releases, then wake-ups.
 
-Releases never enter the :class:`EventQueue`.  The task set is already
-sorted by ``(release, task_id)``, so the engine walks it with a cursor and
-merges it with the queue's head: the next release goes first when it is
-earlier than the head, or at the head's time and the head is a
-``WAKEUP``.  That is exactly where a ``TASK_RELEASE`` entry would sort,
-because releases are the only kind-3 events and would be pushed in that
-order, so the processing order is the total order above.
+Neither releases nor sends enter the :class:`EventQueue`.  The task set
+is already sorted by ``(release, task_id)``, so the engine walks it with a
+cursor; the master's one port carries one send at a time, so in-flight
+sends end in start order and the engine keeps them in a FIFO.  The engine
+merges the cursor, the FIFO's head and the queue's head in the order
+above: a send completion goes first when it is earlier than the queue's
+head, or at the head's time and the head is not a ``COMPUTE_COMPLETE``; a
+release goes first when it is earlier than the earlier of the two heads,
+or at that head's time and that head is a ``WAKEUP``.  That is exactly where ``SEND_COMPLETE``
+and ``TASK_RELEASE`` entries would sort, because each kind would be pushed
+in that same order, so the processing order is the total order above.
 
-The engine processes one event at a time, a release included, and consults
-the scheduler after each one whenever the master's port is free and a task
-is pending, also between two events of the same instant.  A consultation at
-time *t* therefore sees the events that precede it in that order, not every
-event dated *t*: a bag of tasks released at 0 is offered to the scheduler
-first with one task released (SLJF on two workers with ``all_at_zero(5)``
-is first consulted with ``n_released == 1``), and the other releases at 0
-reach it at later consultations.  Processing completions before platform
-events is what guarantees that a platform event landing exactly on a
+The engine consults the scheduler after every event that leaves the
+master's port free with a task pending, also between two events of the
+same instant.  A consultation at time *t* therefore sees the events that
+precede it in that order, not every event dated *t*: a bag of tasks
+released at 0 is offered to the scheduler first with one task released
+(SLJF on two workers with ``all_at_zero(5)`` is first consulted with
+``n_released == 1``), and the other releases at 0 reach it at later
+consultations.  Releases that arrive while the port is busy cannot meet a
+consultation, so the engine takes them in one step, each still counted
+as an event.  Processing completions before platform events is what
+guarantees that a platform event landing exactly on a
 ``SEND_COMPLETE``/``COMPUTE_COMPLETE`` timestamp can never alter in-flight
 durations (they were fixed when the send/computation started).
 """
@@ -106,7 +112,10 @@ class EventQueue:
 
     The queue assigns a monotonically increasing sequence number to each
     pushed event so that events with identical time and kind are processed in
-    insertion order — this keeps the simulation fully deterministic.
+    insertion order — this keeps the simulation fully deterministic.  The
+    engine's run loop reads and pops the heap list ``_heap`` directly (one
+    method call fewer per event); every event still enters through
+    :meth:`push`.
     """
 
     def __init__(self) -> None:

@@ -28,7 +28,29 @@ from __future__ import annotations
 from ..core.engine import Decision, SchedulerView
 from .base import OnlineScheduler
 
-__all__ = ["ListScheduler", "GreedyCommunicationScheduler"]
+_INF = float("inf")
+
+__all__ = ["ListScheduler", "GreedyCommunicationScheduler", "list_schedule"]
+
+
+def list_schedule(view: SchedulerView) -> Decision:
+    """Send the FIFO task to the worker that would finish it first.
+
+    Workers come in id order and only a strictly earlier completion
+    replaces the best one, so ties go to the smallest worker id.
+    """
+    task = view.next_pending
+    now = view.now
+    comm_factor = task.comm_factor
+    comp_factor = task.comp_factor
+    best_id = 0
+    best = _INF
+    for worker in view.workers:
+        completion = worker.estimated_completion(now, comm_factor, comp_factor)
+        if completion < best:
+            best = completion
+            best_id = worker.worker_id
+    return Decision.assign(task.task_id, best_id)
 
 
 class ListScheduler(OnlineScheduler):
@@ -38,15 +60,7 @@ class ListScheduler(OnlineScheduler):
 
     def decide(self, view: SchedulerView) -> Decision:
         """Send the FIFO task to the worker minimising its completion time."""
-        task = view.next_pending
-        best = min(
-            view.workers,
-            key=lambda w: (
-                w.estimated_completion(view.now, task.comm_factor, task.comp_factor),
-                w.worker_id,
-            ),
-        )
-        return Decision.assign(task.task_id, best.worker_id)
+        return list_schedule(view)
 
 
 class GreedyCommunicationScheduler(OnlineScheduler):

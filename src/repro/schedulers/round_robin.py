@@ -89,10 +89,11 @@ class BoundedRoundRobinBase(OnlineScheduler):
 
     def decide(self, view: SchedulerView) -> Decision:
         """Send the FIFO task to the first under-backlog worker in order."""
-        task = view.next_pending
+        workers = view.workers
+        max_backlog = self.max_backlog
         for worker_id in self._order:
-            if view.worker(worker_id).backlog < self.max_backlog:
-                return Decision.assign(task.task_id, worker_id)
+            if workers[worker_id].backlog < max_backlog:
+                return Decision.assign(view.next_pending.task_id, worker_id)
         # Every slave already holds its allowed backlog: wait for a completion.
         return Decision.wait()
 

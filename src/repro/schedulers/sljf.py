@@ -63,12 +63,13 @@ list-scheduling rule, exactly as Section 4.1 prescribes.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..core.engine import Decision, SchedulerView
 from ..core.platform import Platform
 from ..exceptions import SchedulingError
 from .base import OnlineScheduler
+from .list_scheduling import list_schedule
 
 __all__ = ["backward_plan", "SLJFScheduler", "SLJFWCScheduler"]
 
@@ -99,28 +100,32 @@ def backward_plan(
     if n_tasks < 0:
         raise SchedulingError(f"cannot plan a negative number of tasks ({n_tasks})")
     m = platform.n_workers
+    comm = platform.comm_times
+    comp = platform.comp_times
     backward_load = [0.0] * m          # b_j: reverse-time compute stack per worker
     backward_port = 0.0                # B: reverse-time port availability
     reversed_assignment: List[int] = []  # worker of the last task first
 
     for _ in range(n_tasks):
+        # Minimise (cost, tie, j) lexicographically; j grows, so only a
+        # strictly smaller (cost, tie) replaces the best one.
         best_j = -1
-        best_cost: Tuple[float, float, int] = (float("inf"), float("inf"), -1)
+        best_cost = best_tie = float("inf")
         for j in range(m):
-            worker = platform[j]
-            compute_end = backward_load[j] + worker.p
+            compute_end = backward_load[j] + comp[j]
             if with_communication:
-                send_end = max(compute_end, backward_port) + worker.c
-                cost = (send_end, compute_end, j)
+                cost = max(compute_end, backward_port) + comm[j]
+                tie = compute_end
             else:
-                cost = (compute_end, worker.c, j)
-            if cost < best_cost:
+                cost = compute_end
+                tie = comm[j]
+            if cost < best_cost or (cost == best_cost and tie < best_tie):
                 best_cost = cost
+                best_tie = tie
                 best_j = j
-        worker = platform[best_j]
-        backward_load[best_j] += worker.p
+        backward_load[best_j] += comp[best_j]
         if with_communication:
-            backward_port = max(backward_load[best_j], backward_port) + worker.c
+            backward_port = max(backward_load[best_j], backward_port) + comm[best_j]
         reversed_assignment.append(best_j)
 
     reversed_assignment.reverse()
@@ -206,35 +211,36 @@ class _PlannedScheduler(OnlineScheduler):
 
     def decide(self, view: SchedulerView) -> Decision:
         """Dispatch by remaining quota; list-schedule beyond the plan."""
-        task = view.next_pending
         self._ensure_plan(view)
-        assert self._quota is not None
-        remaining = [w for w in view.workers if self._quota[w.worker_id] > 0]
-        if not remaining:
+        quota = self._quota
+        assert quota is not None
+        # Feed the quota-holding worker that will run out of planned work
+        # first (smallest ready time), breaking ties towards the largest
+        # remaining planned work, then the smallest id: this realises the
+        # backward plan while keeping every worker busy and the port
+        # pipelined.  Workers come in id order and only a strictly smaller
+        # (idle, weight) replaces the best one.
+        now = view.now
+        best = None
+        for worker in view.workers:
+            remaining = quota[worker.worker_id]
+            if remaining > 0:
+                idle = worker.ready_time - now
+                if idle < 0.0:
+                    idle = 0.0
+                weight = -remaining * worker.p
+                if (
+                    best is None
+                    or idle < best_idle
+                    or (idle == best_idle and weight < best_weight)
+                ):
+                    best, best_idle, best_weight = worker, idle, weight
+        if best is None:
             # Plan exhausted: "each task being sent to the processor that would
             # finish it the earliest" — i.e. list scheduling.
-            best = min(
-                view.workers,
-                key=lambda w: (
-                    w.estimated_completion(view.now, task.comm_factor, task.comp_factor),
-                    w.worker_id,
-                ),
-            )
-            return Decision.assign(task.task_id, best.worker_id)
-        # Feed the worker that will run out of planned work first (smallest
-        # ready time), breaking ties towards the largest remaining planned
-        # work: this realises the backward plan while keeping every worker
-        # busy and the port pipelined.
-        best = min(
-            remaining,
-            key=lambda w: (
-                max(w.ready_time - view.now, 0.0),
-                -self._quota[w.worker_id] * w.p,
-                w.worker_id,
-            ),
-        )
-        self._quota[best.worker_id] -= 1
-        return Decision.assign(task.task_id, best.worker_id)
+            return list_schedule(view)
+        quota[best.worker_id] -= 1
+        return Decision.assign(view.next_pending.task_id, best.worker_id)
 
 
 class SLJFScheduler(_PlannedScheduler):

@@ -34,10 +34,19 @@ class SRPTScheduler(OnlineScheduler):
 
     def decide(self, view: SchedulerView) -> Decision:
         """Send the FIFO task to the fastest free worker, else wait."""
-        free = view.free_workers
-        if not free:
-            # Wait for the next natural event — the earliest of which that can
-            # change anything is a worker completing its task.
+        # Workers come in id order and only a strictly smaller (p, c)
+        # replaces the best one, so ties go to the smallest worker id.
+        best = None
+        for worker in view.workers:
+            if worker.backlog == 0 and (
+                best is None
+                or worker.p < best.p
+                or (worker.p == best.p and worker.c < best.c)
+            ):
+                best = worker
+        if best is None:
+            # No free worker: wait for the next natural event — the earliest
+            # of which that can change anything is a worker completing its
+            # task.
             return Decision.wait()
-        fastest = min(free, key=lambda w: (w.p, w.c, w.worker_id))
-        return Decision.assign(view.next_pending.task_id, fastest.worker_id)
+        return Decision.assign(view.next_pending.task_id, best.worker_id)

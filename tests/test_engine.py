@@ -20,7 +20,7 @@ from repro.exceptions import (
     SchedulingError,
     SchedulingStalledError,
 )
-from repro.schedulers.base import OnlineScheduler
+from repro.schedulers.base import PAPER_HEURISTICS, OnlineScheduler, create_scheduler
 from repro.schedulers.random_policy import FixedAssignmentScheduler
 from repro.workloads.release import all_at_zero
 
@@ -373,3 +373,84 @@ class TestReleaseMergeOrder:
         simulate(scheduler, platform, TaskSet.from_releases(releases))
         at_2 = [entry for entry in scheduler.consulted if entry[0] == 2.0]
         assert at_2[0] == first_at_2
+
+
+def record_decisions(scheduler):
+    """Wrap ``scheduler.decide`` to record ``(now, n_completed, backlogs,
+    decision)`` at each consultation; returns the (growing) record list."""
+    decide = scheduler.decide
+    consulted = []
+
+    def recording_decide(view):
+        decision = decide(view)
+        consulted.append(
+            (
+                view.now,
+                view.n_completed,
+                tuple(worker.backlog for worker in view.workers),
+                decision,
+            )
+        )
+        return decision
+
+    scheduler.decide = recording_decide
+    return consulted
+
+
+class TestSameInstantCompletions:
+    """In-flight sends are not heap entries, but a send completion keeps
+    its place in the ``(time, kind)`` order: after a compute completion of
+    the same instant, before a platform event, a release or a wake-up."""
+
+    def test_compute_completion_is_processed_before_a_same_instant_send(self):
+        # At t=2 worker 0 finishes task 0 and the send of task 1 to worker 1
+        # ends.  The compute completion goes first, so SRPT sees worker 0
+        # free and starts a second send while the first one is still in
+        # flight; processed the other way round it would see both workers
+        # busy and wait.
+        scheduler = create_scheduler("SRPT")
+        consulted = record_decisions(scheduler)
+        schedule = simulate(
+            scheduler, Platform.from_times([1.0, 1.0], [1.0, 1.0]), all_at_zero(3)
+        )
+        assert consulted == [
+            (0.0, 0, (0, 0), Decision.assign(0, 0)),
+            (1.0, 0, (1, 0), Decision.assign(1, 1)),
+            (2.0, 1, (0, 1), Decision.assign(2, 0)),
+        ]
+        assert (schedule[2].send_start, schedule[1].send_end) == (2.0, 2.0)
+        assert schedule[2].compute_end == 4.0
+
+
+class TestConsultationCounts:
+    """``decide`` calls per paper heuristic.  The engine consults after every
+    event that leaves the port free with a task pending, and after no
+    other: releases that arrive behind a busy port are taken together, and
+    that must neither add nor drop a consultation.  Waiting heuristics
+    (SRPT, the bounded round-robins) are consulted more often than there
+    are tasks."""
+
+    PLATFORM = Platform.from_times([0.2, 0.4, 0.3], [5.0, 3.0, 8.0])
+
+    @pytest.mark.parametrize(
+        "tasks, expected",
+        [
+            (
+                all_at_zero(20),
+                {"SRPT": 36, "LS": 20, "RR": 33, "RRC": 33, "RRP": 33, "SLJF": 20, "SLJFWC": 20},
+            ),
+            (
+                TaskSet.from_releases([0.25 * (k // 2) for k in range(20)]),
+                {"SRPT": 48, "LS": 20, "RR": 37, "RRC": 37, "RRP": 37, "SLJF": 20, "SLJFWC": 20},
+            ),
+        ],
+        ids=["all-at-zero", "staggered"],
+    )
+    def test_decide_calls_per_heuristic(self, tasks, expected):
+        counts = {}
+        for name in PAPER_HEURISTICS:
+            scheduler = create_scheduler(name)
+            consulted = record_decisions(scheduler)
+            simulate(scheduler, self.PLATFORM, tasks, expose_task_count=True)
+            counts[name] = len(consulted)
+        assert counts == expected
