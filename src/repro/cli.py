@@ -306,13 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="LRU result cache capacity (0 disables caching)",
     )
     serve.add_argument(
-        "--ttl",
-        type=_positive_float,
-        default=None,
-        metavar="SECONDS",
-        help="result cache time-to-live (default: entries never expire)",
-    )
-    serve.add_argument(
         "--max-cost",
         type=_positive_int,
         default=None,
@@ -701,7 +694,6 @@ def _build_service(args: argparse.Namespace) -> ScheduleService:
     cache = (
         LRUResultCache(
             max_entries=args.cache_size,
-            ttl=args.ttl,
             persistence=_build_persistence(args),
         )
         if args.cache_size
@@ -729,8 +721,6 @@ def _serve_flag_argv(args: argparse.Namespace) -> List[str]:
         "--batch-size", str(args.batch_size),
         "--cache-size", str(args.cache_size),
     ]
-    if args.ttl is not None:
-        argv += ["--ttl", str(args.ttl)]
     if args.max_cost is not None:
         argv += ["--max-cost", str(args.max_cost)]
     if args.state_dir is not None:
@@ -793,7 +783,6 @@ def _run_shard_supervisor(args: argparse.Namespace, host: str, port: int) -> int
         args.shards,
         policy=RestartPolicy(
             base_delay=args.restart_base_delay,
-            max_delay=max(8.0, args.restart_base_delay),
             max_restarts=args.restart_limit,
         ),
         err=sys.stderr,

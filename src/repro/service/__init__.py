@@ -8,8 +8,9 @@ ROADMAP's "serve heavy traffic" north star.  Five pieces compose:
 * :mod:`~repro.service.schema` — the versioned JSON request schema and the
   **canonicalizer** that maps semantically-equal requests onto one
   content-hash key (the same discipline as the campaign cache);
-* :mod:`~repro.service.cache` — a bounded **LRU result cache** with
-  optional TTL and hit/miss counters;
+* :mod:`~repro.service.cache` — a size-bounded **LRU result cache** with
+  hit/miss counters (a response never goes stale, so entries never
+  expire);
 * :mod:`~repro.service.executor` — the pure compute kernel: one canonical
   configuration in, one metrics payload out, deterministically seeded;
 * :mod:`~repro.service.dispatcher` — the batching **dispatcher** with

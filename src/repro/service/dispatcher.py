@@ -25,7 +25,7 @@ the chunk's order, keeping no request between calls.
 Determinism contract (mirrors the campaign runner): every response is a
 pure function of its canonical request, so the response *stream* is a pure
 function of the request stream.  Batch size, chunking, shard count, cache
-state, coalescing and TTL expiry change only latency and the metric
+state, coalescing and LRU eviction change only latency and the metric
 counters, never a response byte.
 
 Telemetry: every counter lives in the shard's

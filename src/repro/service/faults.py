@@ -45,6 +45,13 @@ __all__ = ["FaultEvent", "FaultSchedule", "FAULT_KINDS"]
 #: The fault vocabulary the driver (``tools/chaos.py``) knows how to fire.
 FAULT_KINDS = ("crash", "stall", "drop")
 
+#: Burst model (:meth:`FaultSchedule.correlated_bursts`): mean number of
+#: shards one burst takes down, the chance that a victim stalls instead
+#: of crashing, and a stall's length in seconds.
+_BURST_SIZE_MEAN = 1.5
+_STALL_PROBABILITY = 0.25
+_STALL_DURATION_S = 1.0
+
 
 @dataclass(frozen=True, order=True)
 class FaultEvent:
@@ -149,9 +156,6 @@ class FaultSchedule:
         n_shards: int,
         n_requests: int,
         n_bursts: int = 2,
-        burst_size_mean: float = 1.5,
-        stall_probability: float = 0.25,
-        stall_duration: float = 1.0,
     ) -> "FaultSchedule":
         """Sample a correlated-burst schedule from a seeded iterated model.
 
@@ -159,11 +163,11 @@ class FaultSchedule:
         catastrophic-risk models (arXiv:2501.11322): *when* the burst
         lands (uniform over the middle 80% of the request stream — the
         edges are boring: nothing in flight) and *how many* shards it
-        takes down together (1 + Poisson(``burst_size_mean - 1``),
+        takes down together (1 + Poisson(``_BURST_SIZE_MEAN - 1``),
         clipped to the shard count).  Within a burst each victim is
-        independently a crash or, with ``stall_probability``, a stall —
-        so one replayed schedule exercises restart and timeout paths in
-        the same run.
+        independently a crash or, with ``_STALL_PROBABILITY``, a stall of
+        ``_STALL_DURATION_S`` — so one replayed schedule exercises restart
+        and timeout paths in the same run.
         """
         if n_shards < 1:
             raise ServiceError(f"n_shards must be >= 1, got {n_shards}")
@@ -174,12 +178,12 @@ class FaultSchedule:
         events: List[FaultEvent] = []
         for _ in range(max(n_bursts, 0)):
             at_request = rng.randrange(lo, hi) if hi > lo else lo
-            size = min(n_shards, 1 + _poisson(rng, max(burst_size_mean - 1.0, 0.0)))
+            size = min(n_shards, 1 + _poisson(rng, _BURST_SIZE_MEAN - 1.0))
             victims = rng.sample(range(n_shards), size)
             for shard in victims:
-                if rng.random() < stall_probability:
+                if rng.random() < _STALL_PROBABILITY:
                     events.append(
-                        FaultEvent(at_request, shard, "stall", stall_duration)
+                        FaultEvent(at_request, shard, "stall", _STALL_DURATION_S)
                     )
                 else:
                     events.append(FaultEvent(at_request, shard, "crash"))
@@ -232,8 +236,6 @@ class FaultSchedule:
 
 def _poisson(rng: random.Random, mean: float) -> int:
     """One Poisson(``mean``) draw via Knuth's product method (small means)."""
-    if mean <= 0:
-        return 0
     limit = 2.718281828459045 ** (-mean)
     count, product = 0, rng.random()
     while product > limit:

@@ -55,8 +55,9 @@ __all__ = [
 #: payload and the queue-full shed counter, and added the ``cache.size``
 #: and ``cache.journal_entries`` gauges.  Version 3 removed the
 #: ``service.pending`` gauge and the ``service.profile_dumps`` counter.
-#: Version 4 removed the ``service.slow_requests`` counter.
-TELEMETRY_SCHEMA_VERSION = 4
+#: Version 4 removed the ``service.slow_requests`` counter.  Version 5
+#: removed the ``cache.expirations`` counter (cache entries never expire).
+TELEMETRY_SCHEMA_VERSION = 5
 
 #: Every metric a shard exports, by section.  ``docs/OBSERVABILITY.md``
 #: lists exactly these names and the CI metrics-scrape step asserts the
@@ -67,7 +68,6 @@ METRIC_CATALOG: Dict[str, Tuple[str, ...]] = {
         "cache.hits",
         "cache.misses",
         "cache.evictions",
-        "cache.expirations",
         "cache.warm_hits",
         # dispatcher (ScheduleService)
         "service.shed_cost",

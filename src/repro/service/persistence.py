@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 import zlib
 from pathlib import Path
 from typing import Any, Iterable, List, Optional, Tuple
@@ -154,8 +153,6 @@ class ShardPersistence:
     fsync:
         When True, every append and snapshot is fsync'd — durable against
         power loss, not just process death, at a per-write latency cost.
-    clock:
-        Wall-clock source for :meth:`snapshot_age_s` (injectable in tests).
     """
 
     def __init__(
@@ -164,7 +161,6 @@ class ShardPersistence:
         *,
         journal_max_entries: int = 1024,
         fsync: bool = False,
-        clock=time.time,
     ) -> None:
         if journal_max_entries < 1:
             raise ServiceError(
@@ -173,29 +169,26 @@ class ShardPersistence:
         self.state_dir = Path(state_dir)
         self.journal_max_entries = journal_max_entries
         self.fsync = fsync
-        self._clock = clock
         self.journal_path = self.state_dir / JOURNAL_NAME
         self.snapshot_path = self.state_dir / SNAPSHOT_NAME
         #: Records in the current journal file (set by :meth:`load`,
         #: incremented per :meth:`record`, reset by :meth:`compact`).
         self.journal_entries = 0
-        #: Entries recovered by the last :meth:`load` (observability).
-        self.loaded_entries = 0
         #: True when the last :meth:`load` repaired a torn journal tail.
         self.repaired = False
         self._journal_file = None
         self.state_dir.mkdir(parents=True, exist_ok=True)
 
     # -- replay --------------------------------------------------------------
-    def load(self, repair: bool = True) -> List[Tuple[str, Any]]:
+    def load(self) -> List[Tuple[str, Any]]:
         """Replay snapshot then journal; returns entries in write order.
 
         Later entries win on key collision (callers insert in order, so a
         plain loop gives last-writer-wins).  A torn journal tail is
-        truncated in place when ``repair`` is set — the repaired file is
-        exactly the consistent prefix, so a subsequent :meth:`record`
-        appends after the last intact record.  A missing or unreadable
-        snapshot contributes nothing (cold start, never a crash).
+        truncated in place — the repaired file is exactly the consistent
+        prefix, so a subsequent :meth:`record` appends after the last
+        intact record.  A missing or unreadable snapshot contributes
+        nothing (cold start, never a crash).
         """
         entries: List[Tuple[str, Any]] = []
         snapshot = self._read_snapshot()
@@ -206,14 +199,13 @@ class ShardPersistence:
             data = self.journal_path.read_bytes()
             journal_entries, good_offset, truncated = decode_journal(data)
             self.repaired = truncated
-            if truncated and repair:
+            if truncated:
                 with open(self.journal_path, "r+b") as handle:
                     handle.truncate(good_offset)
         else:
             self.repaired = False
         entries.extend(journal_entries)
         self.journal_entries = len(journal_entries)
-        self.loaded_entries = len(entries)
         return entries
 
     def _read_snapshot(self) -> Optional[List[Tuple[str, Any]]]:
@@ -291,15 +283,6 @@ class ShardPersistence:
         if self._journal_file is not None and not self._journal_file.closed:
             self._journal_file.close()
         self._journal_file = None
-
-    # -- observability --------------------------------------------------------
-    def snapshot_age_s(self) -> Optional[float]:
-        """Seconds since the snapshot was published (``None`` without one)."""
-        try:
-            mtime = self.snapshot_path.stat().st_mtime
-        except OSError:
-            return None
-        return max(0.0, self._clock() - mtime)
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:

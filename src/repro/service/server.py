@@ -49,7 +49,6 @@ def summary(snapshot: Mapping[str, Any], *, cache: bool = False) -> str:
         text += (
             f"\ncache: {c['cache.hits']} hit(s), {c['cache.misses']} miss(es), "
             f"{c['cache.evictions']} eviction(s), "
-            f"{c['cache.expirations']} expiration(s), "
             f"{snapshot['gauges']['cache.size']} resident, "
             f"{c['cache.warm_hits']} warm hit(s)"
         )

@@ -98,6 +98,9 @@ _SHARD_KEY_DIGITS = 16
 #: Cap on one retry's backoff sleep, in seconds.
 _RETRY_BACKOFF_MAX = 1.0
 
+#: Seconds allowed per connection attempt (initial and reconnect).
+_CONNECT_TIMEOUT_S = 5.0
+
 
 def shard_index(key: str, n_shards: int) -> int:
     """The shard that owns canonical request key ``key`` among ``n_shards``.
@@ -358,8 +361,6 @@ class ShardedClient:
         The shard set, index-aligned with the routing arithmetic.
     max_inflight:
         Per-client cap on outstanding requests in :meth:`stream`.
-    connect_timeout:
-        Seconds allowed per connection attempt (initial and reconnect).
     request_timeout:
         Optional per-request deadline, in seconds.  A request that
         outlives it resolves to a typed ``shard-timeout`` response and
@@ -388,7 +389,6 @@ class ShardedClient:
         addresses: Sequence[Tuple[str, int]],
         *,
         max_inflight: int = 64,
-        connect_timeout: float = 5.0,
         request_timeout: Optional[float] = None,
         max_retries: int = 0,
         retry_backoff: float = 0.05,
@@ -419,7 +419,6 @@ class ShardedClient:
             for index, address in enumerate(addresses)
         ]
         self.max_inflight = max_inflight
-        self.connect_timeout = connect_timeout
         self.request_timeout = request_timeout
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
@@ -476,7 +475,7 @@ class ShardedClient:
         for shard in self._shards:
             host, port = shard.address
             shard.reader, shard.writer = await asyncio.wait_for(
-                asyncio.open_connection(host, port), timeout=self.connect_timeout
+                asyncio.open_connection(host, port), timeout=_CONNECT_TIMEOUT_S
             )
             shard.alive = True
             shard.ever_connected = True
@@ -639,7 +638,7 @@ class ShardedClient:
             host, port = shard.address
             try:
                 reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(host, port), timeout=self.connect_timeout
+                    asyncio.open_connection(host, port), timeout=_CONNECT_TIMEOUT_S
                 )
             except (OSError, asyncio.TimeoutError):
                 if shard.breaker.record_failure():

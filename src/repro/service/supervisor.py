@@ -15,8 +15,8 @@ until the operator intervened.  :class:`ShardSupervisor` closes that gap:
   never hot-loop respawns and a correlated burst of crashes (the MIPP
   failure model of arXiv:2501.11322) does not synchronize its restarts;
 * **give-up** — after ``max_restarts`` *consecutive* crashes (a child
-  that stays up for ``stable_after`` seconds resets its counter) the
-  shard is abandoned and the supervisor keeps serving the surviving
+  that stays up for :data:`STABLE_AFTER_S` seconds resets its counter)
+  the shard is abandoned and the supervisor keeps serving the surviving
   shards; the final exit code reports the degradation;
 * **observability** — every death (with its restart delay) and every
   give-up is announced on stderr; each (re)spawn is announced by the
@@ -45,7 +45,26 @@ from typing import Any, Callable, List, Optional, TextIO
 
 from ..exceptions import ServiceError
 
-__all__ = ["RestartPolicy", "ShardState", "ShardSupervisor"]
+__all__ = [
+    "BACKOFF_JITTER",
+    "BACKOFF_MULTIPLIER",
+    "MAX_BACKOFF_S",
+    "STABLE_AFTER_S",
+    "RestartPolicy",
+    "ShardState",
+    "ShardSupervisor",
+]
+
+#: Growth factor of the backoff delay between consecutive crashes.
+BACKOFF_MULTIPLIER = 2.0
+#: Relative jitter amplitude of a restart delay (``0.1`` = ±10%).
+BACKOFF_JITTER = 0.1
+#: Cap on the pre-jitter delay, in seconds, unless ``base_delay`` is larger.
+MAX_BACKOFF_S = 8.0
+#: Seconds a child must stay up for its crash counter to reset.
+STABLE_AFTER_S = 30.0
+#: Upper bound on the monitor's sleep between polls, in seconds.
+_POLL_INTERVAL_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -53,36 +72,23 @@ class RestartPolicy:
     """Backoff and give-up discipline for restarting a crashed shard.
 
     The delay before restart attempt ``k`` (1-based, counting consecutive
-    crashes) is ``min(max_delay, base_delay * multiplier ** (k - 1))``,
-    scaled by a jitter factor drawn uniformly from
-    ``[1 - jitter, 1 + jitter]`` — the classic capped exponential backoff
-    that prevents both hot-loop respawns and synchronized restart herds.
+    crashes) is ``min(max_delay, base_delay * BACKOFF_MULTIPLIER ** (k - 1))``
+    with ``max_delay = max(MAX_BACKOFF_S, base_delay)``, scaled by a
+    jitter factor drawn uniformly from
+    ``[1 - BACKOFF_JITTER, 1 + BACKOFF_JITTER]`` — the classic capped
+    exponential backoff that prevents both hot-loop respawns and
+    synchronized restart herds.
     """
 
     #: Delay before the first restart attempt, in seconds.
     base_delay: float = 0.5
-    #: Upper bound on the (pre-jitter) delay, in seconds.
-    max_delay: float = 8.0
-    #: Growth factor between consecutive attempts.
-    multiplier: float = 2.0
-    #: Relative jitter amplitude (``0.1`` = ±10%); ``0`` disables jitter.
-    jitter: float = 0.1
     #: Consecutive crashes after which the shard is abandoned.
     max_restarts: int = 5
-    #: Seconds a child must stay up for its crash counter to reset.
-    stable_after: float = 30.0
 
     def __post_init__(self) -> None:
         """Validate the policy's numeric ranges."""
-        if self.base_delay <= 0 or self.max_delay < self.base_delay:
-            raise ServiceError(
-                f"need 0 < base_delay <= max_delay, got "
-                f"{self.base_delay}/{self.max_delay}"
-            )
-        if self.multiplier < 1.0:
-            raise ServiceError(f"multiplier must be >= 1, got {self.multiplier}")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ServiceError(f"jitter must be in [0, 1), got {self.jitter}")
+        if not 0 < self.base_delay < math.inf:
+            raise ServiceError(f"base_delay must be positive, got {self.base_delay}")
         if self.max_restarts < 0:
             raise ServiceError(f"max_restarts must be >= 0, got {self.max_restarts}")
 
@@ -97,11 +103,11 @@ class RestartPolicy:
                 f"consecutive_crashes must be >= 1, got {consecutive_crashes}"
             )
         raw = min(
-            self.max_delay,
-            self.base_delay * self.multiplier ** (consecutive_crashes - 1),
+            max(MAX_BACKOFF_S, self.base_delay),
+            self.base_delay * BACKOFF_MULTIPLIER ** (consecutive_crashes - 1),
         )
-        if self.jitter and rng is not None:
-            raw *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
+        if rng is not None:
+            raw *= 1.0 + BACKOFF_JITTER * (2.0 * rng.random() - 1.0)
         return raw
 
 
@@ -142,15 +148,13 @@ class ShardSupervisor:
     n_shards:
         Number of shard slots.
     policy:
-        The :class:`RestartPolicy` (backoff + give-up discipline).
-    seed:
-        Seed of the jitter stream — restart timelines are reproducible.
+        The :class:`RestartPolicy` (backoff + give-up discipline).  The
+        jitter stream is ``random.Random(0)``, so restart timelines are
+        reproducible.
     clock, sleep:
         Injectable time sources (``time.monotonic``/``time.sleep`` by
         default); tests drive :meth:`poll_once` under a fake clock with
         no real sleeps.
-    poll_interval:
-        Upper bound on the monitor's sleep between polls, in seconds.
     err:
         Stream for the restart and give-up announcements (``None``
         silences them).
@@ -162,21 +166,17 @@ class ShardSupervisor:
         n_shards: int,
         *,
         policy: Optional[RestartPolicy] = None,
-        seed: int = 0,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
-        poll_interval: float = 0.05,
         err: Optional[TextIO] = None,
     ) -> None:
         if n_shards < 1:
             raise ServiceError(f"n_shards must be >= 1, got {n_shards}")
         self._spawn = spawn
         self.policy = policy if policy is not None else RestartPolicy()
-        self.seed = seed
-        self._rng = random.Random(seed)
+        self._rng = random.Random(0)
         self._clock = clock
         self._sleep = sleep
-        self.poll_interval = poll_interval
         self._err = err
         self.shards = [ShardState(index) for index in range(n_shards)]
         self.stopping = False
@@ -223,7 +223,7 @@ class ShardSupervisor:
                     # at base_delay, not at the cap.
                     if (
                         state.consecutive_crashes
-                        and now - state.started_at >= self.policy.stable_after
+                        and now - state.started_at >= STABLE_AFTER_S
                     ):
                         state.consecutive_crashes = 0
                     continue
@@ -286,7 +286,7 @@ class ShardSupervisor:
                 next_due = self.poll_once()
                 if next_due is None:
                     break
-                self._sleep(min(self.poll_interval, max(next_due, 0.0)))
+                self._sleep(min(_POLL_INTERVAL_S, max(next_due, 0.0)))
         finally:
             for signum, handler in previous.items():
                 signal_module.signal(signum, handler)

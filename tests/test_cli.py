@@ -292,12 +292,11 @@ class TestServeCommand:
     def test_parser_accepts_serve_options(self):
         args = build_parser().parse_args(
             ["serve", "--batch-size", "8",
-             "--cache-size", "100", "--ttl", "30", "--max-cost", "5000", "--quiet"]
+             "--cache-size", "100", "--max-cost", "5000", "--quiet"]
         )
         assert args.command == "serve"
         assert args.batch_size == 8
         assert args.cache_size == 100
-        assert args.ttl == 30.0
         assert args.max_cost == 5000
         assert args.quiet is True
 
@@ -310,9 +309,19 @@ class TestServeCommand:
         assert args.shards == 2
 
     def test_parser_rejects_bad_bounds(self):
-        for argv in (["serve", "--batch-size", "0"], ["serve", "--ttl", "-1"]):
+        for argv in (
+            ["serve", "--batch-size", "0"],
+            ["serve", "--restart-base-delay", "-1"],
+        ):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)
+
+    def test_parser_rejects_the_removed_ttl_flag(self, capsys):
+        # a response is a pure function of its request: entries never expire
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--ttl", "5"])
+        assert excinfo.value.code == 2
+        assert "--ttl" in capsys.readouterr().err
 
     def test_parser_rejects_the_removed_max_queue_flag(self, capsys):
         # the dispatcher's queue has no length bound; --max-cost sheds
@@ -393,8 +402,8 @@ class TestServeCommand:
         assert captured.err.splitlines() == [
             "service: 3 request(s) -> 2 ok, 1 invalid, 0 rejected, 0 failed; "
             "1 simulation(s), 1 coalesced, 0 cache hit(s), 2 miss(es)",
-            "cache: 0 hit(s), 2 miss(es), 0 eviction(s), 0 expiration(s), "
-            "1 resident, 0 warm hit(s)",
+            "cache: 0 hit(s), 2 miss(es), 0 eviction(s), 1 resident, "
+            "0 warm hit(s)",
         ]
 
     def test_serve_summary_without_a_cache_counts_compute_misses(

@@ -318,3 +318,17 @@ def test_count_mode_fires_each_event_before_its_trigger_request():
     asyncio.run(go())
     assert submitted == ["a", "b", "c"]
     assert fired == [("drop:0@0", 0), ("crash:1@2", 2)]
+
+
+def test_backoff_floor_follows_the_supervisor_jitter(monkeypatch):
+    # The lowest delay the supervisor can announce is base * (1 - jitter):
+    # it passes the audit, and anything shorter is a hot-loop respawn.
+    lowest = chaos.RESTART_BASE_DELAY * (1.0 - chaos.BACKOFF_JITTER)
+    outcome = healthy_outcome()
+    outcome["restart_delays"].append(lowest)
+    assert chaos.audit(outcome, BASELINE, strict=True)["failures"] == []
+
+    monkeypatch.setattr(chaos, "BACKOFF_JITTER", 0.5)
+    outcome = healthy_outcome()
+    outcome["restart_delays"].append(chaos.RESTART_BASE_DELAY * 0.6)
+    assert chaos.audit(outcome, BASELINE, strict=True)["failures"] == []

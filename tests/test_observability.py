@@ -163,7 +163,7 @@ class TestTelemetrySchema:
 
     def test_metrics_pin_schema_version(self):
         metrics = self._scrape()
-        assert TELEMETRY_SCHEMA_VERSION == 4  # service.slow_requests went
+        assert TELEMETRY_SCHEMA_VERSION == 5  # cache.expirations went
         assert metrics[0]["metrics"]["schema_version"] == TELEMETRY_SCHEMA_VERSION
         assert metrics[0]["id"] == "m-1"
 

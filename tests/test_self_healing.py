@@ -43,7 +43,13 @@ from repro.service.dispatcher import ScheduleService
 from repro.service.faults import FaultEvent, FaultSchedule
 from repro.service.server import response_line
 from repro.service.sharding import ShardedClient
-from repro.service.supervisor import RestartPolicy, ShardSupervisor
+from repro.service import supervisor as supervisor_module
+from repro.service.supervisor import (
+    BACKOFF_JITTER,
+    STABLE_AFTER_S,
+    RestartPolicy,
+    ShardSupervisor,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -65,18 +71,27 @@ def request_line(seed=0, tasks=8, **extra):
 # ---------------------------------------------------------------------------
 class TestRestartPolicy:
     def test_delay_sequence_doubles_then_caps(self):
-        policy = RestartPolicy(
-            base_delay=0.5, max_delay=8.0, multiplier=2.0, jitter=0.0
-        )
+        policy = RestartPolicy(base_delay=0.5)
         delays = [policy.delay(k) for k in range(1, 8)]
         assert delays == [0.5, 1.0, 2.0, 4.0, 8.0, 8.0, 8.0]
+
+    def test_a_base_delay_above_the_cap_is_its_own_cap(self):
+        policy = RestartPolicy(base_delay=10.0)
+        assert [policy.delay(k) for k in range(1, 4)] == [10.0, 10.0, 10.0]
+
+    def test_policy_has_only_the_two_cli_fields(self):
+        import dataclasses
+
+        names = [field.name for field in dataclasses.fields(RestartPolicy)]
+        assert names == ["base_delay", "max_restarts"]
 
     def test_jitter_stays_within_band_and_is_seeded(self):
         import random
 
-        policy = RestartPolicy(base_delay=1.0, max_delay=8.0, jitter=0.2)
-        draws = [policy.delay(1, random.Random(42)) for _ in range(20)]
-        assert all(0.8 <= d <= 1.2 for d in draws)
+        policy = RestartPolicy(base_delay=1.0)
+        draws = [policy.delay(1, random.Random(seed)) for seed in range(20)]
+        assert all(1 - BACKOFF_JITTER <= d <= 1 + BACKOFF_JITTER for d in draws)
+        assert len(set(draws)) > 1  # jittered, not constant
         # Same seed, same draw: the restart timeline is replayable.
         assert policy.delay(3, random.Random(7)) == policy.delay(3, random.Random(7))
 
@@ -84,9 +99,7 @@ class TestRestartPolicy:
         with pytest.raises(ServiceError):
             RestartPolicy(base_delay=0.0)
         with pytest.raises(ServiceError):
-            RestartPolicy(base_delay=2.0, max_delay=1.0)
-        with pytest.raises(ServiceError):
-            RestartPolicy(jitter=1.5)
+            RestartPolicy(max_restarts=-1)
         with pytest.raises(ServiceError):
             RestartPolicy().delay(0)
 
@@ -128,11 +141,15 @@ class FakeClock:
         self.now += seconds
 
 
+@pytest.fixture
+def no_jitter(monkeypatch):
+    """Exact restart times: the supervisor's backoff jitter set to 0."""
+    monkeypatch.setattr(supervisor_module, "BACKOFF_JITTER", 0.0)
+
+
 def make_supervisor(n_shards=1, **policy_kwargs):
     """A supervisor over fake processes under a fake clock."""
-    policy_kwargs.setdefault("jitter", 0.0)
     policy_kwargs.setdefault("base_delay", 1.0)
-    policy_kwargs.setdefault("max_delay", 8.0)
     clock = FakeClock()
     spawned = []
 
@@ -151,6 +168,7 @@ def make_supervisor(n_shards=1, **policy_kwargs):
     return supervisor, clock, spawned
 
 
+@pytest.mark.usefixtures("no_jitter")
 class TestShardSupervisor:
     def test_crash_is_restarted_after_the_backoff_delay(self):
         supervisor, clock, spawned = make_supervisor()
@@ -173,7 +191,7 @@ class TestShardSupervisor:
         assert supervisor.total_restarts == 1
 
     def test_backoff_sequence_doubles_across_consecutive_crashes(self):
-        supervisor, clock, spawned = make_supervisor(stable_after=1000.0)
+        supervisor, clock, spawned = make_supervisor()
         supervisor.start()
         observed = []
         for _ in range(4):
@@ -202,7 +220,7 @@ class TestShardSupervisor:
         assert len(spawned) == 3  # never respawned again
 
     def test_stable_run_resets_the_crash_counter(self):
-        supervisor, clock, spawned = make_supervisor(stable_after=30.0)
+        supervisor, clock, spawned = make_supervisor()
         supervisor.start()
         spawned[-1][2].die(1)
         supervisor.poll_once()
@@ -210,7 +228,7 @@ class TestShardSupervisor:
         supervisor.poll_once()  # respawn; consecutive_crashes == 1
         assert supervisor.shards[0].consecutive_crashes == 1
 
-        clock.advance(31.0)  # child stays up past stable_after
+        clock.advance(STABLE_AFTER_S + 1.0)  # child stays up past the bound
         supervisor.poll_once()
         assert supervisor.shards[0].consecutive_crashes == 0
 
@@ -250,7 +268,7 @@ class TestShardSupervisor:
         supervisor = ShardSupervisor(
             spawn,
             2,
-            policy=RestartPolicy(jitter=0.0),
+            policy=RestartPolicy(),
             clock=clock,
             sleep=lambda _s: drain(),
         )

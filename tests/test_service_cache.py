@@ -5,18 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ServiceError
-from repro.obs import MetricsRegistry
 from repro.service.cache import LRUResultCache
-
-
-class FakeClock:
-    """An injectable clock advanced by hand, so TTL tests never sleep."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
 
 
 class TestBasics:
@@ -42,8 +31,6 @@ class TestBasics:
     def test_rejects_bad_bounds(self):
         with pytest.raises(ServiceError):
             LRUResultCache(max_entries=0)
-        with pytest.raises(ServiceError):
-            LRUResultCache(max_entries=4, ttl=0)
 
 
 class TestEvictionOrder:
@@ -83,71 +70,40 @@ class TestEvictionOrder:
         assert cache.evictions == 45
 
 
-class TestTTL:
-    def test_entries_expire_after_ttl(self):
-        clock = FakeClock()
-        cache = LRUResultCache(max_entries=4, ttl=10.0, clock=clock)
-        cache.put("k", "v")
-        clock.now = 9.9
-        assert cache.get("k") == "v"
-        clock.now = 10.1
-        assert cache.get("k") is None
-        assert cache.expirations == 1
-        assert "k" not in cache
-
-    def test_put_refresh_resets_the_age(self):
-        clock = FakeClock()
-        cache = LRUResultCache(max_entries=4, ttl=10.0, clock=clock)
-        cache.put("k", "v1")
-        clock.now = 8.0
-        cache.put("k", "v2")
-        clock.now = 17.0  # 9s after the refresh, 17s after first insert
-        assert cache.get("k") == "v2"
-
-    def test_contains_is_ttl_aware_without_touching_stats(self):
-        clock = FakeClock()
-        cache = LRUResultCache(max_entries=4, ttl=10.0, clock=clock)
-        cache.put("k", "v")
-        assert "k" in cache
-        clock.now = 11.0
-        assert "k" not in cache  # expired entries read as absent...
-        assert cache.hits == 0  # ...and membership never counts
-        assert cache.misses == 0
-
-    def test_no_ttl_means_no_expiry(self):
-        clock = FakeClock()
-        cache = LRUResultCache(max_entries=4, clock=clock)
-        cache.put("k", "v")
-        clock.now = 1e9
-        assert cache.get("k") == "v"
+class TestMembership:
+    def test_contains_touches_no_counter_and_no_lru_order(self):
+        cache = LRUResultCache(max_entries=2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert "a" in cache and "z" not in cache
+        assert cache.hits == 0 and cache.misses == 0  # membership never counts
+        cache.put("c", 3)  # "a" stayed least recently used
+        assert cache.keys() == ("b", "c")
 
 
 class TestMetrics:
     def test_counters_track_every_outcome(self):
-        clock = FakeClock()
-        cache = LRUResultCache(max_entries=2, ttl=5.0, clock=clock)
+        cache = LRUResultCache(max_entries=2)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.get("a")  # hit
         cache.get("z")  # miss
         cache.put("c", 3)  # evicts "b" ("a" was refreshed by the hit)
-        clock.now = 6.0
-        cache.get("a")  # expired -> miss + expiration
+        cache.get("b")  # evicted -> miss
         snapshot = cache.registry.snapshot()
         assert snapshot["counters"] == {
             "cache.hits": 1,
             "cache.misses": 2,
             "cache.evictions": 1,
-            "cache.expirations": 1,
             "cache.warm_hits": 0,
         }
-        assert snapshot["gauges"] == {"cache.size": 1, "cache.journal_entries": 0}
+        assert snapshot["gauges"] == {"cache.size": 2, "cache.journal_entries": 0}
         assert cache.hits == 1 and cache.misses == 2
-        assert cache.evictions == 1 and cache.expirations == 1
+        assert cache.evictions == 1
 
-    def test_size_gauge_reads_live_state_of_a_shared_registry(self):
-        registry = MetricsRegistry()
-        cache = LRUResultCache(max_entries=4, registry=registry)
+    def test_size_gauge_reads_live_state_of_the_registry(self):
+        cache = LRUResultCache(max_entries=4)
+        registry = cache.registry
         assert registry.gauge("cache.size") == 0
         cache.put("a", 1)
         cache.put("b", 2)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -11,6 +12,7 @@ from repro.service.cache import LRUResultCache
 from repro.service.dispatcher import ScheduleService
 from repro.service.executor import execute_request
 from repro.service.schema import canonicalize_request
+from repro.service.server import response_line
 
 
 def make_request(seed=0, tasks=10, scheduler="LS", **extra):
@@ -166,28 +168,20 @@ class TestExecutionErrors:
         assert service.serve_chunk([make_request(seed=1)])[0]["status"] == "ok"
 
 
-class TestTTLExpiry:
-    def test_ttl_expiry_racing_a_coalesced_duplicate(self):
-        # Two identical requests land in one batch while their cached entry
-        # is mid-expiry: the first get() still hits, the clock then crosses
-        # the TTL, and the duplicate's get() expires.  The expired duplicate
-        # must recompute (not serve stale, not crash on the vanished entry)
-        # and, by the determinism contract, produce the identical metrics.
-        ticks = iter([0.0, 5.0, 15.0, 20.0])
-        cache = LRUResultCache(max_entries=8, ttl=10.0, clock=lambda: next(ticks))
-        service = ScheduleService(batch_size=4, cache=cache)
-        service.serve_chunk([make_request(seed=9, id="warm")])  # put at t=0
-        hit, expired = service.serve_chunk(
-            [
-                make_request(seed=9, id="hit"),  # get at t=5: fresh
-                make_request(seed=9, id="expired"),  # get at t=15: expired
-            ]
-        )
-        assert hit["status"] == "ok" and expired["status"] == "ok"
-        assert hit["metrics"] == expired["metrics"]
-        assert service.cache.hits == 1
-        assert counter(service, "simulations") == 2  # warm-up + the expired re-run
-        assert cache.expirations == 1
+class TestEviction:
+    def test_an_evicted_entry_recomputes_byte_identically(self):
+        # A one-entry cache: B evicts A, so A's second request runs its
+        # simulation again, and by the determinism contract the recompute
+        # is the same response, byte for byte.
+        cache = LRUResultCache(max_entries=1)
+        service = ScheduleService(batch_size=1, cache=cache)
+        first = response_line(service.serve_chunk([make_request(seed=9)])[0])
+        service.serve_chunk([make_request(seed=10)])  # evicts A
+        again = response_line(service.serve_chunk([make_request(seed=9)])[0])
+        assert json.loads(first)["status"] == "ok"
+        assert again == first
+        assert counter(service, "simulations") == 3
+        assert cache.evictions == 2 and cache.hits == 0
 
 
 class TestBatchMates:

@@ -14,6 +14,7 @@ window, plus one end-to-end warm restart through the real CLI.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -153,7 +154,7 @@ class TestShardPersistence:
         count = persistence.compact([("k1", 1), ("k2", 2)])
         assert count == 2
         assert persistence.journal_entries == 0
-        assert persistence.snapshot_age_s() is not None
+        assert persistence.snapshot_path.exists()
         persistence.record("k3", 3)
         persistence.close()
         assert ShardPersistence(tmp_path).load() == [
@@ -161,6 +162,20 @@ class TestShardPersistence:
             ("k2", 2),
             ("k3", 3),
         ]
+
+    def test_fsync_mode_syncs_every_record_and_compaction(self, tmp_path, monkeypatch):
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd))
+        )
+        persistence = ShardPersistence(tmp_path, fsync=True)
+        persistence.record("a", 1)
+        assert len(synced) == 1  # the append
+        persistence.compact([("a", 1)])
+        assert len(synced) == 3  # the snapshot and the emptied journal
+        persistence.close()
+        assert ShardPersistence(tmp_path).load() == [("a", 1)]
 
     def test_crash_between_snapshot_and_truncate_replays_idempotently(
         self, tmp_path
@@ -260,7 +275,7 @@ class TestCacheIntegration:
             max_entries=8, persistence=ShardPersistence(tmp_path)
         )
         assert warmed.warm_load() == 6
-        assert warmed.persistence.snapshot_age_s() is not None
+        assert warmed.persistence.snapshot_path.exists()
         assert warmed.registry.gauge("cache.journal_entries") <= 3
         warmed.close()
 
@@ -298,7 +313,10 @@ class TestWarmRestartEndToEnd:
             '{"platform":{"comm":[0.25],"comp":[1.0]},"tasks":30,'
             '"scheduler":"LS","id":"warm-1"}\n'
         )
-        env = {"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+        }
 
         def serve_once() -> "subprocess.CompletedProcess[str]":
             return subprocess.run(

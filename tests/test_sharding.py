@@ -118,6 +118,7 @@ class TestRestartStability:
                 env={
                     "PYTHONPATH": str(REPO_ROOT / "src"),
                     "PYTHONHASHSEED": hash_seed,
+                    "PYTHONDONTWRITEBYTECODE": "1",
                     "PATH": "/usr/bin:/bin",
                 },
             )

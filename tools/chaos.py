@@ -86,6 +86,7 @@ from repro.service.dispatcher import ScheduleService  # noqa: E402
 from repro.service.faults import FaultEvent, FaultSchedule  # noqa: E402
 from repro.service.server import serve_lines  # noqa: E402
 from repro.service.sharding import ShardedClient  # noqa: E402
+from repro.service.supervisor import BACKOFF_JITTER  # noqa: E402
 
 #: Error types of a shard the client could not reach in time (typed and
 #: terminal, never lost).  A client-local *degraded* answer is ``ok``;
@@ -884,7 +885,7 @@ def audit(
 
     # No-hot-loop audit: every announced restart delay must respect the
     # policy's jittered lower bound (the first attempt's is the smallest).
-    floor = RESTART_BASE_DELAY * 0.9
+    floor = RESTART_BASE_DELAY * (1.0 - BACKOFF_JITTER)
     too_fast = [delay for delay in outcome["restart_delays"] if delay < floor]
     if too_fast:
         failures.append(
